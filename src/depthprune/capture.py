@@ -11,11 +11,15 @@ def model_id_for(config) -> str:
             f"-v{config.vocab_size}-s{config.seed}")
 
 
-def capture_run(model, probe_sets):
+def capture_run(model, probe_sets, runs=None):
     """Capture one ActivationRecord per (sample, retained layer).
 
     Samples are numbered sequentially across probe sets in the given order,
-    so records are deterministic in (sample_id, layer).
+    so records are deterministic in (sample_id, layer).  ``runs``, when
+    given, maps each domain to ``model.residual_states(ps.token_matrix())``
+    already computed by the caller; otherwise each sample is forwarded on
+    its own through ``model.forward_with_hooks``, which keeps peak memory at
+    one sample's states.
     """
     cfg = model.config
     domains = tuple(
@@ -32,10 +36,16 @@ def capture_run(model, probe_sets):
     records = []
     sample_id = 0
     for ps in probe_sets:
-        for subtask, tokens in ps.all_samples():
-            trace = model.forward_with_hooks(tokens)
-            for lid, h_in, h_out in zip(trace.layer_ids, trace.h_in, trace.h_out):
-                sim = token_cosine_mean(h_in, h_out)
+        states = runs[ps.domain][0] if runs is not None else None
+        for b, (subtask, tokens) in enumerate(ps.all_samples()):
+            if states is None:
+                trace = model.forward_with_hooks(tokens)
+                h = trace.h_in + trace.h_out[-1:]
+            else:
+                h = states[:, b]
+            pooled = [np.asarray(mean_pool(s), dtype=np.float32) for s in h]
+            for l, lid in enumerate(model.layer_ids):
+                sim = token_cosine_mean(h[l], h[l + 1])
                 sim = min(1.0, max(-1.0, sim))
                 records.append(ActivationRecord(
                     sample_id=sample_id,
@@ -43,8 +53,8 @@ def capture_run(model, probe_sets):
                     domain=ps.domain,
                     subtask=subtask,
                     sim=sim,
-                    pooled_in=np.asarray(mean_pool(h_in), dtype=np.float32),
-                    pooled_out=np.asarray(mean_pool(h_out), dtype=np.float32),
+                    pooled_in=pooled[l],
+                    pooled_out=pooled[l + 1],
                 ))
             sample_id += 1
     return header, records

@@ -251,8 +251,7 @@ def build_parser():
     add("sweep", cmd_sweep, **{
         "--config": dict(required=True), "--out": dict(default=None),
         "--alpha": dict(type=float, default=None),
-        "--seed": dict(type=int, default=None),
-        "--jobs": dict(type=int, default=1)})
+        "--seed": dict(type=int, default=None)})
     add("heatmap", cmd_heatmap,
         **{"--log": dict(required=True), "--out": dict(default=None)})
     return parser

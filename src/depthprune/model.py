@@ -69,13 +69,26 @@ def _layernorm(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+    # 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))), evaluated in
+    # place on one temporary: batched MLP activations are a forward's largest
+    # arrays.
+    g = x * x
+    g *= x
+    g *= 0.044715
+    g += x
+    g *= np.sqrt(2.0 / np.pi)
+    np.tanh(g, out=g)
+    g += 1.0
+    g *= x
+    g *= 0.5
+    return g
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 class Model:
@@ -103,37 +116,59 @@ class Model:
         protected = self.protected_layers
         return tuple(l for l in range(self.config.num_layers) if l not in protected)
 
-    def forward_with_hooks(self, tokens) -> CaptureTrace:
+    def residual_states(self, tokens, start: int = 0, x0=None):
+        """Batched forward over ``tokens`` of shape (B, T); returns (states, logits).
+
+        ``states`` has shape (depth - start + 1, B, T, d): the residual stream
+        entering ``blocks[start]``, then the stream after each later block.
+        ``logits`` has shape (B, T, vocab_size).  With ``start > 0`` the
+        stream entering ``blocks[start]`` must be given as ``x0`` (B, T, d),
+        which resumes a forward from a prefix computed elsewhere.
+        """
         tokens = np.asarray(tokens, dtype=np.int64)
         cfg = self.config
-        if tokens.ndim != 1 or tokens.shape[0] < 1:
-            raise ValueError("tokens must be a non-empty 1-D sequence")
-        if tokens.shape[0] > cfg.max_seq_len:
-            raise SequenceTooLong(f"sequence length {tokens.shape[0]} > max_seq_len {cfg.max_seq_len}")
+        if tokens.ndim != 2 or tokens.shape[0] < 1 or tokens.shape[1] < 1:
+            raise ValueError("tokens must be a non-empty (batch, seq) array")
+        b, t = tokens.shape
+        if t > cfg.max_seq_len:
+            raise SequenceTooLong(f"sequence length {t} > max_seq_len {cfg.max_seq_len}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id outside vocabulary")
-        t = tokens.shape[0]
-        x = self.embedding[tokens] + self.positional[:t]
-        h_in, h_out = [], []
+        if not 0 <= start <= self.depth:
+            raise ValueError(f"start {start} outside [0, {self.depth}]")
+        d = cfg.hidden_dim
+        if x0 is None:
+            if start != 0:
+                raise ValueError("x0 is required to resume at start > 0")
+            x = self.embedding[tokens] + self.positional[:t]
+        else:
+            x = np.asarray(x0, dtype=np.float64)
+            if x.shape != (b, t, d):
+                raise ValueError(f"x0 shape {x.shape} != {(b, t, d)}")
+        heads, head_dim = cfg.num_heads, d // cfg.num_heads
         mask = np.triu(np.full((t, t), -np.inf), k=1)
-        head_dim = cfg.hidden_dim // cfg.num_heads
         scale = 1.0 / np.sqrt(head_dim)
-        for blk in self.blocks:
-            h_in.append(x.copy())
+        states = np.empty((self.depth - start + 1, b, t, d))
+        states[0] = x
+        for i, blk in enumerate(self.blocks[start:], 1):
             a = _layernorm(x)
-            q = (a @ blk.wq).reshape(t, cfg.num_heads, head_dim)
-            k = (a @ blk.wk).reshape(t, cfg.num_heads, head_dim)
-            v = (a @ blk.wv).reshape(t, cfg.num_heads, head_dim)
-            att = np.einsum("thd,shd->hts", q, k) * scale + mask[None, :, :]
-            att = _softmax(att)
-            ctx = np.einsum("hts,shd->thd", att, v).reshape(t, cfg.hidden_dim)
+            q, k, v = ((a @ w).reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
+                       for w in (blk.wq, blk.wk, blk.wv))
+            att = _softmax((q @ k.transpose(0, 1, 3, 2)) * scale + mask)
+            ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
             x = x + ctx @ blk.wo
-            m = _layernorm(x)
-            x = x + _gelu(m @ blk.w_up) @ blk.w_down
-            h_out.append(x.copy())
-        logits = _layernorm(x) @ self.unembed
-        return CaptureTrace(layer_ids=self.layer_ids, h_in=tuple(h_in),
-                            h_out=tuple(h_out), logits=logits)
+            x = x + _gelu(_layernorm(x) @ blk.w_up) @ blk.w_down
+            states[i] = x
+        return states, _layernorm(x) @ self.unembed
+
+    def forward_with_hooks(self, tokens) -> CaptureTrace:
+        """One sequence through :meth:`residual_states`, split into per-block in/out."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if tokens.ndim != 1 or tokens.shape[0] < 1:
+            raise ValueError("tokens must be a non-empty 1-D sequence")
+        states, logits = self.residual_states(tokens[None])
+        return CaptureTrace(layer_ids=self.layer_ids, h_in=tuple(states[:-1, 0]),
+                            h_out=tuple(states[1:, 0]), logits=logits[0])
 
     def logits(self, tokens) -> np.ndarray:
         return self.forward_with_hooks(tokens).logits

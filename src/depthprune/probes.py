@@ -40,6 +40,14 @@ class ProbeSet:
             for tokens in samples:
                 yield tag, tokens
 
+    def token_matrix(self) -> np.ndarray:
+        """All samples in ``all_samples`` order as one (num_samples, seq_len) array."""
+        rows = [tokens for _, tokens in self.all_samples()]
+        lengths = {len(tokens) for tokens in rows}
+        if len(lengths) > 1:
+            raise ValueError(f"probe set {self.domain!r} mixes sequence lengths {sorted(lengths)}")
+        return np.array(rows, dtype=np.int64)
+
 
 def _math_cot(stream, length, vocab):
     # additive recurrence: x_t = x_{t-1} + x_{t-2} (mod vocab)

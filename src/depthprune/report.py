@@ -1,12 +1,14 @@
 """Budget x method sweeps, output-fidelity metrics, and CSV reports."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import cka_rank, interlace_plan, random_plan
 from .capture import capture_run
-from .errors import BudgetOutOfRange, DepthPruneError, InconsistentDepth, ModelMismatch
+from .errors import (BudgetOutOfRange, DepthPruneError, InconsistentDepth, ModelMismatch,
+                     ZeroNormInput)
+from .linalg import ZERO_NORM_THRESHOLD
 from .model import apply_prune_plan, build_model
 from .planner import budget_k, make_plan
 from .probes import DOMAINS, default_probe_sets
@@ -61,40 +63,59 @@ def _floored_softmax(logits: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def _shared_prefix(base, pruned):
+    """Number of leading blocks ``pruned`` runs on exactly ``base``'s stream, or None.
+
+    Blocks are compared by identity, not by layer id, because
+    ``neutralize_block`` keeps the ids while replacing the weights.
+    """
+    if pruned.embedding is not base.embedding or pruned.positional is not base.positional:
+        return None
+    f = 0
+    for b, p in zip(base.blocks, pruned.blocks):
+        if b is not p:
+            break
+        f += 1
+    return f
+
+
 def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.0,
-             seed: int = 0, base_traces=None) -> FidelityReport:
-    """Position-wise output agreement of pruned vs unpruned model on a probe set."""
+             seed: int = 0, base_run=None) -> FidelityReport:
+    """Position-wise output agreement of pruned vs unpruned model on a probe set.
+
+    ``base_run`` is ``base.residual_states(probes.token_matrix())`` when the
+    caller already has it.  The pruned model resumes from the base stream
+    after the block prefix the two models share.
+    """
     cb, cp = base.config, pruned.config
     if (cb.vocab_size, cb.max_seq_len, cb.hidden_dim) != (cp.vocab_size, cp.max_seq_len, cp.hidden_dim):
         raise ModelMismatch("base and pruned models disagree on vocab/max_seq_len/hidden_dim")
-    samples = list(probes.all_samples())
-    if not samples:
+    if probes.num_samples == 0:
         raise ModelMismatch("probe set is empty")
-    agree = 0
-    positions = 0
-    cos_sum = 0.0
-    kl_sum = 0.0
-    for idx, (_, tokens) in enumerate(samples):
-        tb = base_traces[idx] if base_traces is not None else base.forward_with_hooks(tokens)
-        tp = pruned.forward_with_hooks(tokens)
-        t = tb.logits.shape[0]
-        agree += int(np.sum(np.argmax(tb.logits, axis=1) == np.argmax(tp.logits, axis=1)))
-        positions += t
-        hb, hp = tb.h_out[-1], tp.h_out[-1]
-        dots = np.einsum("td,td->t", hb, hp)
-        norms = np.linalg.norm(hb, axis=1) * np.linalg.norm(hp, axis=1)
-        cos_sum += float(np.sum(dots / norms))
-        pb = _floored_softmax(tb.logits)
-        pp = _floored_softmax(tp.logits)
-        kl_sum += float(np.sum(pb * np.log(pb / pp)))
+    tokens = probes.token_matrix()
+    base_states, base_logits = base_run if base_run is not None else base.residual_states(tokens)
+    f = _shared_prefix(base, pruned)
+    if f is None:
+        states, logits = pruned.residual_states(tokens)
+    else:
+        states, logits = pruned.residual_states(tokens, start=f, x0=base_states[f])
+    positions = tokens.size
+    hb, hp = base_states[-1], states[-1]
+    n_base, n_pruned = np.linalg.norm(hb, axis=-1), np.linalg.norm(hp, axis=-1)
+    if float(n_base.min()) < ZERO_NORM_THRESHOLD or float(n_pruned.min()) < ZERO_NORM_THRESHOLD:
+        raise ZeroNormInput("a final hidden state has near-zero norm")
+    cos = np.einsum("btd,btd->bt", hb, hp) / (n_base * n_pruned)
+    pb = _floored_softmax(base_logits)
+    pp = _floored_softmax(logits)
+    agree = np.argmax(base_logits, axis=-1) == np.argmax(logits, axis=-1)
     return FidelityReport(
         method=method,
         budget_fraction=budget_fraction,
         domain=probes.domain,
-        top1_agreement=agree / positions,
-        final_hidden_cosine=cos_sum / positions,
-        mean_kl=kl_sum / positions,
-        num_probes=len(samples),
+        top1_agreement=int(np.sum(agree)) / positions,
+        final_hidden_cosine=float(np.sum(cos)) / positions,
+        mean_kl=float(np.sum(pb * np.log(pb / pp))) / positions,
+        num_probes=probes.num_samples,
         seed=seed,
     )
 
@@ -144,30 +165,27 @@ def sweep(config, methods, budgets, seeds, alpha: float = 0.7, probe_counts=None
         raise DepthPruneError("no seeds selected")
     model = build_model(config)
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
-    header, records = capture_run(model, probe_sets)
-    base_traces = {
-        ps.domain: [model.forward_with_hooks(tokens) for _, tokens in ps.all_samples()]
-        for ps in probe_sets
-    }
+    base_runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
+    header, records = capture_run(model, probe_sets, base_runs)
     heatmap = heatmap_matrix(records)
 
     reports = []
     grid_plans = {}
-    cache = {}
+    cache = {}  # pruned layers -> {domain: FidelityReport}
     for method in methods:
         for p in budgets:
             for seed in seeds:
                 plan = plan_for_method(method, header, records, p, alpha=alpha, seed=seed)
                 if (method, p) not in grid_plans:
                     grid_plans[(method, p)] = plan
-                key = plan.pruned
-                if key not in cache:
-                    cache[key] = apply_prune_plan(model, plan)
-                pruned_model = cache[key]
+                if plan.pruned not in cache:
+                    pruned_model = apply_prune_plan(model, plan)
+                    cache[plan.pruned] = {
+                        ps.domain: fidelity(model, pruned_model, ps, base_run=base_runs[ps.domain])
+                        for ps in probe_sets}
                 for ps in probe_sets:
-                    reports.append(fidelity(
-                        model, pruned_model, ps, method=method, budget_fraction=p,
-                        seed=seed, base_traces=base_traces[ps.domain]))
+                    reports.append(replace(cache[plan.pruned][ps.domain], method=method,
+                                           budget_fraction=p, seed=seed))
     plans = [grid_plans[k] for k in sorted(grid_plans, key=lambda mk: (mk[0], mk[1]))]
     return reports, plans, heatmap
 

@@ -67,9 +67,6 @@ class SeededStream:
             if x < limit:
                 return x % bound
 
-    def randints(self, n: int, bound: int) -> np.ndarray:
-        return np.array([self.randint_below(bound) for _ in range(n)], dtype=np.int64)
-
     def sample_without_replacement(self, items, k: int) -> list:
         """Draw k distinct items, in draw order (partial Fisher-Yates)."""
         pool = list(items)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from depthprune.errors import (BudgetOutOfRange, InconsistentDepth,
-                               ModelMismatch)
-from depthprune.model import ToyModelConfig, apply_prune_plan, build_model
+                               ModelMismatch, ZeroNormInput)
+from depthprune.model import Model, ToyModelConfig, apply_prune_plan, build_model
 from depthprune.planner import PrunePlan, default_protected
 from depthprune.probes import generate_probes
 from depthprune.report import (classify_regime, fidelity, removal_pattern_grid,
@@ -86,6 +86,18 @@ def test_fidelity_degrades_under_real_pruning():
     rep = fidelity(model, pruned, probes)
     assert rep.mean_kl > 0.0
     assert rep.top1_agreement < 1.0
+
+
+def test_fidelity_zero_norm_final_hidden_raises():
+    base = build_model(CFG)
+    # zero embeddings keep the whole residual stream at exactly zero
+    zero = Model(CFG, np.zeros_like(base.embedding), np.zeros_like(base.positional),
+                 base.blocks, base.unembed)
+    probes = generate_probes("math", 1, seed=0, config=CFG)
+    with pytest.raises(ZeroNormInput):
+        fidelity(base, zero, probes)
+    with pytest.raises(ZeroNormInput):
+        fidelity(zero, base, probes)
 
 
 # ---- sweep -----------------------------------------------------------------
