@@ -1,6 +1,6 @@
 """Comparison rankers: linear-CKA adjacency, triplet interlacing, random.
 
-All three consume activation records from the log, reuse only pooled
+All three consume the activation table from the log, reuse only pooled
 output vectors and stored similarities, and respect the protected
 endpoint set through the pruneable layer set they are given.
 """
@@ -19,26 +19,24 @@ from .rng import SeededStream
 ALL_SUBTASKS = MATH_SUBTASKS + NONMATH_SUBTASKS  # 9 pseudo-samples
 
 
-def feature_matrices(records) -> dict:
+def feature_matrices(table) -> dict:
     """Per-layer (9, d) matrices: one row per subtask, mean pooled_out."""
-    layers = sorted({rec.layer for rec in records})
-    sums = {}
-    counts = {}
-    for rec in records:
-        key = (rec.layer, rec.subtask)
-        if key not in sums:
-            sums[key] = np.zeros(rec.pooled_out.shape[0])
-            counts[key] = 0
-        sums[key] += np.asarray(rec.pooled_out, dtype=np.float64)
-        counts[key] += 1
+    tags, d = table.header.subtask_tags, table.pooled_out.shape[1]
+    shape = (int(table.layer.max(initial=-1)) + 1, len(tags))
+    cell = table.layer * len(tags) + table.subtask  # (layer, subtask) of each row
+    # bincount adds each entry's values in row order, as a per-record loop would
+    sums = np.bincount((cell[:, None] * d + np.arange(d)).ravel(),
+                       weights=table.pooled_out.ravel(), minlength=shape[0] * shape[1] * d)
+    sums = sums.reshape(shape + (d,))
+    counts = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
     features = {}
-    for layer in layers:
+    for layer in np.flatnonzero(counts.sum(axis=1)).tolist():
         rows = []
         for tag in ALL_SUBTASKS:
-            key = (layer, tag)
-            if key not in sums:
+            j = tags.index(tag) if tag in tags else None
+            if j is None or counts[layer, j] == 0:
                 raise MissingSubtask(f"layer {layer} has no records for subtask {tag!r}")
-            rows.append(sums[key] / counts[key])
+            rows.append(sums[layer, j] / counts[layer, j])
         features[layer] = np.vstack(rows)
     return features
 
@@ -57,32 +55,26 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CkaTable:
-    features: dict      # layer -> (9, d) matrix
     adjacency: dict     # layer l -> CKA(X_l, X_{l+1})
     redundancy: dict    # pruneable layer l' -> score attributed to the later layer
-    degenerate: frozenset
 
 
-def cka_rank(records, pruneable) -> CkaTable:
-    """Adjacent-layer CKA redundancy; high CKA(l, l+1) marks l+1 pruneable."""
-    pruneable = sorted(pruneable)
-    features = feature_matrices(records)
+def cka_rank(table, pruneable) -> CkaTable:
+    """Adjacent-layer CKA redundancy; high CKA(l, l+1) marks l+1 pruneable.
+
+    A degenerate (zero-spread) feature pair scores 0.0.
+    """
+    features = feature_matrices(table)
     adjacency = {}
-    redundancy = {}
-    degenerate = set()
-    for later in pruneable:
+    for later in sorted(pruneable):
         earlier = later - 1
         if earlier not in features or later not in features:
             raise MissingSubtask(f"no features for adjacency pair ({earlier}, {later})")
         try:
-            value = linear_cka(features[earlier], features[later])
+            adjacency[earlier] = linear_cka(features[earlier], features[later])
         except DegenerateFeatures:
-            value = 0.0
-            degenerate.add(later)
-        adjacency[earlier] = value
-        redundancy[later] = value
-    return CkaTable(features=features, adjacency=adjacency,
-                    redundancy=redundancy, degenerate=frozenset(degenerate))
+            adjacency[earlier] = 0.0
+    return CkaTable(adjacency=adjacency, redundancy={l + 1: v for l, v in adjacency.items()})
 
 
 def _adjacent_sims(features: dict, layers) -> dict:
@@ -96,16 +88,14 @@ def _adjacent_sims(features: dict, layers) -> dict:
     return sims
 
 
-def _inout_redundancy(records) -> dict:
+def _inout_redundancy(table) -> dict:
     """Domain-agnostic per-layer mean of stored in/out similarities."""
-    sums, counts = {}, {}
-    for rec in records:
-        sums[rec.layer] = sums.get(rec.layer, 0.0) + rec.sim
-        counts[rec.layer] = counts.get(rec.layer, 0) + 1
-    return {l: sums[l] / counts[l] for l in sums}
+    sums = np.bincount(table.layer, weights=table.sim)
+    counts = np.bincount(table.layer)
+    return {l: float(sums[l]) / int(counts[l]) for l in np.flatnonzero(counts).tolist()}
 
 
-def interlace_solution(records, pruneable, k: int):
+def interlace_solution(table, pruneable, k: int):
     """Solve the triplet selection; returns (pruned, anchors, inout, num_layers).
 
     Triplets (l, l+1, l+2) over the pruneable range are scored by the mean
@@ -122,10 +112,10 @@ def interlace_solution(records, pruneable, k: int):
     n_mid = len(pruneable)
     if k > n_mid:
         raise BudgetInfeasible(f"k = {k} exceeds pruneable count {n_mid}")
-    features = feature_matrices(records)
-    num_layers = max(features) + 1
+    features = feature_matrices(table)
+    num_layers = table.header.num_layers
     sims = _adjacent_sims(features, [l for l in pruneable if l + 1 in features])
-    inout = _inout_redundancy(records)
+    inout = _inout_redundancy(table)
 
     triplets = []
     for l in pruneable:
@@ -167,10 +157,10 @@ def interlace_solution(records, pruneable, k: int):
     return tuple(pruned), frozenset(anchors), inout, num_layers
 
 
-def interlace_plan(records, pruneable, k: int, budget_fraction: float = None) -> PrunePlan:
+def interlace_plan(table, pruneable, k: int, budget_fraction: float = None) -> PrunePlan:
     """Triplet-based spaced pruning; see interlace_solution for the rules."""
     pruneable = sorted(pruneable)
-    pruned, _, inout, num_layers = interlace_solution(records, pruneable, k)
+    pruned, _, inout, num_layers = interlace_solution(table, pruneable, k)
     protected = frozenset(range(num_layers)) - frozenset(pruneable)
     if budget_fraction is None:
         budget_fraction = k / len(pruneable)
@@ -181,14 +171,12 @@ def interlace_plan(records, pruneable, k: int, budget_fraction: float = None) ->
     return plan
 
 
-def random_plan(pruneable, k: int, seed: int, num_layers: int = None,
+def random_plan(pruneable, k: int, seed: int, num_layers: int,
                 budget_fraction: float = None) -> PrunePlan:
     """k distinct layers drawn uniformly without replacement, seeded."""
     pruneable = sorted(pruneable)
     if k > len(pruneable):
         raise BudgetTooLarge(f"k = {k} exceeds pruneable count {len(pruneable)}")
-    if num_layers is None:
-        num_layers = max(pruneable) + 2  # assume one protected layer after the last pruneable
     stream = SeededStream(seed)
     pruned = stream.sample_without_replacement(pruneable, k)
     protected = frozenset(range(num_layers)) - frozenset(pruneable)

@@ -12,16 +12,15 @@ import sys
 
 from . import __version__
 from .actlog import read_log_path, write_log_path
-from .baselines import cka_rank
+from .baselines import cka_rank  # noqa: F401  (bench/tracer.py wraps it in this module)
 from .capture import capture_run
-from .errors import DepthPruneError, InvalidConfig
+from .errors import AlphaOutOfRange, BudgetOutOfRange, DepthPruneError, InvalidConfig
 from .model import ToyModelConfig, apply_prune_plan, build_model
-from .planner import DEFAULT_BUDGETS, METHODS, budget_k, parse_plan, serialize_plan
-from .probes import DEFAULT_COUNTS, DOMAINS, default_probe_sets
-from .report import (classify_regime, fidelity, heatmap_matrix, plan_for_method,
-                     removal_pattern_grid, sweep, sweep_csv)
-from .rng import SeededStream
-from .scoring import DEFAULT_ALPHA, aggregate_domain, rank_order, znormalize
+from .planner import DEFAULT_BUDGETS, METHODS, parse_plan, serialize_plan
+from .probes import DEFAULT_COUNTS, DOMAINS, default_probe_sets, subtasks_for
+from .report import (classify_regime, fidelity, heatmap_matrix, method_scores,
+                     plan_for_method, removal_pattern_grid, sweep, sweep_csv)
+from .scoring import DEFAULT_ALPHA, aggregate_domain, znormalize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,7 +28,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_fraction(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
+
+
+def _require(ok, message):
+    if not ok:
+        raise InvalidConfig(f"config: {message}")
+
+
 def _load_config(path):
+    """Read and fully validate a run config, before anything is built or computed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -37,105 +50,100 @@ def _load_config(path):
         raise DepthPruneError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config {path}: invalid JSON ({exc.msg})") from exc
-    known = {"model", "probe_counts", "probe_seed", "methods", "budgets",
-             "alpha", "seeds", "out"}
-    unknown = set(raw) - known
-    if unknown:
-        raise InvalidConfig(f"config: unknown key {sorted(unknown)[0]!r}")
-    model_raw = raw.get("model", {})
+    _require(isinstance(raw, dict), "is not a JSON object")
+    cfg = {"model": {}, "probe_counts": dict(DEFAULT_COUNTS), "probe_seed": 0,
+           "methods": list(METHODS), "budgets": list(DEFAULT_BUDGETS), "alpha": DEFAULT_ALPHA,
+           "seeds": [0], "out": "out"}
+    for key in sorted(raw):
+        _require(key in cfg, f"unknown key {key!r}")
+    cfg.update(raw)
+    _require(isinstance(cfg["model"], dict), "model: expected an object")
     model_fields = {"num_layers", "hidden_dim", "num_heads", "vocab_size",
                     "max_seq_len", "seed"}
-    bad = set(model_raw) - model_fields
-    if bad:
-        raise InvalidConfig(f"config model: unknown field {sorted(bad)[0]!r}")
-    cfg = {
-        "model": ToyModelConfig(**model_raw),
-        "probe_counts": raw.get("probe_counts", dict(DEFAULT_COUNTS)),
-        "probe_seed": raw.get("probe_seed", 0),
-        "methods": raw.get("methods", list(METHODS)),
-        "budgets": raw.get("budgets", list(DEFAULT_BUDGETS)),
-        "alpha": raw.get("alpha", DEFAULT_ALPHA),
-        "seeds": raw.get("seeds", [0]),
-        "out": raw.get("out", "out"),
-    }
+    for name, value in sorted(cfg["model"].items()):
+        _require(name in model_fields, f"model: unknown field {name!r}")
+        _require(_is_int(value), f"model {name}: {value!r} is not an integer")
+    cfg["model"] = ToyModelConfig(**cfg["model"])
     cfg["model"].validate()
-    if not (0.0 <= cfg["alpha"] <= 1.0):
-        raise InvalidConfig(f"config alpha: {cfg['alpha']} outside [0, 1]")
-    for d in cfg["probe_counts"]:
-        if d not in DOMAINS:
-            raise InvalidConfig(f"config probe_counts: unknown domain {d!r}")
+    _require(_is_fraction(cfg["alpha"]), f"alpha: {cfg['alpha']!r} outside [0, 1]")
+    for key in ("methods", "budgets", "seeds"):
+        _require(isinstance(cfg[key], list), f"{key}: expected a list")
+    for method in cfg["methods"]:
+        _require(method in METHODS,
+                 f"methods: unknown method {method!r} (expected one of {METHODS})")
+    for p in cfg["budgets"]:
+        _require(_is_fraction(p), f"budgets: {p!r} outside [0, 1]")
+    for seed in cfg["seeds"] + [cfg["probe_seed"]]:
+        _require(_is_int(seed), f"seeds: {seed!r} is not an integer")
+    _require(isinstance(cfg["out"], str), f"out: {cfg['out']!r} is not a path")
+    counts = cfg["probe_counts"]
+    _require(isinstance(counts, dict) and sorted(counts) == sorted(DOMAINS),
+             f"probe_counts: expected one entry for each of {DOMAINS}")
+    for d in DOMAINS:
+        per_subtask = counts[d] if isinstance(counts[d], dict) else {None: counts[d]}
+        for tag, n in per_subtask.items():
+            _require(tag is None or tag in subtasks_for(d),
+                     f"probe_counts {d}: unknown subtask {tag!r}")
+            _require(_is_int(n) and n > 0, f"probe_counts {d}: {n!r} is not a positive integer")
     return cfg
-
-
-def _capture_records(cfg):
-    model = build_model(cfg["model"])
-    probe_sets = default_probe_sets(cfg["model"], cfg["probe_seed"], cfg["probe_counts"])
-    header, records = capture_run(model, probe_sets)
-    return model, probe_sets, header, records
 
 
 def cmd_capture(args):
     cfg = _load_config(args.config)
     out = args.out or os.path.join(cfg["out"], "activations.log")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    _, _, header, records = _capture_records(cfg)
-    count = write_log_path(header, records, out)
+    model = build_model(cfg["model"])
+    probe_sets = default_probe_sets(cfg["model"], cfg["probe_seed"], cfg["probe_counts"])
+    header, table = capture_run(model, probe_sets)
+    count = write_log_path(header, table, out)
     print(f"wrote {count} records to {out}")
+    print(f"clamped {table.clamped} of {count} sims to [-1, 1]", file=sys.stderr)
     return 0
 
 
 def cmd_score(args):
-    header, records = read_log_path(args.log)
+    header, table = read_log_path(args.log)
     pruneable = sorted(set(range(header.num_layers)) - header.protected_layers)
     for domain in DOMAINS:
-        table = znormalize(aggregate_domain(records, domain, pruneable))
-        print(f"domain={domain} n={table.sample_count} mu={table.mu:.6f} sigma={table.sigma:.6f}")
+        scores = znormalize(aggregate_domain(table, domain, pruneable))
+        print(f"domain={domain} n={scores.sample_count} "
+              f"mu={scores.mu:.6f} sigma={scores.sigma:.6f}")
         for layer in pruneable:
-            print(f"  layer {layer:3d}  raw={table.raw[layer]:+.6f}  "
-                  f"norm={table.normalized[layer]:+.6f}")
+            print(f"  layer {layer:3d}  raw={scores.raw[layer]:+.6f}  "
+                  f"norm={scores.normalized[layer]:+.6f}")
     return 0
 
 
-def _ranking_scores(header, records, method, alpha, seed):
-    """Full prune-order scores for rank printing (not budget-truncated)."""
-    pruneable = sorted(set(range(header.num_layers)) - header.protected_layers)
-    if method in ("ours-math", "ours-nonmath", "ours-mixed"):
-        math_t = znormalize(aggregate_domain(records, "math", pruneable))
-        nonmath_t = znormalize(aggregate_domain(records, "nonmath", pruneable))
-        a = {"ours-math": 0.0, "ours-nonmath": 1.0}.get(method, alpha)
-        scores = {l: a * nonmath_t.normalized[l] + (1 - a) * math_t.normalized[l]
-                  for l in pruneable}
-        return scores, rank_order(scores)
-    if method == "cka":
-        table = cka_rank(records, pruneable)
-        return dict(table.redundancy), rank_order(table.redundancy)
-    if method == "random":
-        if seed is None:
-            raise DepthPruneError("method random requires --seed for reproducibility")
-        order = tuple(SeededStream(seed).sample_without_replacement(pruneable, len(pruneable)))
-        return {l: 0.0 for l in pruneable}, order
-    raise DepthPruneError(f"method {method!r} has no standalone ranking; use plan with --budget")
+def _check_method(args):
+    """Reject a bad --method, --budget, --alpha or missing --seed before the log is read."""
+    if args.method not in METHODS:
+        raise InvalidConfig(f"unknown method {args.method!r} (expected one of {METHODS})")
+    if not 0.0 <= args.alpha <= 1.0:
+        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {args.alpha}")
+    if args.budget is not None and not 0.0 <= args.budget <= 1.0:
+        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {args.budget}")
+    if args.method == "random" and args.seed is None:
+        raise InvalidConfig("method random requires --seed for reproducibility")
 
 
 def cmd_rank(args):
-    header, records = read_log_path(args.log)
-    if args.method not in METHODS:
-        raise DepthPruneError(f"unknown method {args.method!r} (expected one of {METHODS})")
+    _check_method(args)
+    if args.method == "interlace" and args.budget is None:
+        raise InvalidConfig("method interlace requires --budget (its structure depends on K)")
+    header, table = read_log_path(args.log)
     if args.method == "interlace":
-        if args.budget is None:
-            raise DepthPruneError("method interlace requires --budget (its structure depends on K)")
-        plan = plan_for_method(args.method, header, records, args.budget,
+        plan = plan_for_method(args.method, header, table, args.budget,
                                alpha=args.alpha, seed=args.seed)
         for layer in plan.pruned:
             print(f"{layer}\t{plan.scores[layer]:+.6f}")
         if args.out:
             _write_plan(plan, args.out)
         return 0
-    scores, order = _ranking_scores(header, records, args.method, args.alpha, args.seed)
+    scores, order = method_scores(args.method, header, table, args.alpha, args.seed)
     for layer in order:
         print(f"{layer}\t{scores[layer]:+.6f}")
     if args.budget is not None:
-        plan = plan_for_method(args.method, header, records, args.budget,
+        plan = plan_for_method(args.method, header, table, args.budget,
                                alpha=args.alpha, seed=args.seed)
         if args.out:
             _write_plan(plan, args.out)
@@ -152,10 +160,9 @@ def _write_plan(plan, path):
 
 
 def cmd_plan(args):
-    header, records = read_log_path(args.log)
-    if args.method not in METHODS:
-        raise DepthPruneError(f"unknown method {args.method!r} (expected one of {METHODS})")
-    plan = plan_for_method(args.method, header, records, args.budget,
+    _check_method(args)
+    header, table = read_log_path(args.log)
+    plan = plan_for_method(args.method, header, table, args.budget,
                            alpha=args.alpha, seed=args.seed)
     regime = classify_regime(args.budget)
     print(f"method={plan.method} budget={plan.budget_fraction} k={plan.k} regime={regime.label}")
@@ -191,6 +198,8 @@ def cmd_sweep(args):
     os.makedirs(out_dir, exist_ok=True)
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
     alpha = args.alpha if args.alpha is not None else cfg["alpha"]
+    if not 0.0 <= alpha <= 1.0:
+        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
     reports, plans, heatmap = sweep(cfg["model"], cfg["methods"], cfg["budgets"],
                                     seeds, alpha=alpha, probe_counts=cfg["probe_counts"],
                                     probe_seed=cfg["probe_seed"])
@@ -208,8 +217,8 @@ def cmd_sweep(args):
 
 
 def cmd_heatmap(args):
-    _, records = read_log_path(args.log)
-    text = heatmap_matrix(records).to_csv()
+    _, table = read_log_path(args.log)
+    text = heatmap_matrix(table).to_csv()
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

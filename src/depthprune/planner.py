@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetOutOfRange, RankingCoverageMismatch, SchemaViolation
-from .scoring import MixedRanking, rank_order
+from .scoring import rank_order
 
 METHODS = ("ours-math", "ours-nonmath", "ours-mixed", "cka", "interlace", "random")
 
@@ -61,20 +61,15 @@ class PrunePlan:
                 raise SchemaViolation(f"protected: layer {p} outside [0, {self.num_layers})")
 
 
-def make_plan(ranking, p: float, num_layers: int, protected, method: str,
-              seed: int = None) -> PrunePlan:
-    """Truncate a descending ranking to the budget K.
+def make_plan(scores, p: float, num_layers: int, protected, method: str,
+              alpha: float = None) -> PrunePlan:
+    """Truncate the descending order of ``scores`` to the budget K.
 
-    ranking is a MixedRanking or a plain {layer: score} map covering exactly
-    the pruneable set.
+    scores is a {layer: score} map covering exactly the pruneable set;
+    alpha is recorded in the plan (ours-mixed only).
     """
     protected = frozenset(protected)
-    if isinstance(ranking, MixedRanking):
-        scores = dict(ranking.scores)
-        alpha = ranking.alpha
-    else:
-        scores = dict(ranking)
-        alpha = None
+    scores = dict(scores)
     l_mid = frozenset(range(num_layers)) - protected
     if set(scores) != l_mid:
         raise RankingCoverageMismatch(
@@ -82,8 +77,7 @@ def make_plan(ranking, p: float, num_layers: int, protected, method: str,
     k = budget_k(p, len(l_mid))
     order = rank_order(scores)
     plan = PrunePlan(method=method, budget_fraction=p, k=k, num_layers=num_layers,
-                     protected=protected, pruned=order[:k], alpha=alpha,
-                     scores=scores, seed=seed)
+                     protected=protected, pruned=order[:k], alpha=alpha, scores=scores)
     plan.validate()
     return plan
 

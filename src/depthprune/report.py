@@ -10,10 +10,11 @@ from .errors import (BudgetOutOfRange, DepthPruneError, InconsistentDepth, Model
                      ZeroNormInput)
 from .linalg import ZERO_NORM_THRESHOLD
 from .model import apply_prune_plan, build_model
-from .planner import budget_k, make_plan
-from .probes import DOMAINS, default_probe_sets
-from .scoring import (aggregate_domain, heatmap_matrix, mixed_ranking,
-                      single_domain_ranking, znormalize)
+from .planner import METHODS, budget_k, make_plan
+from .probes import default_probe_sets
+from .rng import SeededStream
+from .scoring import (DEFAULT_ALPHA, aggregate_domain, heatmap_matrix, mixed_ranking,
+                      rank_order, znormalize)
 
 KL_FLOOR = 1e-12
 
@@ -120,33 +121,50 @@ def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.
     )
 
 
-def plan_for_method(method: str, header, records, p: float, alpha: float = 0.7,
+def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed: int = None):
+    """(scores, full prune order) of one method over the header's pruneable layers.
+
+    ``ours-math`` and ``ours-nonmath`` are ``ours-mixed`` at alpha 0 and 1;
+    ``random`` is a seeded permutation with every score 0.0.
+    """
+    pruneable = sorted(set(range(header.num_layers)) - header.protected_layers)
+    if method == "random":
+        stream = SeededStream(_random_seed(seed))
+        return {l: 0.0 for l in pruneable}, tuple(
+            stream.sample_without_replacement(pruneable, len(pruneable)))
+    if method in ("ours-math", "ours-nonmath", "ours-mixed"):
+        ranking = mixed_ranking(znormalize(aggregate_domain(table, "math", pruneable)),
+                                znormalize(aggregate_domain(table, "nonmath", pruneable)),
+                                {"ours-math": 0.0, "ours-nonmath": 1.0}.get(method, alpha))
+        return ranking.scores, ranking.order
+    if method == "cka":
+        scores = cka_rank(table, pruneable).redundancy
+        return scores, rank_order(scores)
+    raise DepthPruneError(f"method {method!r} has no budget-free ranking" if method in METHODS
+                          else f"unknown method {method!r}")
+
+
+def _random_seed(seed):
+    if seed is None:
+        raise DepthPruneError("method random requires a seed")
+    return seed
+
+
+def plan_for_method(method: str, header, table, p: float, alpha: float = DEFAULT_ALPHA,
                     seed: int = None):
     """Build the PrunePlan for one method tag at budget p from log data."""
     protected = frozenset(header.protected_layers)
     num_layers = header.num_layers
     l_mid = sorted(set(range(num_layers)) - protected)
     k = budget_k(p, len(l_mid))
-    if method in ("ours-math", "ours-nonmath", "ours-mixed"):
-        math_t = znormalize(aggregate_domain(records, "math", l_mid))
-        nonmath_t = znormalize(aggregate_domain(records, "nonmath", l_mid))
-        if method == "ours-math":
-            ranking = dict(single_domain_ranking(math_t).scores)
-        elif method == "ours-nonmath":
-            ranking = dict(single_domain_ranking(nonmath_t).scores)
-        else:
-            ranking = mixed_ranking(math_t, nonmath_t, alpha)
-        return make_plan(ranking, p, num_layers, protected, method)
-    if method == "cka":
-        table = cka_rank(records, l_mid)
-        return make_plan(table.redundancy, p, num_layers, protected, "cka")
     if method == "interlace":
-        return interlace_plan(records, l_mid, k, budget_fraction=p)
+        return interlace_plan(table, l_mid, k, budget_fraction=p)
     if method == "random":
-        if seed is None:
-            raise DepthPruneError("random method requires a seed")
-        return random_plan(l_mid, k, seed, num_layers=num_layers, budget_fraction=p)
-    raise DepthPruneError(f"unknown method {method!r}")
+        return random_plan(l_mid, k, _random_seed(seed), num_layers=num_layers,
+                           budget_fraction=p)
+    scores, _ = method_scores(method, header, table, alpha)
+    return make_plan(scores, p, num_layers, protected, method,
+                     alpha=alpha if method == "ours-mixed" else None)
 
 
 def sweep(config, methods, budgets, seeds, alpha: float = 0.7, probe_counts=None,
@@ -166,8 +184,8 @@ def sweep(config, methods, budgets, seeds, alpha: float = 0.7, probe_counts=None
     model = build_model(config)
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
     base_runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
-    header, records = capture_run(model, probe_sets, base_runs)
-    heatmap = heatmap_matrix(records)
+    header, table = capture_run(model, probe_sets, base_runs)
+    heatmap = heatmap_matrix(table)
 
     reports = []
     grid_plans = {}
@@ -175,7 +193,7 @@ def sweep(config, methods, budgets, seeds, alpha: float = 0.7, probe_counts=None
     for method in methods:
         for p in budgets:
             for seed in seeds:
-                plan = plan_for_method(method, header, records, p, alpha=alpha, seed=seed)
+                plan = plan_for_method(method, header, table, p, alpha=alpha, seed=seed)
                 if (method, p) not in grid_plans:
                     grid_plans[(method, p)] = plan
                 if plan.pruned not in cache:

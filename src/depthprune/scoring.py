@@ -41,33 +41,32 @@ def rank_order(scores: dict) -> tuple:
     return tuple(sorted(scores, key=lambda l: (-scores[l], -l)))
 
 
-def aggregate_domain(records, domain: str, pruneable) -> DomainScoreTable:
+def aggregate_domain(table, domain: str, pruneable) -> DomainScoreTable:
     """Mean per-sample similarity per pruneable layer, subtasks merged flat."""
-    pruneable = frozenset(pruneable)
-    sums = {l: 0.0 for l in pruneable}
-    counts = {l: 0 for l in pruneable}
-    sample_ids = set()
-    for rec in records:
-        if rec.domain != domain:
-            continue
-        sample_ids.add(rec.sample_id)
-        if rec.layer in sums:
-            sums[rec.layer] += rec.sim
-            counts[rec.layer] += 1
-    if not sample_ids:
+    pruneable = sorted(set(pruneable))
+    names = [d.domain for d in table.header.domains]
+    in_domain = table.domain == (names.index(domain) if domain in names else -1)
+    if not in_domain.any():
         raise EmptyDomain(f"no records for domain {domain!r}")
-    for l in sorted(pruneable):
+    size = max(pruneable, default=-1) + 1
+    # bincount adds each layer's weights in row order, as a per-record loop would
+    sums = np.bincount(table.layer[in_domain], weights=table.sim[in_domain], minlength=size)
+    counts = np.bincount(table.layer[in_domain], minlength=size)
+    for l in pruneable:
         if counts[l] == 0:
             raise MissingLayerCoverage(f"domain {domain!r} has no samples covering layer {l}")
-    raw = {l: sums[l] / counts[l] for l in pruneable}
-    return DomainScoreTable(domain=domain, raw=raw, sample_count=len(sample_ids))
+    raw = {l: float(sums[l]) / int(counts[l]) for l in pruneable}
+    return DomainScoreTable(domain=domain, raw=raw,
+                            sample_count=len(set(table.sample_id[in_domain].tolist())))
 
 
 def znormalize(table: DomainScoreTable) -> DomainScoreTable:
     """Fill mu/sigma (population stats over the pruneable set) and normalized scores."""
     values = np.array([table.raw[l] for l in sorted(table.raw)], dtype=np.float64)
     mu = float(values.mean())
-    sigma = float(values.std())  # population stdev: stats over a fixed layer set
+    # population stdev: stats over a fixed layer set.  Equal values have no spread,
+    # though the rounding in their mean can make std() a few ulps above 0.
+    sigma = float(values.std()) if values.max() > values.min() else 0.0
     if sigma == 0.0:
         normalized = {l: 0.0 for l in table.raw}
     else:
@@ -111,23 +110,26 @@ class HeatmapMatrix:
         return "\n".join(lines) + "\n"
 
 
-def heatmap_matrix(records) -> HeatmapMatrix:
-    """Mean in/out similarity per (subtask, layer) over all samples."""
-    if not records:
+def heatmap_matrix(table) -> HeatmapMatrix:
+    """Mean in/out similarity per (subtask, layer) over all samples.
+
+    Rows follow each subtask's first appearance in the table, columns the
+    sorted layers present.
+    """
+    if len(table) == 0:
         raise EmptyInput("no records to build a heatmap from")
-    subtasks = []
-    for rec in records:
-        if rec.subtask not in subtasks:
-            subtasks.append(rec.subtask)
-    layers = tuple(sorted({rec.layer for rec in records}))
-    sums = np.zeros((len(subtasks), len(layers)))
-    counts = np.zeros_like(sums)
-    srow = {s: i for i, s in enumerate(subtasks)}
-    lcol = {l: j for j, l in enumerate(layers)}
-    for rec in records:
-        i, j = srow[rec.subtask], lcol[rec.layer]
-        sums[i, j] += rec.sim
-        counts[i, j] += 1
+    codes = list(dict.fromkeys(table.subtask.tolist()))  # in first-appearance order
+    layers = np.flatnonzero(np.bincount(table.layer))
+    row_of = np.zeros(max(codes) + 1, dtype=np.int64)
+    row_of[codes] = np.arange(len(codes))
+    col_of = np.zeros(layers[-1] + 1, dtype=np.int64)
+    col_of[layers] = np.arange(layers.size)
+    cell = row_of[table.subtask] * layers.size + col_of[table.layer]
+    shape = (len(codes), layers.size)
+    sums = np.bincount(cell, weights=table.sim, minlength=shape[0] * shape[1]).reshape(shape)
+    counts = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
     with np.errstate(invalid="ignore"):
         values = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
-    return HeatmapMatrix(subtasks=tuple(subtasks), layers=layers, values=values)
+    tags = table.header.subtask_tags
+    return HeatmapMatrix(subtasks=tuple(tags[c] for c in codes),
+                         layers=tuple(layers.tolist()), values=values)

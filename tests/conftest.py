@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from depthprune.actlog import ActivationRecord, DomainInfo, LogHeader
+from depthprune.actlog import ActivationTable, DomainInfo, LogHeader
 from depthprune.capture import capture_run
 from depthprune.model import ToyModelConfig, build_model
 from depthprune.probes import (MATH_SUBTASKS, NONMATH_SUBTASKS,
@@ -30,9 +32,32 @@ def small_capture(small_model, small_probes):
     return capture_run(small_model, small_probes)
 
 
+def table_from_rows(header, rows):
+    """An ActivationTable of (sample_id, layer, domain, subtask, sim, pooled_out) rows."""
+    names = [d.domain for d in header.domains]
+    tags = header.subtask_tags
+    pooled = np.array([r[5] for r in rows], dtype=np.float32)
+    return ActivationTable(
+        header=header,
+        sample_id=np.array([r[0] for r in rows], dtype=np.int64),
+        layer=np.array([r[1] for r in rows], dtype=np.int64),
+        domain=np.array([names.index(r[2]) for r in rows], dtype=np.int64),
+        subtask=np.array([tags.index(r[3]) for r in rows], dtype=np.int64),
+        sim=np.array([r[4] for r in rows], dtype=np.float64),
+        pooled_out=pooled.reshape(len(rows), -1 if rows else header.hidden_dim),
+    )
+
+
+def select_rows(table, mask):
+    """The rows of ``table`` where ``mask`` holds, in order."""
+    return replace(table, sample_id=table.sample_id[mask], layer=table.layer[mask],
+                   domain=table.domain[mask], subtask=table.subtask[mask],
+                   sim=table.sim[mask], pooled_out=table.pooled_out[mask])
+
+
 def make_synthetic_records(num_layers, hidden_dim=8, samples_per_subtask=2,
                            seed=0, sims=None):
-    """Valid records covering all 9 subtasks at every layer.
+    """(header, table) of valid records covering all 9 subtasks at every layer.
 
     sims, when given, maps layer -> similarity used for every record at
     that layer; otherwise sims are drawn uniformly from [0, 1).
@@ -46,7 +71,7 @@ def make_synthetic_records(num_layers, hidden_dim=8, samples_per_subtask=2,
                        hidden_dim=hidden_dim,
                        protected_layers=frozenset({0, num_layers - 1}),
                        domains=domains)
-    records = []
+    rows = []
     sample_id = 0
     for domain, subtasks in (("math", MATH_SUBTASKS), ("nonmath", NONMATH_SUBTASKS)):
         for subtask in subtasks:
@@ -56,11 +81,10 @@ def make_synthetic_records(num_layers, hidden_dim=8, samples_per_subtask=2,
                         sim = float(sims[layer])
                     else:
                         sim = float(rng.uniform(0.0, 1.0))
-                    records.append(ActivationRecord(
-                        sample_id=sample_id, layer=layer, domain=domain,
-                        subtask=subtask, sim=sim,
-                        pooled_in=rng.standard_normal(hidden_dim).astype(np.float32),
-                        pooled_out=rng.standard_normal(hidden_dim).astype(np.float32),
-                    ))
+                    # the unused draw keeps pooled_out on the random stream the
+                    # expectations of the tests using this fixture were set with
+                    rng.standard_normal(hidden_dim)
+                    pooled_out = rng.standard_normal(hidden_dim).astype(np.float32)
+                    rows.append((sample_id, layer, domain, subtask, sim, pooled_out))
                 sample_id += 1
-    return header, records
+    return header, table_from_rows(header, rows)

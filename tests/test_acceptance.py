@@ -34,8 +34,8 @@ def random_table(rng, domain="math", layers=10, lo=1, scale=1.0):
 def test_acceptance_01_stored_sims_match_recomputation(small_model, small_probes,
                                                        small_capture):
     start = time.monotonic()
-    _, records = small_capture
-    stored = {(r.sample_id, r.layer): r.sim for r in records}
+    _, table = small_capture
+    stored = dict(zip(zip(table.sample_id.tolist(), table.layer.tolist()), table.sim.tolist()))
     assert len(stored) >= 1000
     checked = 0
     sample_id = 0

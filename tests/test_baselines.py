@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_records
+from conftest import make_synthetic_records, select_rows
 from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
                                   interlace_plan, interlace_solution,
                                   linear_cka, random_plan)
@@ -85,7 +87,7 @@ def test_cka_rank_attributes_to_later_layer():
 
 def test_cka_rank_missing_subtask():
     header, records = make_synthetic_records(num_layers=4)
-    records = [r for r in records if r.subtask != "Grounding"]
+    records = select_rows(records, records.subtask != header.subtask_tags.index("Grounding"))
     with pytest.raises(MissingSubtask):
         cka_rank(records, range(1, 3))
 
@@ -93,15 +95,10 @@ def test_cka_rank_missing_subtask():
 def test_cka_identical_adjacent_layers_score_one():
     header, records = make_synthetic_records(num_layers=5, seed=9)
     # make layer 3 carry layer 2's pooled outputs for every record
-    by_key = {(r.sample_id, r.layer): r for r in records}
-    patched = []
-    for r in records:
-        if r.layer == 3:
-            src = by_key[(r.sample_id, 2)]
-            r = type(r)(r.sample_id, r.layer, r.domain, r.subtask, r.sim,
-                        r.pooled_in, src.pooled_out)
-        patched.append(r)
-    table = cka_rank(patched, range(1, 4))
+    pooled = records.pooled_out.copy()
+    assert (records.sample_id[records.layer == 3] == records.sample_id[records.layer == 2]).all()
+    pooled[records.layer == 3] = pooled[records.layer == 2]
+    table = cka_rank(replace(records, pooled_out=pooled), range(1, 4))
     assert table.redundancy[3] == pytest.approx(1.0, abs=1e-9)
     assert max(table.redundancy, key=lambda l: table.redundancy[l]) == 3
 
@@ -148,6 +145,17 @@ def test_interlace_budget_infeasible():
         interlace_plan(records, range(1, 5), 4)
 
 
+def test_interlace_takes_depth_from_the_header():
+    # records of layers 0-8 only: the depth is the header's 12, not 8 + 1
+    header, records = make_synthetic_records(num_layers=12)
+    records = select_rows(records, records.layer < 9)
+    pruned, _, _, num_layers = interlace_solution(records, range(1, 8), 2)
+    assert num_layers == 12
+    plan = interlace_plan(records, range(1, 8), 2)
+    assert plan.num_layers == 12
+    assert plan.protected == frozenset({0, 8, 9, 10, 11})
+
+
 def test_interlace_respects_protected():
     header, records = make_synthetic_records(num_layers=12)
     plan = interlace_plan(records, range(1, 11), 3)
@@ -163,6 +171,11 @@ def test_random_plan_deterministic():
     assert a.pruned == b.pruned
     c = random_plan(range(1, 11), 3, seed=8, num_layers=12)
     assert a.pruned != c.pruned
+
+
+def test_random_plan_requires_num_layers():
+    with pytest.raises(TypeError):
+        random_plan(range(1, 11), 3, seed=7)
 
 
 def test_random_plan_exhaustion():

@@ -1,15 +1,20 @@
 import numpy as np
 
-from depthprune.capture import capture_run
+from depthprune.capture import capture_run, layer_stats
 from depthprune.linalg import token_cosine_mean
 from depthprune.model import ToyModelConfig, build_model, neutralize_block
 from depthprune.probes import generate_probes
 
 
 def test_record_count_is_samples_times_depth(small_capture, small_probes):
-    header, records = small_capture
+    header, table = small_capture
     total = sum(ps.num_samples for ps in small_probes)
-    assert len(records) == total * header.num_layers
+    assert len(table) == total * header.num_layers
+    assert table.header is header
+    for column in (table.sample_id, table.layer, table.domain, table.subtask, table.sim):
+        assert column.shape == (len(table),)
+    assert table.pooled_out.shape == (len(table), header.hidden_dim)
+    assert table.pooled_out.dtype == np.float32
 
 
 def test_header_matches_config(small_capture, small_config):
@@ -21,40 +26,59 @@ def test_header_matches_config(small_capture, small_config):
 
 
 def test_stored_sim_matches_trace_recomputation(small_model, small_probes, small_capture):
-    _, records = small_capture
+    _, table = small_capture
     by_sample = {}
-    for rec in records:
-        by_sample.setdefault(rec.sample_id, {})[rec.layer] = rec
+    for sample_id, layer, sim in zip(table.sample_id.tolist(), table.layer.tolist(),
+                                     table.sim.tolist()):
+        by_sample.setdefault(sample_id, {})[layer] = sim
     sample_id = 0
     for ps in small_probes:
         for _, tokens in ps.all_samples():
             trace = small_model.forward_with_hooks(tokens)
             for lid, h_in, h_out in zip(trace.layer_ids, trace.h_in, trace.h_out):
                 expected = token_cosine_mean(h_in, h_out)
-                assert abs(by_sample[sample_id][lid].sim - expected) < 1e-6
+                assert abs(by_sample[sample_id][lid] - expected) < 1e-12
             sample_id += 1
 
 
 def test_pooled_vectors_match_trace(small_model, small_probes, small_capture):
-    _, records = small_capture
-    first = records[0]
+    header, table = small_capture
     tokens = next(small_probes[0].all_samples())[1]
     trace = small_model.forward_with_hooks(tokens)
-    np.testing.assert_allclose(first.pooled_in,
-                               trace.h_in[first.layer].mean(axis=0), rtol=1e-5)
-    np.testing.assert_allclose(first.pooled_out,
-                               trace.h_out[first.layer].mean(axis=0), rtol=1e-5)
+    first = table.sample_id == 0
+    assert table.layer[first].tolist() == list(range(header.num_layers))
+    pooled = table.pooled_out[first]
+    for layer in range(header.num_layers):
+        np.testing.assert_allclose(pooled[layer], trace.h_out[layer].mean(axis=0), rtol=1e-5)
+        # the pooled input v1 stored is the previous layer's pooled output
+        if layer > 0:
+            np.testing.assert_allclose(pooled[layer - 1], trace.h_in[layer].mean(axis=0),
+                                       rtol=1e-5)
 
 
 def test_neutralized_block_sim_is_one():
     cfg = ToyModelConfig()
     model = neutralize_block(build_model(cfg), 4)
     probes = generate_probes("math", 2, seed=0, config=cfg)
-    _, records = capture_run(model, [probes])
-    sims = [rec.sim for rec in records if rec.layer == 4]
-    assert sims and all(abs(s - 1.0) < 1e-6 for s in sims)
+    _, table = capture_run(model, [probes])
+    sims = table.sim[table.layer == 4]
+    assert sims.size and all(abs(s - 1.0) < 1e-6 for s in sims)
 
 
 def test_sims_within_range(small_capture):
-    _, records = small_capture
-    assert all(-1.0 <= rec.sim <= 1.0 for rec in records)
+    _, table = small_capture
+    assert all(-1.0 <= s <= 1.0 for s in table.sim)
+
+
+def test_capture_counts_clamped_sims():
+    # one-token samples whose streams pass every block unchanged: rounding puts
+    # some of these self-cosines an ulp above 1
+    cfg = ToyModelConfig()
+    model = build_model(cfg)
+    probes = generate_probes("math", 2, seed=0, config=cfg)
+    x = np.random.default_rng(0).standard_normal((probes.num_samples, 1, cfg.hidden_dim))
+    states = np.broadcast_to(x, (cfg.num_layers + 1,) + x.shape)
+    raw, _ = layer_stats(states)
+    _, table = capture_run(model, [probes], {"math": (states, None)})
+    assert table.clamped == int(np.count_nonzero(np.abs(raw) > 1.0)) > 0
+    np.testing.assert_array_equal(table.sim, np.clip(raw, -1.0, 1.0).reshape(-1))

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from depthprune import cli, report
 from depthprune.cli import main
 
 CONFIG = {
@@ -122,3 +124,59 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("bad,field", [
+    ({"seeds": ["x"]}, "seeds"),
+    ({"seeds": [1.5]}, "seeds"),
+    ({"probe_seed": "0"}, "seeds"),
+    ({"methods": ["ours-mixed", "bogus"]}, "bogus"),
+    ({"budgets": [1.5]}, "budgets"),
+    ({"budgets": [-0.1]}, "budgets"),
+    ({"budgets": ["0.1"]}, "budgets"),
+    ({"alpha": "0.7"}, "alpha"),
+    ({"probe_counts": {"math": 0, "nonmath": 2}}, "probe_counts"),
+    ({"probe_counts": {"math": 2.5, "nonmath": 2}}, "probe_counts"),
+    ({"probe_counts": {"math": {"Math-CoT": -1}, "nonmath": 2}}, "probe_counts"),
+    ({"probe_counts": {"math": {"Bogus": 1}, "nonmath": 2}}, "Bogus"),
+    ({"probe_counts": {"math": 2}}, "probe_counts"),
+    ({"model": {"num_layers": "12"}}, "num_layers"),
+])
+@pytest.mark.parametrize("command", ["capture", "sweep"])
+def test_invalid_config_fails_before_building_a_model(tmp_path, capsys, monkeypatch,
+                                                      bad, field, command):
+    def no_model(config):
+        raise AssertionError("a model was built from an invalid config")
+
+    monkeypatch.setattr(cli, "build_model", no_model)
+    monkeypatch.setattr(report, "build_model", no_model)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**CONFIG, **bad}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidConfig:") and field in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["rank", "--method", "bogus"], "bogus"),
+    (["rank", "--method", "random"], "seed"),
+    (["rank", "--method", "interlace"], "budget"),
+    (["rank", "--method", "cka", "--budget", "1.5"], "budget"),
+    (["rank", "--method", "ours-mixed", "--alpha", "2"], "alpha"),
+    (["plan", "--method", "bogus", "--budget", "0.25"], "bogus"),
+    (["plan", "--method", "cka", "--budget", "1.5"], "budget"),
+    (["plan", "--method", "random", "--budget", "0.25"], "seed"),
+])
+def test_rank_and_plan_check_flags_before_reading_the_log(tmp_path, capsys, argv, message):
+    # the log does not exist: reading it first would exit 2
+    assert main(argv + ["--log", str(tmp_path / "missing.log")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_capture_reports_clamped_sims_on_stderr(workdir, capsys):
+    log = workdir / "clamped.log"
+    assert main(["capture", "--config", str(workdir / "config.json"), "--out", str(log)]) == 0
+    out, err = capsys.readouterr()
+    records = len(log.read_text().splitlines()) - 1
+    assert out.splitlines()[0] == f"wrote {records} records to {log}"
+    assert re.fullmatch(rf"clamped \d+ of {records} sims to \[-1, 1\]\n", err)

@@ -2,18 +2,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_synthetic_records
-from depthprune.actlog import ActivationRecord
+from conftest import make_synthetic_records, table_from_rows
+from depthprune.actlog import DomainInfo, LogHeader
 from depthprune.errors import (AlphaOutOfRange, EmptyDomain, EmptyInput,
                                LayerSetMismatch, MissingLayerCoverage)
+from depthprune.probes import MATH_SUBTASKS, NONMATH_SUBTASKS
 from depthprune.scoring import (DomainScoreTable, aggregate_domain,
                                 heatmap_matrix, mixed_ranking, rank_order,
                                 single_domain_ranking, znormalize)
 
+HEADER = LogHeader(model_id="scoring", num_layers=4, hidden_dim=2,
+                   protected_layers=frozenset({0, 3}),
+                   domains=(DomainInfo("math", MATH_SUBTASKS, 3),
+                            DomainInfo("nonmath", NONMATH_SUBTASKS, 0)))
+
 
 def rec(sample_id, layer, sim, domain="math", subtask="Math-CoT"):
-    v = np.zeros(2, dtype=np.float32)
-    return ActivationRecord(sample_id, layer, domain, subtask, sim, v, v)
+    return (sample_id, layer, domain, subtask, sim, np.zeros(2, dtype=np.float32))
+
+
+def records_table(*rows):
+    return table_from_rows(HEADER, list(rows))
 
 
 def table(raw, domain="math"):
@@ -23,34 +32,33 @@ def table(raw, domain="math"):
 # ---- aggregation -----------------------------------------------------------
 
 def test_single_sample_aggregate():
-    records = [rec(0, 1, 0.7), rec(0, 2, 0.3)]
-    t = aggregate_domain(records, "math", [1, 2])
+    t = aggregate_domain(records_table(rec(0, 1, 0.7), rec(0, 2, 0.3)), "math", [1, 2])
     assert t.raw == {1: 0.7, 2: 0.3}
     assert t.sample_count == 1
 
 
 def test_aggregate_mean_oracle():
-    records = [rec(i, 1, s) for i, s in enumerate([0.2, 0.4, 0.6])]
+    records = records_table(*(rec(i, 1, s) for i, s in enumerate([0.2, 0.4, 0.6])))
     t = aggregate_domain(records, "math", [1])
     assert t.raw[1] == pytest.approx(0.4)
 
 
 def test_aggregate_merges_subtasks_flat():
-    records = [rec(0, 1, 0.0, subtask="Math-CoT"),
-               rec(1, 1, 1.0, subtask="Math-Direct"),
-               rec(2, 1, 0.5, subtask="Math-Direct")]
+    records = records_table(rec(0, 1, 0.0, subtask="Math-CoT"),
+                            rec(1, 1, 1.0, subtask="Math-Direct"),
+                            rec(2, 1, 0.5, subtask="Math-Direct"))
     t = aggregate_domain(records, "math", [1])
     assert t.raw[1] == pytest.approx(0.5)
 
 
 def test_aggregate_empty_domain():
     with pytest.raises(EmptyDomain):
-        aggregate_domain([rec(0, 1, 0.5)], "nonmath", [1])
+        aggregate_domain(records_table(rec(0, 1, 0.5)), "nonmath", [1])
 
 
 def test_aggregate_missing_layer():
     with pytest.raises(MissingLayerCoverage):
-        aggregate_domain([rec(0, 1, 0.5)], "math", [1, 2])
+        aggregate_domain(records_table(rec(0, 1, 0.5)), "math", [1, 2])
 
 
 # ---- z-normalization -------------------------------------------------------
@@ -64,6 +72,13 @@ def test_znormalize_hand_oracle():
 
 def test_znormalize_degenerate_sigma():
     t = table({1: 0.5, 2: 0.5, 3: 0.5})
+    assert t.sigma == 0.0
+    assert all(v == 0.0 for v in t.normalized.values())
+
+
+def test_znormalize_equal_values_with_an_inexact_mean():
+    # the mean of three 0.4s rounds away from 0.4, and np.std() returns 5.6e-17
+    t = table({1: 0.4, 2: 0.4, 3: 0.4})
     assert t.sigma == 0.0
     assert all(v == 0.0 for v in t.normalized.values())
 
@@ -141,7 +156,7 @@ def test_monotone_substitution():
 # ---- heatmap ---------------------------------------------------------------
 
 def test_heatmap_singleton():
-    hm = heatmap_matrix([rec(0, 3, 0.42)])
+    hm = heatmap_matrix(records_table(rec(0, 3, 0.42)))
     assert hm.subtasks == ("Math-CoT",)
     assert hm.layers == (3,)
     assert hm.values[0, 0] == pytest.approx(0.42)
@@ -149,7 +164,7 @@ def test_heatmap_singleton():
 
 def test_heatmap_empty():
     with pytest.raises(EmptyInput):
-        heatmap_matrix([])
+        heatmap_matrix(records_table())
 
 
 def test_heatmap_consistent_with_aggregate():
