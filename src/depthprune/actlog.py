@@ -1,31 +1,29 @@
 """Activation-log file format and the activation table it holds.
 
-Line-delimited JSON: line 1 is the header object, every following line is
-one (sample, layer) record.  Sims and pooled outputs are rounded to float32
-before writing so the decimal form round-trips bit-stably across
-implementations.  Schema v2 has no ``pooled_in``: no ranker reads it, and
-for layer l >= 1 it equals the ``pooled_out`` of layer l - 1.
+UTF-8 text of ``\n``-terminated JSON lines.  Line 1 is the header object.
+Then come exactly one line per table column, in ``_COLUMNS`` order: an
+object whose one key is the column name and whose value is the base64 of
+the column's little-endian bytes.  ``domain`` and ``subtask`` are indices
+into ``header.domains`` and ``header.subtask_tags``; sims and pooled
+outputs are stored as float32, so a log round-trips bit for bit.
 """
 
+import base64
 import io
 import json
-import reprlib
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SchemaViolation, SinkFailure, TruncatedFile
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-_HEADER_KEYS = {"schema_version", "model_id", "num_layers", "hidden_dim",
-                "protected_layers", "domains"}
-_DOMAIN_KEYS = {"domain", "subtasks", "sample_count"}
-_RECORD_KEYS = {"sample_id", "layer", "domain", "subtask", "sim", "pooled_out"}
-_TYPES = {"sample_id": (int,), "layer": (int,), "domain": (str,), "subtask": (str,),
-          "sim": (int, float), "pooled_out": (list,)}  # exact types: a JSON true is no number
-_INT64 = range(-2 ** 63, 2 ** 63)
+_COLUMNS = (("sample_id", "<i8"), ("layer", "<i8"), ("domain", "<i8"), ("subtask", "<i8"),
+            ("sim", "<f4"), ("pooled_out", "<f4"))
+_HEADER_KINDS = {"schema_version": int, "model_id": str, "num_layers": int, "hidden_dim": int,
+                 "protected_layers": (list, int), "domains": list}
+_DOMAIN_KINDS = {"domain": str, "subtasks": (list, str), "sample_count": int}
 
 
 @dataclass(frozen=True)
@@ -55,6 +53,8 @@ class LogHeader:
         for p in self.protected_layers:
             if not (0 <= p < self.num_layers):
                 raise SchemaViolation(f"protected_layers: index {p} outside [0, {self.num_layers})")
+        if len({d.domain for d in self.domains}) != len(self.domains):
+            raise SchemaViolation("domains: a domain name is declared twice")
         for d in self.domains:
             if d.sample_count < 0:
                 raise SchemaViolation(f"domains: negative sample_count for {d.domain}")
@@ -101,40 +101,30 @@ def _header_to_json(header: LogHeader) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _check_rows(header, table, where, malformed=None, raw_names=None):
-    """Raise SchemaViolation for the earliest invalid row.
+def _check_rows(header, table):
+    """Raise SchemaViolation for the earliest invalid record.
 
-    ``malformed`` maps a row to the message for its value of a wrong type;
-    ``raw_names`` maps a row to the (domain, subtask) it named, where either
-    is not declared.  Checks are listed in the order one record is checked,
-    so a row with several faults reports the first.
+    Checks are listed in the order one record is checked, so a record with
+    several faults reports the first.
     """
     tags, n, d, pooled = header.subtask_tags, len(table), header.hidden_dim, table.pooled_out
-    malformed, raw_names = malformed or {}, raw_names or {}
     allowed = np.zeros((len(header.domains) + 1, len(tags) + 1), dtype=bool)  # last: unknown
     for i, info in enumerate(header.domains):
         allowed[i, [tags.index(tag) for tag in info.subtasks]] = True
     known = (table.domain >= 0) & (table.domain < len(header.domains))
     subtask = np.where((table.subtask >= 0) & (table.subtask < len(tags)), table.subtask, -1)
-
-    def names(i):  # as read, else from the codes; an undeclared code shows as itself
-        return raw_names.get(i) or (
-            header.domains[table.domain[i]].domain if known[i] else int(table.domain[i]),
-            tags[subtask[i]] if subtask[i] >= 0 else int(table.subtask[i]))
-
     dim_ok = pooled.shape[1:] == (d,)
-    flagged, repeat, seen = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), set()
-    flagged[list(malformed)] = True
+    repeat, seen = np.zeros(n, dtype=bool), set()
     for i, pair in enumerate(zip(table.sample_id.tolist(), table.layer.tolist())):
         repeat[i] = pair in seen
         seen.add(pair)
     checks = [
-        (flagged, malformed.get),
         ((table.layer < 0) | (table.layer >= header.num_layers),
          lambda i: f"layer: {table.layer[i]} outside [0, {header.num_layers})"),
-        (~known, lambda i: f"domain: unknown tag {names(i)[0]!r}"),
+        (~known, lambda i: f"domain: unknown tag {table.domain[i]}"),
         (known & ~allowed[np.where(known, table.domain, -1), subtask],
-         lambda i: "subtask: {1!r} not declared for domain {0!r}".format(*names(i))),
+         lambda i: f"subtask: {tags[subtask[i]] if subtask[i] >= 0 else int(table.subtask[i])!r} "
+                   f"not declared for domain {header.domains[table.domain[i]].domain!r}"),
         (~((table.sim >= -1.0) & (table.sim <= 1.0)),
          lambda i: f"sim: {float(table.sim[i])} outside [-1, 1]"),
         (np.full(n, not dim_ok), lambda i: f"pooled_out: dim {pooled.shape[1:]} != hidden_dim {d}"),
@@ -146,37 +136,41 @@ def _check_rows(header, table, where, malformed=None, raw_names=None):
     bad = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if mask.any()]
     if bad:
         i, k = min(bad)
-        raise SchemaViolation(f"{where(i)}{checks[k][1](i)}")
+        raise SchemaViolation(f"record {i}: {checks[k][1](i)}")
 
 
 def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
-    """Validate the table, then write header plus rows to a text sink; returns record count."""
+    """Validate the table, then write header and columns to a text sink; returns record count."""
     header.validate()
-    names, tags = [d.domain for d in header.domains], header.subtask_tags
-    _check_rows(header, table, lambda i: f"record {i}: ")
-    pooled = np.asarray(table.pooled_out, dtype=np.float32)  # tolist() gives exact doubles
+    _check_rows(header, table)
     try:
         destination.write(_header_to_json(header) + "\n")
-        for i, (sample_id, layer, domain, subtask, sim) in enumerate(zip(
-                table.sample_id.tolist(), table.layer.tolist(), table.domain.tolist(),
-                table.subtask.tolist(), table.sim.astype(np.float32).tolist())):
-            obj = {"sample_id": sample_id, "layer": layer, "domain": names[domain],
-                   "subtask": tags[subtask], "sim": sim, "pooled_out": pooled[i].tolist()}
-            destination.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        for name, dtype in _COLUMNS:
+            data = np.asarray(getattr(table, name), dtype=dtype).tobytes()
+            destination.write(json.dumps({name: base64.b64encode(data).decode("ascii")},
+                                         separators=(",", ":")) + "\n")
         destination.flush()
     except OSError as exc:
         raise SinkFailure(f"I/O failure while writing log: {exc}") from exc
     return len(table)
 
 
-def _key_problem(obj, keys, what):
-    """Why ``obj`` is not an object with exactly ``keys``, or None."""
+def _object_problem(obj, kinds, what):
+    """Why JSON ``obj`` is not an object with exactly the keys of ``kinds``, each of its kind."""
     if not isinstance(obj, dict):
         return f"{what} is not an object"
-    unknown, missing = set(obj) - keys, keys - set(obj)
+    unknown, missing = set(obj) - kinds.keys(), kinds.keys() - set(obj)
     if unknown:
         return f"unknown {what} key {sorted(unknown)[0]!r}"
-    return f"missing {what} key {sorted(missing)[0]!r}" if missing else None
+    if missing:
+        return f"missing {what} key {sorted(missing)[0]!r}"
+    for key, kind in kinds.items():
+        value = obj[key]
+        # exact types: a JSON true is no integer; (list, t) is a list of t
+        if not (type(value) is list and all(type(v) is kind[1] for v in value)
+                if isinstance(kind, tuple) else type(value) is kind):
+            return f"{key}: unexpected value {value!r:.60}"
+    return None
 
 
 def _parse_header(line: str) -> LogHeader:
@@ -184,10 +178,9 @@ def _parse_header(line: str) -> LogHeader:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"line 1: invalid header ({exc.msg})") from exc
-    problem = _key_problem(obj, _HEADER_KEYS, "header")
-    if problem is None:
-        for d in obj["domains"]:
-            problem = problem or _key_problem(d, _DOMAIN_KEYS, "domain")
+    problem = _object_problem(obj, _HEADER_KINDS, "header")
+    for d in obj["domains"] if problem is None else ():
+        problem = problem or _object_problem(d, _DOMAIN_KINDS, "domain")
     if problem is not None:
         raise SchemaViolation(f"line 1: {problem}")
     header = LogHeader(
@@ -203,94 +196,55 @@ def _parse_header(line: str) -> LogHeader:
     return header
 
 
-def read_log(source):
-    """Stream, parse and validate an activation log; returns (header, table).
+def _read_line(source, lineno):
+    line = source.readline()
+    if not line.endswith("\n"):
+        raise TruncatedFile(f"line {lineno}: {'unterminated' if line else 'missing'}")
+    return line
 
-    ``source`` is read one line at a time.  Errors name the earliest bad
-    line; an unparsable last line raises ``TruncatedFile``.
-    """
-    first = source.readline()
-    if not first:
-        raise TruncatedFile("empty log file")
-    columns = _Columns(_parse_header(first))
-    error, lineno = None, 1
-    while line := source.readline():
-        lineno += 1
+
+def _parse_column(line, lineno, name, dtype):
+    """The values of column ``name`` from its log line, as a writable array."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"line {lineno}: invalid column ({exc.msg})") from exc
+    problem = _object_problem(obj, {name: str}, "column")
+    if problem is None:
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            error = (SchemaViolation(f"line {lineno}: invalid record ({exc.msg})")
-                     if source.readline() else TruncatedFile(f"line {lineno}: truncated record"))
-            break
-        if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
-            error = SchemaViolation(f"line {lineno}: {_key_problem(obj, _RECORD_KEYS, 'record')}")
-            break
-        columns.add(obj)
-    table = columns.table()  # rows before a malformed line are checked first
-    if error is not None:
-        raise error
-    return table.header, table
+            data = base64.b64decode(obj[name], validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            problem = f"{name}: unexpected value {obj[name]!r:.60} (invalid base64: {exc})"
+    if problem is None and len(data) % np.dtype(dtype).itemsize:
+        problem = f"{name}: {len(data)} bytes is not a whole number of {dtype} values"
+    if problem is not None:
+        raise SchemaViolation(f"line {lineno}: {problem}")
+    return np.frombuffer(data, dtype=dtype).copy()
 
 
-class _Columns:
-    """Parsed records gathered into typed arrays, one record at a time.
+def read_log(source):
+    """Read and validate an activation log; returns (header, table).
 
-    No Python object outlives its record's line, so reading a log leaves
-    no heap of small objects behind.  A value of the wrong type is noted
-    and stored blank, to be reported in line order with the other checks.
+    A fault in a line's form names the line (``line N: ...``), an invalid
+    value names its record (``record i: ...``), and a missing or
+    unterminated line raises ``TruncatedFile``.
     """
-
-    def __init__(self, header):
-        self.header = header
-        self.dmap = {d.domain: i for i, d in enumerate(header.domains)}
-        self.tmap = {tag: i for i, tag in enumerate(header.subtask_tags)}
-        self.ids, self.layers, self.domains, self.subtasks = (array("q") for _ in range(4))
-        self.sims, self.pooled = array("d"), array("f")
-        self.malformed, self.raw_names = {}, {}
-
-    def add(self, obj):
-        row, d = len(self.sims), self.header.hidden_dim
-        problem = _value_problem(obj, d)
-        if problem is None:
-            try:
-                self.pooled.extend(obj["pooled_out"])
-            except (TypeError, OverflowError):
-                del self.pooled[row * d:]
-                problem = f"pooled_out: unexpected value {reprlib.repr(obj['pooled_out'])}"
-        if problem is not None:
-            self.malformed[row] = problem
-            obj = dict(sample_id=0, layer=0, domain=None, subtask=None, sim=0.0)
-            self.pooled.extend([0.0] * d)
-        domain, subtask = self.dmap.get(obj["domain"], -1), self.tmap.get(obj["subtask"], -1)
-        if problem is None and min(domain, subtask) < 0:
-            self.raw_names[row] = (obj["domain"], obj["subtask"])
-        self.ids.append(obj["sample_id"])
-        self.layers.append(obj["layer"])
-        self.domains.append(domain)
-        self.subtasks.append(subtask)
-        self.sims.append(obj["sim"])
-
-    def table(self):
-        header, d = self.header, self.header.hidden_dim
-        table = ActivationTable(
-            header=header, sample_id=np.array(self.ids, dtype=np.int64),
-            layer=np.array(self.layers, dtype=np.int64),
-            domain=np.array(self.domains, dtype=np.int64),
-            subtask=np.array(self.subtasks, dtype=np.int64), sim=np.array(self.sims),
-            pooled_out=np.frombuffer(self.pooled, dtype=np.float32).reshape(-1, d).copy())
-        _check_rows(header, table, lambda i: f"line {i + 2}: ", self.malformed, self.raw_names)
-        return table
-
-
-def _value_problem(obj, hidden_dim):
-    """Why a record's values other than pooled_out's entries have the wrong types, or None."""
-    for key, types in _TYPES.items():
-        value = obj[key]
-        if type(value) not in types or (types == (int,) and value not in _INT64):
-            return f"{key}: unexpected value {reprlib.repr(value)}"
-    if len(obj["pooled_out"]) != hidden_dim:
-        return f"pooled_out: unexpected value {reprlib.repr(obj['pooled_out'])}"
-    return None
+    header = _parse_header(_read_line(source, 1))
+    columns = {name: _parse_column(_read_line(source, lineno), lineno, name, dtype)
+               for lineno, (name, dtype) in enumerate(_COLUMNS, start=2)}
+    if source.readline():
+        raise SchemaViolation(f"line {len(_COLUMNS) + 2}: content after the last column")
+    n, d = len(columns["sample_id"]), header.hidden_dim
+    for lineno, (name, _) in enumerate(_COLUMNS, start=2):
+        expected = n * d if name == "pooled_out" else n
+        if len(columns[name]) != expected:
+            raise SchemaViolation(f"line {lineno}: {name}: {len(columns[name])} values, "
+                                  f"expected {expected} for {n} records")
+    columns["sim"] = columns["sim"].astype(np.float64)
+    columns["pooled_out"] = columns["pooled_out"].reshape(n, d)
+    table = ActivationTable(header=header, **columns)
+    _check_rows(header, table)
+    return header, table
 
 
 def write_log_path(header: LogHeader, table: ActivationTable, path) -> int:

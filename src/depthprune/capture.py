@@ -24,7 +24,7 @@ def layer_stats(states):
 
 
 def capture_run(model, probe_sets, runs=None):
-    """One table row per (sample, retained layer), sample by sample; returns (header, table).
+    """One table row per (sample, retained layer); returns (header, table).
 
     Samples are numbered sequentially across probe sets in the given order.
     ``runs``, when given, maps each domain to

@@ -18,22 +18,14 @@ from .errors import AlphaOutOfRange, BudgetOutOfRange, DepthPruneError, InvalidC
 from .model import ToyModelConfig, apply_prune_plan, build_model
 from .planner import DEFAULT_BUDGETS, METHODS, parse_plan, serialize_plan
 from .probes import DEFAULT_COUNTS, DOMAINS, default_probe_sets, subtasks_for
-from .report import (classify_regime, fidelity, heatmap_matrix, method_scores,
-                     plan_for_method, removal_pattern_grid, sweep, sweep_csv)
+from .report import (classify_regime, fidelity, heatmap_matrix, is_fraction, is_int,
+                     method_scores, plan_for_method, removal_pattern_grid, sweep, sweep_csv)
 from .scoring import DEFAULT_ALPHA, aggregate_domain, znormalize
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_fraction(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
 def _require(ok, message):
@@ -62,19 +54,19 @@ def _load_config(path):
                     "max_seq_len", "seed"}
     for name, value in sorted(cfg["model"].items()):
         _require(name in model_fields, f"model: unknown field {name!r}")
-        _require(_is_int(value), f"model {name}: {value!r} is not an integer")
+        _require(is_int(value), f"model {name}: {value!r} is not an integer")
     cfg["model"] = ToyModelConfig(**cfg["model"])
     cfg["model"].validate()
-    _require(_is_fraction(cfg["alpha"]), f"alpha: {cfg['alpha']!r} outside [0, 1]")
+    _require(is_fraction(cfg["alpha"]), f"alpha: {cfg['alpha']!r} outside [0, 1]")
     for key in ("methods", "budgets", "seeds"):
         _require(isinstance(cfg[key], list), f"{key}: expected a list")
     for method in cfg["methods"]:
         _require(method in METHODS,
                  f"methods: unknown method {method!r} (expected one of {METHODS})")
     for p in cfg["budgets"]:
-        _require(_is_fraction(p), f"budgets: {p!r} outside [0, 1]")
+        _require(is_fraction(p), f"budgets: {p!r} outside [0, 1]")
     for seed in cfg["seeds"] + [cfg["probe_seed"]]:
-        _require(_is_int(seed), f"seeds: {seed!r} is not an integer")
+        _require(is_int(seed), f"seeds: {seed!r} is not an integer")
     _require(isinstance(cfg["out"], str), f"out: {cfg['out']!r} is not a path")
     counts = cfg["probe_counts"]
     _require(isinstance(counts, dict) and sorted(counts) == sorted(DOMAINS),
@@ -84,7 +76,7 @@ def _load_config(path):
         for tag, n in per_subtask.items():
             _require(tag is None or tag in subtasks_for(d),
                      f"probe_counts {d}: unknown subtask {tag!r}")
-            _require(_is_int(n) and n > 0, f"probe_counts {d}: {n!r} is not a positive integer")
+            _require(is_int(n) and n > 0, f"probe_counts {d}: {n!r} is not a positive integer")
     return cfg
 
 
@@ -131,31 +123,29 @@ def cmd_rank(args):
     if args.method == "interlace" and args.budget is None:
         raise InvalidConfig("method interlace requires --budget (its structure depends on K)")
     header, table = read_log_path(args.log)
-    if args.method == "interlace":
-        plan = plan_for_method(args.method, header, table, args.budget,
-                               alpha=args.alpha, seed=args.seed)
-        for layer in plan.pruned:
-            print(f"{layer}\t{plan.scores[layer]:+.6f}")
-        if args.out:
-            _write_plan(plan, args.out)
-        return 0
-    scores, order = method_scores(args.method, header, table, args.alpha, args.seed)
+    plan = None if args.budget is None else plan_for_method(
+        args.method, header, table, args.budget, alpha=args.alpha, seed=args.seed)
+    if args.method == "interlace":  # its ranking is the plan
+        scores, order = plan.scores, plan.pruned
+    else:
+        scores, order = method_scores(args.method, header, table, args.alpha, args.seed)
     for layer in order:
         print(f"{layer}\t{scores[layer]:+.6f}")
-    if args.budget is not None:
-        plan = plan_for_method(args.method, header, table, args.budget,
-                               alpha=args.alpha, seed=args.seed)
-        if args.out:
-            _write_plan(plan, args.out)
-        else:
-            print("pruned: " + ",".join(str(l) for l in plan.pruned))
+    if plan is not None and args.out:
+        _write_plan(plan, args.out)
+    elif plan is not None and args.method != "interlace":
+        print("pruned: " + ",".join(str(l) for l in plan.pruned))
     return 0
 
 
-def _write_plan(plan, path):
+def _write_text(path, text):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_plan(plan))
+        fh.write(text)
+
+
+def _write_plan(plan, path):
+    _write_text(path, serialize_plan(plan))
     print(f"wrote plan to {path}")
 
 
@@ -195,11 +185,8 @@ def cmd_prune_eval(args):
 def cmd_sweep(args):
     cfg = _load_config(args.config)
     out_dir = args.out or cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
     alpha = args.alpha if args.alpha is not None else cfg["alpha"]
-    if not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
     reports, plans, heatmap = sweep(cfg["model"], cfg["methods"], cfg["budgets"],
                                     seeds, alpha=alpha, probe_counts=cfg["probe_counts"],
                                     probe_seed=cfg["probe_seed"])
@@ -210,8 +197,7 @@ def cmd_sweep(args):
     }
     for name, text in outputs.items():
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(path, text)
         print(f"wrote {path}")
     return 0
 
@@ -220,9 +206,7 @@ def cmd_heatmap(args):
     _, table = read_log_path(args.log)
     text = heatmap_matrix(table).to_csv()
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

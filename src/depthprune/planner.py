@@ -92,7 +92,8 @@ def serialize_plan(plan: PrunePlan) -> str:
         "num_layers": plan.num_layers,
         "protected": sorted(plan.protected),
         "pruned": list(plan.pruned),
-        "scores": {str(l): plan.scores[l] for l in sorted(plan.scores)} if plan.scores else None,
+        "scores": ({str(l): plan.scores[l] for l in sorted(plan.scores)}
+                   if plan.scores is not None else None),
         "seed": plan.seed,
     }
     return json.dumps(obj, separators=(",", ":")) + "\n"

@@ -6,8 +6,8 @@ import numpy as np
 
 from .baselines import cka_rank, interlace_plan, random_plan
 from .capture import capture_run
-from .errors import (BudgetOutOfRange, DepthPruneError, InconsistentDepth, ModelMismatch,
-                     ZeroNormInput)
+from .errors import (AlphaOutOfRange, BudgetOutOfRange, DepthPruneError, InconsistentDepth,
+                     InvalidConfig, ModelMismatch, ZeroNormInput)
 from .linalg import ZERO_NORM_THRESHOLD
 from .model import apply_prune_plan, build_model
 from .planner import METHODS, budget_k, make_plan
@@ -41,6 +41,14 @@ class FidelityReport:
 class RegimeLabel:
     budget_fraction: float
     label: str
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_fraction(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
 def classify_regime(p: float) -> RegimeLabel:
@@ -173,7 +181,8 @@ def sweep(config, methods, budgets, seeds, alpha: float = 0.7, probe_counts=None
 
     Returns (reports, plans, heatmap): one FidelityReport per
     (method, budget, domain, seed), one plan per (method, budget) with
-    random plans taken at the first seed, and the candidate heatmap.
+    random plans taken at the first seed, and the candidate heatmap.  Every
+    argument is checked before the model is built.
     """
     if not methods:
         raise DepthPruneError("no methods selected")
@@ -181,6 +190,17 @@ def sweep(config, methods, budgets, seeds, alpha: float = 0.7, probe_counts=None
         raise DepthPruneError("no budgets selected")
     if not seeds:
         raise DepthPruneError("no seeds selected")
+    for method in methods:
+        if method not in METHODS:
+            raise InvalidConfig(f"unknown method {method!r} (expected one of {METHODS})")
+    for p in budgets:
+        if not is_fraction(p):
+            raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {p!r}")
+    if not is_fraction(alpha):
+        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
+    for seed in seeds:
+        if not is_int(seed):
+            raise InvalidConfig(f"seed {seed!r} is not an integer")
     model = build_model(config)
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
     base_runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}

@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import table_from_rows
-from depthprune.actlog import (DomainInfo, LogHeader, _Columns, log_to_bytes, read_log,
+from depthprune.actlog import (_COLUMNS, DomainInfo, LogHeader, log_to_bytes, read_log,
                                write_log)
 from depthprune.errors import SchemaViolation, TruncatedFile
 
@@ -32,7 +33,7 @@ def test_empty_stream_header_only():
     buf = io.StringIO()
     assert write_log(header_4x2(), table(), buf) == 0
     lines = buf.getvalue().splitlines()
-    assert len(lines) == 1
+    assert lines[1:] == [json.dumps({name: ""}, separators=(",", ":")) for name, _ in _COLUMNS]
     header, got = read_log(io.StringIO(buf.getvalue()))
     assert len(got) == 0
     assert got.pooled_out.shape == (0, 2)
@@ -65,9 +66,10 @@ def test_round_trip_preserves_float32_bits():
 
 def test_records_carry_no_pooled_in():
     data = log_to_bytes(header_4x2(), table(row()))
-    header, record = (json.loads(line) for line in data.decode().splitlines())
-    assert header["schema_version"] == 2
-    assert list(record) == ["sample_id", "layer", "domain", "subtask", "sim", "pooled_out"]
+    header, *columns = (json.loads(line) for line in data.decode().splitlines())
+    assert header["schema_version"] == 3
+    assert [list(obj) for obj in columns] == [
+        ["sample_id"], ["layer"], ["domain"], ["subtask"], ["sim"], ["pooled_out"]]
 
 
 def test_write_rejects_wrong_dim():
@@ -100,46 +102,77 @@ def test_write_validates_before_writing():
     assert buf.getvalue() == ""
 
 
-def corrupt(lines, lineno, **changes):
-    """The log text with record line ``lineno`` (1-based) updated by ``changes``."""
-    obj = json.loads(lines[lineno - 1])
-    obj.update(changes)
-    lines = list(lines)
-    lines[lineno - 1] = json.dumps(obj)
+def log_lines(tab=None):
+    return log_to_bytes(header_4x2(), table(row()) if tab is None else tab).decode().splitlines()
+
+
+def text(lines):
     return "\n".join(lines) + "\n"
 
 
+def encode(name, values):
+    """The log line of column ``name`` holding ``values``."""
+    dtype = dict(_COLUMNS)[name]
+    data = base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+    return json.dumps({name: data})
+
+
+def lineno(name):
+    return 2 + [n for n, _ in _COLUMNS].index(name)
+
+
+def with_column(lines, name, values):
+    """The log text with column ``name`` re-encoded to hold ``values``."""
+    lines = list(lines)
+    lines[lineno(name) - 1] = encode(name, values)
+    return text(lines)
+
+
 def test_read_rejects_sim_out_of_range():
-    data = log_to_bytes(header_4x2(), table(row())).decode().splitlines()
-    with pytest.raises(SchemaViolation, match="line 2"):
-        read_log(io.StringIO(corrupt(data, 2, sim=1.5)))
+    with pytest.raises(SchemaViolation, match=r"^record 0: sim: 1.5 outside \[-1, 1\]"):
+        read_log(io.StringIO(with_column(log_lines(), "sim", [1.5])))
 
 
 def test_read_rejects_unknown_key():
-    data = log_to_bytes(header_4x2(), table(row())).decode().splitlines()
-    with pytest.raises(SchemaViolation, match="extra"):
-        read_log(io.StringIO(corrupt(data, 2, extra=1)))
+    lines = log_lines()
+    lines[2] = lines[2][:-1] + ',"extra":1}'
+    with pytest.raises(SchemaViolation, match="^line 3: unknown column key 'extra'"):
+        read_log(io.StringIO(text(lines)))
 
 
 def test_read_rejects_v1_record_key():
-    data = log_to_bytes(header_4x2(), table(row())).decode().splitlines()
-    with pytest.raises(SchemaViolation, match="line 2: unknown record key 'pooled_in'"):
-        read_log(io.StringIO(corrupt(data, 2, pooled_in=[0.0, 1.0])))
+    lines = log_lines()
+    lines[6] = lines[6].replace('"pooled_out"', '"pooled_in"')
+    with pytest.raises(SchemaViolation, match="^line 7: unknown column key 'pooled_in'"):
+        read_log(io.StringIO(text(lines)))
 
 
 def test_read_rejects_v1_log():
-    data = log_to_bytes(header_4x2(), table(row())).decode().splitlines()
-    v1 = corrupt(data, 1, schema_version=1).splitlines()
-    v1 = corrupt(v1, 2, pooled_in=[0.0, 1.0])
-    with pytest.raises(SchemaViolation, match="schema_version: unsupported value 1"):
-        read_log(io.StringIO(v1))
+    # v1 and v2 logs: the same header keys, then one JSON record per line
+    record = {"sample_id": 0, "layer": 1, "domain": "math", "subtask": "Math-CoT", "sim": 0.5,
+              "pooled_out": [0.25, 1.25]}
+    for version in (1, 2):
+        header = json.loads(log_lines()[0])
+        header["schema_version"] = version
+        old = text([json.dumps(header), json.dumps(dict(record, pooled_in=[0.0, 0.25])
+                                                   if version == 1 else record)])
+        with pytest.raises(SchemaViolation, match=f"^schema_version: unsupported value {version}"):
+            read_log(io.StringIO(old))
 
 
 def test_read_rejects_duplicate_pair():
-    data = log_to_bytes(header_4x2(), table(row())).decode().splitlines()
-    text = data[0] + "\n" + data[1] + "\n" + data[1] + "\n"
-    with pytest.raises(SchemaViolation, match="line 3: duplicate"):
-        read_log(io.StringIO(text))
+    lines = log_lines(table(row(0), row(1)))
+    with pytest.raises(SchemaViolation, match=r"^record 1: duplicate \(sample_id, layer\) pair"):
+        read_log(io.StringIO(with_column(lines, "sample_id", [0, 0])))
+
+
+def test_read_rejects_undeclared_subtask():
+    # Captioning is declared, but for nonmath only
+    captioning = header_4x2().subtask_tags.index("Captioning")
+    lines = log_lines(table(row(0), row(1)))
+    with pytest.raises(SchemaViolation,
+                       match="^record 1: subtask: 'Captioning' not declared for domain 'math'"):
+        read_log(io.StringIO(with_column(lines, "subtask", [0, captioning])))
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -154,36 +187,44 @@ def test_read_rejects_duplicate_pair():
     ("domain", 7, "domain: unexpected value 7"),
     ("sim", True, "sim: unexpected value True"),
     ("pooled_out", [0.5, None], r"pooled_out: unexpected value \[0.5, None\]"),
-    ("subtask", "Captioning", "subtask: 'Captioning' not declared for domain 'math'"),
 ])
 def test_read_rejects_wrong_types_with_line_number(key, value, message):
-    data = log_to_bytes(header_4x2(), table(row(0), row(1), row(2))).decode().splitlines()
-    with pytest.raises(SchemaViolation, match=f"^line 3: {message}"):
-        read_log(io.StringIO(corrupt(data, 3, **{key: value})))
+    # a column is only ever a base64 string: no JSON value can pose as its numbers
+    lines = log_lines(table(row(0), row(1), row(2)))
+    lines[lineno(key) - 1] = json.dumps({key: value})
+    with pytest.raises(SchemaViolation, match=f"^line {lineno(key)}: {message}"):
+        read_log(io.StringIO(text(lines)))
 
 
-def test_read_keeps_rows_aligned_past_a_malformed_row():
-    data = log_to_bytes(header_4x2(), table(row(0), row(1), row(2))).decode().splitlines()
-    text = corrupt(corrupt(data, 2, sim="x").splitlines(), 3, pooled_out=[0.5, None])
-    columns = _Columns(header_4x2())
-    for line in text.splitlines()[1:]:
-        columns.add(json.loads(line))
-    assert columns.malformed.keys() == {0, 1}
-    assert len(columns.pooled) == 3 * 2 and list(columns.pooled[4:]) == [0.25, 1.25]
-    with pytest.raises(SchemaViolation, match="^line 2: sim: unexpected value 'x'"):
-        columns.table()
+def test_read_rejects_unequal_columns():
+    lines = log_lines(table(row(0), row(1), row(2)))
+    with pytest.raises(SchemaViolation, match="^line 4: domain: 2 values, expected 3"):
+        read_log(io.StringIO(with_column(lines, "domain", [0, 0])))
+    with pytest.raises(SchemaViolation, match="^line 7: pooled_out: 5 values, expected 6"):
+        read_log(io.StringIO(with_column(lines, "pooled_out", np.zeros(5))))
+    # lengths are counted against sample_id, so a short sample_id shows on the next line
+    with pytest.raises(SchemaViolation, match="^line 3: layer: 3 values, expected 2"):
+        read_log(io.StringIO(with_column(lines, "sample_id", [0, 1])))
 
 
 def test_read_reports_earliest_bad_line():
-    data = log_to_bytes(header_4x2(), table(row(0), row(1), row(2))).decode().splitlines()
-    text = corrupt(corrupt(data, 2, sim=3.0).splitlines(), 4, layer=9)
-    with pytest.raises(SchemaViolation, match="^line 2: sim"):
-        read_log(io.StringIO(text))
-    # a bad line before an unparsable one still wins
-    text = corrupt(data, 2, layer=9).splitlines()
-    text[2] = "{not json"
-    with pytest.raises(SchemaViolation, match="^line 2: layer"):
-        read_log(io.StringIO("\n".join(text) + "\n"))
+    lines = log_lines(table(row(0), row(1), row(2)))
+    lines[2] = json.dumps({"layer": 1})
+    lines[5] = json.dumps({"sim": "*"})
+    with pytest.raises(SchemaViolation, match="^line 3: layer"):
+        read_log(io.StringIO(text(lines)))
+    # a bad line before a truncated one still wins
+    with pytest.raises(SchemaViolation, match="^line 3: layer"):
+        read_log(io.StringIO(text(lines[:4])[:-5]))
+    # and among bad values, the earliest record wins
+    lines = with_column(log_lines(table(row(0), row(1), row(2))), "layer", [1, 9, 1])
+    with pytest.raises(SchemaViolation, match="^record 0: sim"):
+        read_log(io.StringIO(with_column(lines.splitlines(), "sim", [3.0, 0.5, 0.5])))
+
+
+def test_read_rejects_content_after_the_last_column():
+    with pytest.raises(SchemaViolation, match="^line 8: content after the last column"):
+        read_log(io.StringIO(text(log_lines() + ["{}"])))
 
 
 def test_read_streams_lines():
@@ -203,8 +244,12 @@ def test_read_streams_lines():
 
 def test_truncated_last_line():
     data = log_to_bytes(header_4x2(), table(row())).decode()
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(TruncatedFile, match="^line 7: unterminated"):
         read_log(io.StringIO(data[:-10]))
+    # a log cut at a line boundary has all its lines whole, but too few of them
+    for cut in range(1, 7):
+        with pytest.raises(TruncatedFile, match=f"^line {cut + 1}: missing"):
+            read_log(io.StringIO(text(data.splitlines()[:cut])))
 
 
 def test_empty_file():
@@ -217,6 +262,18 @@ def test_bad_header_layer_range():
                        protected_layers=frozenset({7}), domains=())
     with pytest.raises(SchemaViolation, match="protected"):
         write_log(header, table(), io.StringIO())
+
+
+def test_header_rejects_repeated_domain():
+    # scoring looks a domain up by name, so a second "math" would go unread
+    header = LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
+                       domains=(DomainInfo("math", ("A",), 1), DomainInfo("math", ("B",), 1)))
+    with pytest.raises(SchemaViolation, match="domains: a domain name is declared twice"):
+        write_log(header, table(), io.StringIO())
+    lines = log_lines()
+    lines[0] = lines[0].replace('"nonmath"', '"math"')
+    with pytest.raises(SchemaViolation, match="domains: a domain name is declared twice"):
+        read_log(io.StringIO(text(lines)))
 
 
 # ---- property tests over random headers and tables --------------------------
@@ -265,17 +322,25 @@ def test_property_round_trip_is_bit_exact(case):
     assert (got.pooled_out.view(np.uint32) == tab.pooled_out.view(np.uint32)).all()
 
 
-CORRUPTIONS = {
-    "drop key": lambda obj, rng: obj.pop(rng.choice(sorted(obj))),
-    "unknown key": lambda obj, rng: obj.update(pooled_in=[0.0]),
-    "layer range": lambda obj, rng: obj.update(layer=rng.choice([-1, 99])),
-    "unknown domain": lambda obj, rng: obj.update(domain="nowhere"),
-    "unknown subtask": lambda obj, rng: obj.update(subtask="Z"),
-    "sim range": lambda obj, rng: obj.update(sim=rng.choice([1.5, -2.0, float("nan")])),
-    "pooled dim": lambda obj, rng: obj.update(pooled_out=obj["pooled_out"] + [0.0]),
-    "pooled finite": lambda obj, rng: obj.update(pooled_out=[float("inf")] * len(obj["pooled_out"])),
-    "wrong type": lambda obj, rng: obj.update({rng.choice(["sample_id", "layer", "sim"]): "1"}),
-    "not an object": lambda obj, rng: obj.clear(),
+
+
+def reencode(value, rng):
+    """``value``, a base64 string, re-encoded with bytes that are no whole number of values."""
+    data = base64.b64decode(value)
+    return base64.b64encode(data + bytes(rng.choice([1, 2, 3]))).decode("ascii")
+
+
+LINE_CORRUPTIONS = {
+    "garbage": lambda name, value, rng: "{not json",
+    "not an object": lambda name, value, rng: rng.choice(["[]", "null", json.dumps(value)]),
+    "missing key": lambda name, value, rng: "{}",
+    "wrong key": lambda name, value, rng: json.dumps({rng.choice(["pooled_in", "x"]): value}),
+    "extra key": lambda name, value, rng: json.dumps({name: value, "extra": value}),
+    "non-string": lambda name, value, rng: json.dumps(
+        {name: rng.choice([1, 1.5, None, True, [0.5], {}])}),
+    "bad base64": lambda name, value, rng: json.dumps(
+        {name: rng.choice([value + "*", value[:-1], value + "é", "A"])}),
+    "ragged bytes": lambda name, value, rng: json.dumps({name: reencode(value, rng)}),
 }
 
 
@@ -284,34 +349,67 @@ CORRUPTIONS = {
 def test_property_corrupt_line_is_reported(case, data):
     header, tab = case
     lines = log_to_bytes(header, tab).decode().splitlines()
-    lineno = data.draw(st.integers(2, len(lines)), label="line")
-    kinds = sorted(CORRUPTIONS) + ["garbage"] + (["duplicate"] if len(lines) > 2 else [])
-    kind = data.draw(st.sampled_from(kinds), label="kind")
-    if kind == "duplicate":
-        source = data.draw(st.integers(2, len(lines)).filter(lambda n: n != lineno))
-        first, second = sorted((lineno, source))
-        obj = json.loads(lines[second - 1])
-        same = json.loads(lines[first - 1])
-        obj.update(sample_id=same["sample_id"], layer=same["layer"])
-        lines[second - 1] = json.dumps(obj)
-        lineno = second
-    elif kind == "garbage":
-        lines[lineno - 1] = "{not json"
-        lines.append("{}")  # keeps the garbage off the last line, where it reads as truncation
+    kind = data.draw(st.sampled_from(sorted(LINE_CORRUPTIONS) + ["extra line"]), label="kind")
+    if kind == "extra line":
+        lines.append(data.draw(st.sampled_from(["", "{}", lines[-1]])))
+        lineno = len(lines)
     else:
-        obj = json.loads(lines[lineno - 1])
-        CORRUPTIONS[kind](obj, data.draw(st.randoms(use_true_random=False)))
-        lines[lineno - 1] = json.dumps(obj) if obj else "[]"
+        lineno = data.draw(st.integers(2, len(lines)), label="line")
+        name, value = next(iter(json.loads(lines[lineno - 1]).items()))
+        rng = data.draw(st.randoms(use_true_random=False))
+        lines[lineno - 1] = LINE_CORRUPTIONS[kind](name, value, rng)
     with pytest.raises(SchemaViolation, match=f"^line {lineno}: "):
-        read_log(io.StringIO("\n".join(lines) + "\n"))
+        read_log(io.StringIO(text(lines)))
+
+
+def bad_value(header, tab, name, i, rng):
+    """A value of column ``name`` (not pooled_out) for record ``i`` that the reader rejects."""
+    if name == "layer":
+        return rng.choice([-1, header.num_layers, 2 ** 40])
+    if name == "domain":
+        return rng.choice([-1, len(header.domains)])
+    if name == "subtask":
+        declared = header.domains[tab.domain[i]].subtasks
+        return rng.choice([-1, len(header.subtask_tags)] + [
+            t for t, tag in enumerate(header.subtask_tags) if tag not in declared])
+    return rng.choice([1.5, -2.0, float("nan"), float("inf")])  # sim
 
 
 @given(headers_and_tables(min_rows=1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_property_bad_record_value_is_reported(case, data):
+    header, tab = case
+    lines = log_to_bytes(header, tab).decode().splitlines()
+    rng = data.draw(st.randoms(use_true_random=False))
+    i = data.draw(st.integers(0, len(tab) - 1), label="record")
+    kinds = ["layer", "domain", "subtask", "sim", "pooled_out"] + (["duplicate"] if i else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "duplicate":  # record i takes the (sample_id, layer) pair of an earlier record
+        j = data.draw(st.integers(0, i - 1), label="earlier")
+        columns = {"sample_id": tab.sample_id.copy(), "layer": tab.layer.copy()}
+        for values in columns.values():
+            values[i] = values[j]
+    elif kind == "pooled_out":
+        pooled = tab.pooled_out.copy()
+        pooled[i, rng.randrange(header.hidden_dim)] = rng.choice([np.inf, -np.inf, np.nan])
+        columns = {"pooled_out": pooled}
+    else:
+        values = getattr(tab, kind).astype(dict(_COLUMNS)[kind])
+        values[i] = bad_value(header, tab, kind, i, rng)
+        columns = {kind: values}
+    for name, values in columns.items():
+        lines[lineno(name) - 1] = encode(name, values)
+    with pytest.raises(SchemaViolation, match=f"^record {i}: "):
+        read_log(io.StringIO(text(lines)))
+
+
+@given(headers_and_tables(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_property_truncated_last_line(case, data):
+    """A log cut anywhere, at a line boundary too, raises TruncatedFile."""
     header, tab = case
-    text = log_to_bytes(header, tab).decode()
-    start = text.rstrip("\n").rindex("\n") + 1
-    cut = data.draw(st.integers(start + 1, len(text) - 2), label="cut")
+    log = log_to_bytes(header, tab).decode()
+    boundaries = [i + 1 for i, char in enumerate(log[:-1]) if char == "\n"]
+    cut = data.draw(st.sampled_from(boundaries) | st.integers(1, len(log) - 1), label="cut")
     with pytest.raises(TruncatedFile):
-        read_log(io.StringIO(text[:cut]))
+        read_log(io.StringIO(log[:cut]))

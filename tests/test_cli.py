@@ -4,6 +4,7 @@ import re
 import pytest
 
 from depthprune import cli, report
+from depthprune.actlog import read_log_path
 from depthprune.cli import main
 
 CONFIG = {
@@ -177,6 +178,32 @@ def test_capture_reports_clamped_sims_on_stderr(workdir, capsys):
     log = workdir / "clamped.log"
     assert main(["capture", "--config", str(workdir / "config.json"), "--out", str(log)]) == 0
     out, err = capsys.readouterr()
-    records = len(log.read_text().splitlines()) - 1
+    records = len(read_log_path(log)[1])
     assert out.splitlines()[0] == f"wrote {records} records to {log}"
     assert re.fullmatch(rf"clamped \d+ of {records} sims to \[-1, 1\]\n", err)
+
+
+@pytest.mark.parametrize("path,value", [
+    (["model_id"], 7),
+    (["num_layers"], "12"),
+    (["num_layers"], 12.0),
+    (["hidden_dim"], True),
+    (["protected_layers"], ["0"]),
+    (["protected_layers"], 0),
+    (["domains"], 5),
+    (["domains", 0, "subtasks"], [1]),
+    (["domains", 0, "subtasks"], "Math-CoT"),
+    (["domains", 0, "sample_count"], "2"),
+    (["domains", 0, "domain"], None),
+])
+def test_wrong_header_types_exit_one(workdir, tmp_path, capsys, path, value):
+    lines = (workdir / "activations.log").read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    target = header
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    log = tmp_path / "edited.log"
+    log.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    assert main(["score", "--log", str(log)]) == 1
+    assert capsys.readouterr().err.startswith(f"SchemaViolation: line 1: {path[-1]}: ")

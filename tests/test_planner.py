@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from depthprune.baselines import random_plan
 
 from depthprune.errors import (BudgetOutOfRange, RankingCoverageMismatch,
                                SchemaViolation)
@@ -89,6 +92,35 @@ def test_serialize_round_trip():
 def test_serialize_round_trip_with_seed_and_alpha():
     plan = PrunePlan(method="random", budget_fraction=0.2, k=2, num_layers=12,
                      protected=default_protected(12), pruned=(4, 8), seed=99)
+    assert parse_plan(serialize_plan(plan)) == plan
+
+
+def test_serialize_round_trip_empty_scores():
+    # no pruneable layer: the scores are {}, which must not come back as None
+    plan = make_plan({}, 0.25, 2, default_protected(2), "ours-mixed", alpha=0.7)
+    assert serialize_plan(plan).count('"scores":{}') == 1
+    assert parse_plan(serialize_plan(plan)) == plan
+
+
+@st.composite
+def plans(draw):
+    num_layers = draw(st.integers(1, 10))
+    protected = frozenset(draw(st.sets(st.integers(0, num_layers - 1))))
+    pruneable = sorted(set(range(num_layers)) - protected)
+    p = draw(st.floats(0.0, 1.0))
+    method = draw(st.sampled_from(("ours-math", "ours-nonmath", "ours-mixed", "cka",
+                                   "interlace", "random")))
+    if method == "random":
+        return random_plan(pruneable, budget_k(p, len(pruneable)), draw(st.integers(0, 2 ** 63)),
+                           num_layers=num_layers, budget_fraction=p)
+    scores = {l: draw(st.floats(allow_nan=False, allow_infinity=False)) for l in pruneable}
+    alpha = draw(st.floats(0.0, 1.0)) if method == "ours-mixed" else None
+    return make_plan(scores, p, num_layers, protected, method, alpha=alpha)
+
+
+@given(plans())
+@settings(max_examples=200, deadline=None)
+def test_property_plan_round_trip(plan):
     assert parse_plan(serialize_plan(plan)) == plan
 
 

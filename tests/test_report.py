@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from depthprune.errors import (BudgetOutOfRange, InconsistentDepth,
-                               ModelMismatch, ZeroNormInput)
+from depthprune import report
+from depthprune.errors import (AlphaOutOfRange, BudgetOutOfRange, InconsistentDepth,
+                               InvalidConfig, ModelMismatch, ZeroNormInput)
 from depthprune.model import Model, ToyModelConfig, apply_prune_plan, build_model
 from depthprune.planner import PrunePlan, default_protected
 from depthprune.probes import generate_probes
@@ -127,6 +128,22 @@ def test_sweep_deterministic_bytes():
     a = sweep_csv(sweep(CFG, **SWEEP_ARGS)[0])
     b = sweep_csv(sweep(CFG, **SWEEP_ARGS)[0])
     assert a.encode() == b.encode()
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    (dict(methods=["ours-math", "bogus"]), InvalidConfig, "unknown method 'bogus'"),
+    (dict(budgets=[0.25, 1.5]), BudgetOutOfRange, "got 1.5"),
+    (dict(budgets=["0.25"]), BudgetOutOfRange, "got '0.25'"),
+    (dict(alpha=2.0), AlphaOutOfRange, r"alpha must be in \[0, 1\], got 2.0"),
+    (dict(seeds=[0, 1.5]), InvalidConfig, "seed 1.5"),
+    (dict(seeds=[True]), InvalidConfig, "seed True"),
+])
+def test_sweep_checks_arguments_before_building_a_model(monkeypatch, bad, error, message):
+    calls = []
+    monkeypatch.setattr(report, "build_model", lambda config: calls.append(config))
+    with pytest.raises(error, match=message):
+        sweep(CFG, **{**SWEEP_ARGS, **bad})
+    assert calls == []
 
 
 # ---- removal grid ----------------------------------------------------------
