@@ -155,8 +155,11 @@ def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
     return len(table)
 
 
-def _object_problem(obj, kinds, what):
-    """Why JSON ``obj`` is not an object with exactly the keys of ``kinds``, each of its kind."""
+def object_problem(obj, kinds, what):
+    """Why JSON ``obj`` is not an object with exactly the keys of ``kinds``, each of its kind.
+
+    A kind is an exact type (a JSON true is no int), ``(list, t)`` or a predicate.
+    """
     if not isinstance(obj, dict):
         return f"{what} is not an object"
     unknown, missing = set(obj) - kinds.keys(), kinds.keys() - set(obj)
@@ -166,9 +169,11 @@ def _object_problem(obj, kinds, what):
         return f"missing {what} key {sorted(missing)[0]!r}"
     for key, kind in kinds.items():
         value = obj[key]
-        # exact types: a JSON true is no integer; (list, t) is a list of t
-        if not (type(value) is list and all(type(v) is kind[1] for v in value)
-                if isinstance(kind, tuple) else type(value) is kind):
+        if isinstance(kind, tuple):
+            ok = type(value) is list and all(type(v) is kind[1] for v in value)
+        else:
+            ok = type(value) is kind if isinstance(kind, type) else kind(value)
+        if not ok:
             return f"{key}: unexpected value {value!r:.60}"
     return None
 
@@ -178,9 +183,9 @@ def _parse_header(line: str) -> LogHeader:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"line 1: invalid header ({exc.msg})") from exc
-    problem = _object_problem(obj, _HEADER_KINDS, "header")
+    problem = object_problem(obj, _HEADER_KINDS, "header")
     for d in obj["domains"] if problem is None else ():
-        problem = problem or _object_problem(d, _DOMAIN_KINDS, "domain")
+        problem = problem or object_problem(d, _DOMAIN_KINDS, "domain")
     if problem is not None:
         raise SchemaViolation(f"line 1: {problem}")
     header = LogHeader(
@@ -209,7 +214,7 @@ def _parse_column(line, lineno, name, dtype):
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"line {lineno}: invalid column ({exc.msg})") from exc
-    problem = _object_problem(obj, {name: str}, "column")
+    problem = object_problem(obj, {name: str}, "column")
     if problem is None:
         try:
             data = base64.b64decode(obj[name], validate=True)

@@ -14,10 +14,11 @@ from . import __version__
 from .actlog import read_log_path, write_log_path
 from .baselines import cka_rank  # noqa: F401  (bench/tracer.py wraps it in this module)
 from .capture import capture_run
-from .errors import AlphaOutOfRange, BudgetOutOfRange, DepthPruneError, InvalidConfig
+from .errors import (AlphaOutOfRange, BudgetOutOfRange, DepthPruneError, InvalidConfig,
+                     SinkFailure)
 from .model import ToyModelConfig, apply_prune_plan, build_model
 from .planner import DEFAULT_BUDGETS, METHODS, parse_plan, serialize_plan
-from .probes import DEFAULT_COUNTS, DOMAINS, default_probe_sets, subtasks_for
+from .probes import DEFAULT_COUNTS, DOMAINS, check_counts, default_probe_sets
 from .report import (classify_regime, fidelity, heatmap_matrix, is_fraction, is_int,
                      method_scores, plan_for_method, removal_pattern_grid, sweep, sweep_csv)
 from .scoring import DEFAULT_ALPHA, aggregate_domain, znormalize
@@ -36,10 +37,7 @@ def _require(ok, message):
 def _load_config(path):
     """Read and fully validate a run config, before anything is built or computed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise DepthPruneError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config {path}: invalid JSON ({exc.msg})") from exc
     _require(isinstance(raw, dict), "is not a JSON object")
@@ -68,15 +66,7 @@ def _load_config(path):
     for seed in cfg["seeds"] + [cfg["probe_seed"]]:
         _require(is_int(seed), f"seeds: {seed!r} is not an integer")
     _require(isinstance(cfg["out"], str), f"out: {cfg['out']!r} is not a path")
-    counts = cfg["probe_counts"]
-    _require(isinstance(counts, dict) and sorted(counts) == sorted(DOMAINS),
-             f"probe_counts: expected one entry for each of {DOMAINS}")
-    for d in DOMAINS:
-        per_subtask = counts[d] if isinstance(counts[d], dict) else {None: counts[d]}
-        for tag, n in per_subtask.items():
-            _require(tag is None or tag in subtasks_for(d),
-                     f"probe_counts {d}: unknown subtask {tag!r}")
-            _require(is_int(n) and n > 0, f"probe_counts {d}: {n!r} is not a positive integer")
+    check_counts(cfg["probe_counts"])
     return cfg
 
 
@@ -106,36 +96,35 @@ def cmd_score(args):
     return 0
 
 
-def _check_method(args):
+def _check_method(args, budget=None):
     """Reject a bad --method, --budget, --alpha or missing --seed before the log is read."""
     if args.method not in METHODS:
         raise InvalidConfig(f"unknown method {args.method!r} (expected one of {METHODS})")
+    if args.method == "interlace" and budget is None:
+        raise InvalidConfig("method interlace ranks only under a budget: use plan --budget")
     if not 0.0 <= args.alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must be in [0, 1], got {args.alpha}")
-    if args.budget is not None and not 0.0 <= args.budget <= 1.0:
-        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {args.budget}")
+    if budget is not None and not 0.0 <= budget <= 1.0:
+        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {budget}")
     if args.method == "random" and args.seed is None:
         raise InvalidConfig("method random requires --seed for reproducibility")
 
 
 def cmd_rank(args):
     _check_method(args)
-    if args.method == "interlace" and args.budget is None:
-        raise InvalidConfig("method interlace requires --budget (its structure depends on K)")
     header, table = read_log_path(args.log)
-    plan = None if args.budget is None else plan_for_method(
-        args.method, header, table, args.budget, alpha=args.alpha, seed=args.seed)
-    if args.method == "interlace":  # its ranking is the plan
-        scores, order = plan.scores, plan.pruned
-    else:
-        scores, order = method_scores(args.method, header, table, args.alpha, args.seed)
+    scores, order = method_scores(args.method, header, table, args.alpha, args.seed)
     for layer in order:
         print(f"{layer}\t{scores[layer]:+.6f}")
-    if plan is not None and args.out:
-        _write_plan(plan, args.out)
-    elif plan is not None and args.method != "interlace":
-        print("pruned: " + ",".join(str(l) for l in plan.pruned))
     return 0
+
+
+def _read_text(path, what):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SinkFailure(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _write_text(path, text):
@@ -144,13 +133,8 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_plan(plan, path):
-    _write_text(path, serialize_plan(plan))
-    print(f"wrote plan to {path}")
-
-
 def cmd_plan(args):
-    _check_method(args)
+    _check_method(args, args.budget)
     header, table = read_log_path(args.log)
     plan = plan_for_method(args.method, header, table, args.budget,
                            alpha=args.alpha, seed=args.seed)
@@ -158,17 +142,14 @@ def cmd_plan(args):
     print(f"method={plan.method} budget={plan.budget_fraction} k={plan.k} regime={regime.label}")
     print("pruned: " + ",".join(str(l) for l in plan.pruned))
     if args.out:
-        _write_plan(plan, args.out)
+        _write_text(args.out, serialize_plan(plan))
+        print(f"wrote plan to {args.out}")
     return 0
 
 
 def cmd_prune_eval(args):
     cfg = _load_config(args.config)
-    try:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = parse_plan(fh.read())
-    except OSError as exc:
-        raise DepthPruneError(f"cannot read plan {args.plan}: {exc}") from exc
+    plan = parse_plan(_read_text(args.plan, "plan"))
     model = build_model(cfg["model"])
     pruned = apply_prune_plan(model, plan)
     probe_sets = default_probe_sets(cfg["model"], cfg["probe_seed"], cfg["probe_counts"])
@@ -185,10 +166,8 @@ def cmd_prune_eval(args):
 def cmd_sweep(args):
     cfg = _load_config(args.config)
     out_dir = args.out or cfg["out"]
-    seeds = [args.seed] if args.seed is not None else cfg["seeds"]
-    alpha = args.alpha if args.alpha is not None else cfg["alpha"]
-    reports, plans, heatmap = sweep(cfg["model"], cfg["methods"], cfg["budgets"],
-                                    seeds, alpha=alpha, probe_counts=cfg["probe_counts"],
+    reports, plans, heatmap = sweep(cfg["model"], cfg["methods"], cfg["budgets"], cfg["seeds"],
+                                    alpha=cfg["alpha"], probe_counts=cfg["probe_counts"],
                                     probe_seed=cfg["probe_seed"])
     outputs = {
         "sweep.csv": sweep_csv(reports),
@@ -204,12 +183,7 @@ def cmd_sweep(args):
 
 def cmd_heatmap(args):
     _, table = read_log_path(args.log)
-    text = heatmap_matrix(table).to_csv()
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(heatmap_matrix(table).to_csv())
     return 0
 
 
@@ -232,8 +206,7 @@ def build_parser():
     add("rank", cmd_rank, **{
         "--log": dict(required=True), "--method": dict(required=True),
         "--alpha": dict(type=float, default=DEFAULT_ALPHA),
-        "--budget": dict(type=float, default=None),
-        "--seed": dict(type=int, default=None), "--out": dict(default=None)})
+        "--seed": dict(type=int, default=None)})
     add("plan", cmd_plan, **{
         "--log": dict(required=True), "--method": dict(required=True),
         "--budget": dict(type=float, required=True),
@@ -241,12 +214,9 @@ def build_parser():
         "--seed": dict(type=int, default=None), "--out": dict(default=None)})
     add("prune-eval", cmd_prune_eval,
         **{"--config": dict(required=True), "--plan": dict(required=True)})
-    add("sweep", cmd_sweep, **{
-        "--config": dict(required=True), "--out": dict(default=None),
-        "--alpha": dict(type=float, default=None),
-        "--seed": dict(type=int, default=None)})
-    add("heatmap", cmd_heatmap,
-        **{"--log": dict(required=True), "--out": dict(default=None)})
+    add("sweep", cmd_sweep,
+        **{"--config": dict(required=True), "--out": dict(default=None)})
+    add("heatmap", cmd_heatmap, **{"--log": dict(required=True)})
     return parser
 
 

@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .actlog import object_problem
 from .errors import BudgetOutOfRange, RankingCoverageMismatch, SchemaViolation
 from .scoring import rank_order
 
@@ -11,8 +12,17 @@ METHODS = ("ours-math", "ours-nonmath", "ours-mixed", "cka", "interlace", "rando
 
 DEFAULT_BUDGETS = (0.10, 0.25, 0.40)
 
-_PLAN_KEYS = {"method", "alpha", "budget_fraction", "k", "num_layers",
-              "protected", "pruned", "scores", "seed"}
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+_PLAN_KINDS = {
+    "method": str, "alpha": lambda v: v is None or _is_number(v), "budget_fraction": _is_number,
+    "k": int, "num_layers": int, "protected": (list, int), "pruned": (list, int),
+    "scores": lambda v: v is None or (type(v) is dict and all(map(_is_number, v.values()))),
+    "seed": lambda v: v is None or type(v) is int,
+}
 
 
 def default_protected(num_layers: int) -> frozenset:
@@ -100,26 +110,19 @@ def serialize_plan(plan: PrunePlan) -> str:
 
 
 def parse_plan(text) -> PrunePlan:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"plan: invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise SchemaViolation("plan: not an object")
-    unknown = set(obj) - _PLAN_KEYS
-    if unknown:
-        raise SchemaViolation(f"plan: unknown key {sorted(unknown)[0]!r}")
-    missing = _PLAN_KEYS - set(obj)
-    if missing:
-        raise SchemaViolation(f"plan: missing key {sorted(missing)[0]!r}")
+    problem = object_problem(obj, _PLAN_KINDS, "plan")
+    if problem is not None:
+        raise SchemaViolation(f"plan: {problem}")
     scores = obj["scores"]
     if scores is not None:
         try:
             scores = {int(l): float(s) for l, s in scores.items()}
-        except (TypeError, ValueError) as exc:
-            raise SchemaViolation("scores: keys must be layer indices") from exc
+        except ValueError as exc:
+            raise SchemaViolation("plan: scores: keys must be layer indices") from exc
     plan = PrunePlan(
         method=obj["method"],
         budget_fraction=obj["budget_fraction"],

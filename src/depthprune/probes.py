@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownDomain
+from .errors import InvalidConfig, UnknownDomain
 from .model import ToyModelConfig
 from .rng import SeededStream, mix_seed
 
@@ -155,6 +155,21 @@ def subtasks_for(domain: str) -> tuple:
     if domain == "nonmath":
         return NONMATH_SUBTASKS
     raise UnknownDomain(f"unknown domain {domain!r} (expected one of {DOMAINS})")
+
+
+def check_counts(counts):
+    """Raise InvalidConfig unless each domain has a positive count or a non-empty {tag: count}."""
+    if not (isinstance(counts, dict) and set(counts) == set(DOMAINS)):
+        raise InvalidConfig(f"probe_counts: expected one entry for each of {DOMAINS}")
+    for d in DOMAINS:
+        per_subtask = counts[d] if isinstance(counts[d], dict) else {None: counts[d]}
+        if not per_subtask:
+            raise InvalidConfig(f"probe_counts {d}: empty subtask map")
+        for tag, n in per_subtask.items():
+            if tag is not None and tag not in subtasks_for(d):
+                raise InvalidConfig(f"probe_counts {d}: unknown subtask {tag!r}")
+            if type(n) is not int or n <= 0:
+                raise InvalidConfig(f"probe_counts {d}: {n!r} is not a positive integer")
 
 
 def generate_probes(domain: str, counts, seed: int, config: ToyModelConfig) -> ProbeSet:

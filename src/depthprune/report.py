@@ -11,7 +11,7 @@ from .errors import (AlphaOutOfRange, BudgetOutOfRange, DepthPruneError, Inconsi
 from .linalg import ZERO_NORM_THRESHOLD
 from .model import apply_prune_plan, build_model
 from .planner import METHODS, budget_k, make_plan
-from .probes import default_probe_sets
+from .probes import DEFAULT_COUNTS, check_counts, default_probe_sets
 from .rng import SeededStream
 from .scoring import (DEFAULT_ALPHA, aggregate_domain, heatmap_matrix, mixed_ranking,
                       rank_order, znormalize)
@@ -39,7 +39,6 @@ class FidelityReport:
 
 @dataclass(frozen=True)
 class RegimeLabel:
-    budget_fraction: float
     label: str
 
 
@@ -61,7 +60,7 @@ def classify_regime(p: float) -> RegimeLabel:
         label = REGIME_TRANSITION
     else:
         label = REGIME_STRUCTURE_DOMINATED
-    return RegimeLabel(budget_fraction=p, label=label)
+    return RegimeLabel(label=label)
 
 
 def _floored_softmax(logits: np.ndarray) -> np.ndarray:
@@ -175,7 +174,7 @@ def plan_for_method(method: str, header, table, p: float, alpha: float = DEFAULT
                      alpha=alpha if method == "ours-mixed" else None)
 
 
-def sweep(config, methods, budgets, seeds, alpha: float = 0.7, probe_counts=None,
+def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_counts=None,
           probe_seed: int = 0):
     """Full evaluation grid.
 
@@ -201,6 +200,7 @@ def sweep(config, methods, budgets, seeds, alpha: float = 0.7, probe_counts=None
     for seed in seeds:
         if not is_int(seed):
             raise InvalidConfig(f"seed {seed!r} is not an integer")
+    check_counts(probe_counts or DEFAULT_COUNTS)
     model = build_model(config)
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
     base_runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
@@ -209,20 +209,21 @@ def sweep(config, methods, budgets, seeds, alpha: float = 0.7, probe_counts=None
 
     reports = []
     grid_plans = {}
-    cache = {}  # pruned layers -> {domain: FidelityReport}
+    cache = {}  # set of pruned layers -> {domain: FidelityReport}
     for method in methods:
         for p in budgets:
             for seed in seeds:
                 plan = plan_for_method(method, header, table, p, alpha=alpha, seed=seed)
                 if (method, p) not in grid_plans:
                     grid_plans[(method, p)] = plan
-                if plan.pruned not in cache:
+                key = frozenset(plan.pruned)  # the pruned model keeps the base block order
+                if key not in cache:
                     pruned_model = apply_prune_plan(model, plan)
-                    cache[plan.pruned] = {
+                    cache[key] = {
                         ps.domain: fidelity(model, pruned_model, ps, base_run=base_runs[ps.domain])
                         for ps in probe_sets}
                 for ps in probe_sets:
-                    reports.append(replace(cache[plan.pruned][ps.domain], method=method,
+                    reports.append(replace(cache[key][ps.domain], method=method,
                                            budget_fraction=p, seed=seed))
     plans = [grid_plans[k] for k in sorted(grid_plans, key=lambda mk: (mk[0], mk[1]))]
     return reports, plans, heatmap

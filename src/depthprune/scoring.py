@@ -25,13 +25,11 @@ class DomainScoreTable:
     sample_count: int
     mu: float = 0.0
     sigma: float = 0.0
-    epsilon: float = EPSILON
     normalized: dict = None
 
 
 @dataclass(frozen=True)
 class MixedRanking:
-    alpha: float
     scores: dict         # layer -> combined score
     order: tuple         # layers sorted by score desc, ties to higher index
 
@@ -70,7 +68,7 @@ def znormalize(table: DomainScoreTable) -> DomainScoreTable:
     if sigma == 0.0:
         normalized = {l: 0.0 for l in table.raw}
     else:
-        normalized = {l: (table.raw[l] - mu) / (sigma + table.epsilon) for l in table.raw}
+        normalized = {l: (table.raw[l] - mu) / (sigma + EPSILON) for l in table.raw}
     return replace(table, mu=mu, sigma=sigma, normalized=normalized)
 
 
@@ -85,16 +83,15 @@ def mixed_ranking(math_table: DomainScoreTable, nonmath_table: DomainScoreTable,
         raise LayerSetMismatch("math and nonmath tables cover different layer sets")
     scores = {l: alpha * nonmath_table.normalized[l] + (1.0 - alpha) * math_table.normalized[l]
               for l in math_table.normalized}
-    return MixedRanking(alpha=alpha, scores=scores, order=rank_order(scores))
+    return MixedRanking(scores=scores, order=rank_order(scores))
 
 
 def single_domain_ranking(table: DomainScoreTable) -> MixedRanking:
     """Ranking by one domain's normalized scores alone."""
     if table.normalized is None:
         raise LayerSetMismatch("table must be normalized before ranking")
-    alpha = 1.0 if table.domain == "nonmath" else 0.0
     scores = dict(table.normalized)
-    return MixedRanking(alpha=alpha, scores=scores, order=rank_order(scores))
+    return MixedRanking(scores=scores, order=rank_order(scores))
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,7 @@ def test_version_flag(capsys):
     ({"probe_counts": {"math": {"Bogus": 1}, "nonmath": 2}}, "Bogus"),
     ({"probe_counts": {"math": 2}}, "probe_counts"),
     ({"model": {"num_layers": "12"}}, "num_layers"),
+    ({"probe_counts": {"math": {}, "nonmath": 2}}, "probe_counts"),
 ])
 @pytest.mark.parametrize("command", ["capture", "sweep"])
 def test_invalid_config_fails_before_building_a_model(tmp_path, capsys, monkeypatch,
@@ -162,7 +163,7 @@ def test_invalid_config_fails_before_building_a_model(tmp_path, capsys, monkeypa
     (["rank", "--method", "bogus"], "bogus"),
     (["rank", "--method", "random"], "seed"),
     (["rank", "--method", "interlace"], "budget"),
-    (["rank", "--method", "cka", "--budget", "1.5"], "budget"),
+    (["plan", "--method", "cka", "--budget", "-0.5"], "budget"),
     (["rank", "--method", "ours-mixed", "--alpha", "2"], "alpha"),
     (["plan", "--method", "bogus", "--budget", "0.25"], "bogus"),
     (["plan", "--method", "cka", "--budget", "1.5"], "budget"),
@@ -172,6 +173,59 @@ def test_rank_and_plan_check_flags_before_reading_the_log(tmp_path, capsys, argv
     # the log does not exist: reading it first would exit 2
     assert main(argv + ["--log", str(tmp_path / "missing.log")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--method", "cka", "--budget", "0.25"],
+    ["rank", "--method", "cka", "--out", "plan.json"],
+    ["sweep", "--alpha", "0.5"],
+    ["sweep", "--seed", "1"],
+    ["heatmap", "--out", "heatmap.csv"],
+])
+def test_removed_flags_are_unrecognized(workdir, capsys, argv):
+    option = "--config" if argv[0] == "sweep" else "--log"
+    source = "config.json" if argv[0] == "sweep" else "activations.log"
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [option, str(workdir / source)] + argv[1:])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["capture", "--config", "{missing}"], "config"),
+    (["sweep", "--config", "{missing}"], "config"),
+    (["prune-eval", "--config", "{missing}", "--plan", "{missing}"], "config"),
+    (["prune-eval", "--config", "{config}", "--plan", "{missing}"], "plan"),
+])
+def test_unreadable_config_or_plan_exits_two(workdir, tmp_path, capsys, argv, what):
+    paths = {"missing": tmp_path / "missing.json", "config": workdir / "config.json"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"SinkFailure: cannot read {what} {tmp_path / 'missing.json'}: ")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("budget_fraction", "0.25"),
+    ("num_layers", "8"),
+    ("protected", 5),
+    ("protected", [0, "7"]),
+    ("pruned", "3"),
+    ("scores", [1, 2]),
+    ("pruned", [3.0]),
+    ("k", True),
+    ("alpha", "x"),
+])
+def test_wrong_plan_types_exit_one(workdir, tmp_path, capsys, key, value):
+    plan_path = tmp_path / "plan.json"
+    assert main(["plan", "--log", str(workdir / "activations.log"), "--method", "ours-mixed",
+                 "--budget", "0.25", "--out", str(plan_path)]) == 0
+    plan = json.loads(plan_path.read_text())
+    plan[key] = value
+    plan_path.write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert main(["prune-eval", "--config", str(workdir / "config.json"),
+                 "--plan", str(plan_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"SchemaViolation: plan: {key}: ")
 
 
 def test_capture_reports_clamped_sims_on_stderr(workdir, capsys):

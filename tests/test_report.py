@@ -137,6 +137,10 @@ def test_sweep_deterministic_bytes():
     (dict(alpha=2.0), AlphaOutOfRange, r"alpha must be in \[0, 1\], got 2.0"),
     (dict(seeds=[0, 1.5]), InvalidConfig, "seed 1.5"),
     (dict(seeds=[True]), InvalidConfig, "seed True"),
+    (dict(probe_counts={"math": 0, "nonmath": 2}), InvalidConfig, "probe_counts math: 0"),
+    (dict(probe_counts={"math": 2}), InvalidConfig, "probe_counts: expected one entry"),
+    (dict(probe_counts={"math": 2.5, "nonmath": 2}), InvalidConfig, "probe_counts math: 2.5"),
+    (dict(probe_counts={"math": {}, "nonmath": 2}), InvalidConfig, "probe_counts math: empty"),
 ])
 def test_sweep_checks_arguments_before_building_a_model(monkeypatch, bad, error, message):
     calls = []
@@ -144,6 +148,29 @@ def test_sweep_checks_arguments_before_building_a_model(monkeypatch, bad, error,
     with pytest.raises(error, match=message):
         sweep(CFG, **{**SWEEP_ARGS, **bad})
     assert calls == []
+
+
+def test_sweep_caches_fidelity_by_the_set_of_pruned_layers(monkeypatch):
+    # two methods whose plans prune the same layers in a different rank order
+    orders = {"cka": (3, 5), "ours-mixed": (5, 3)}
+    calls = []
+    real_fidelity = report.fidelity
+
+    def stub_plan(method, header, table, p, **kwargs):
+        return PrunePlan(method=method, budget_fraction=p, k=2, num_layers=CFG.num_layers,
+                         protected=default_protected(CFG.num_layers), pruned=orders[method])
+
+    def counting_fidelity(base, pruned, probes, **kwargs):
+        calls.append(probes.domain)
+        return real_fidelity(base, pruned, probes, **kwargs)
+
+    monkeypatch.setattr(report, "plan_for_method", stub_plan)
+    monkeypatch.setattr(report, "fidelity", counting_fidelity)
+    reports, _, _ = sweep(CFG, ["cka", "ours-mixed"], [0.25], [0],
+                          probe_counts={"math": 1, "nonmath": 1})
+    assert sorted(calls) == ["math", "nonmath"]
+    assert [(r.method, r.domain) for r in reports] == [
+        ("cka", "math"), ("cka", "nonmath"), ("ours-mixed", "math"), ("ours-mixed", "nonmath")]
 
 
 # ---- removal grid ----------------------------------------------------------
