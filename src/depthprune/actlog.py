@@ -263,6 +263,9 @@ def read_log_path(path):
             return read_log(fh)
     except OSError as exc:
         raise SinkFailure(f"cannot read log {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(
+            f"log {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def log_to_bytes(header: LogHeader, table: ActivationTable) -> bytes:

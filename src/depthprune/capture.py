@@ -11,15 +11,27 @@ def model_id_for(config) -> str:
             f"-v{config.vocab_size}-s{config.seed}")
 
 
+# Samples per forward when capture runs the model itself: 8 keeps a chunk's
+# working set in cache and its peak memory near one sample's, where 16
+# raised the CLI capture's peak RSS past the benchmark's bound.
+CHUNK = 8
+
+
 def layer_stats(states):
     """(sims (B, depth), pooled outputs (B, depth, d) float32) of depth + 1 states (B, T, d).
 
-    ``states`` is an array (depth + 1, B, T, d) or a list of its entries.
-    Sims are unclamped.  Each call reduces one block's states, so no
-    temporary is larger than that.
+    ``states`` is any iterable of them in order, such as an array
+    (depth + 1, B, T, d) or a :meth:`Model.stream`.  Each block is reduced as
+    its output arrives, so at most two states are held at once.  Sims are
+    unclamped.
     """
-    sims = [token_cosine_mean(h_in, h_out) for h_in, h_out in zip(states[:-1], states[1:])]
-    pooled = [mean_pool(h_out).astype(np.float32) for h_out in states[1:]]
+    sims, pooled = [], []
+    states = iter(states)
+    h_in = next(states)
+    for h_out in states:
+        sims.append(token_cosine_mean(h_in, h_out))
+        pooled.append(mean_pool(h_out).astype(np.float32))
+        h_in = h_out
     return np.stack(sims, axis=-1), np.stack(pooled, axis=1)
 
 
@@ -29,10 +41,9 @@ def capture_run(model, probe_sets, runs=None):
     Samples are numbered sequentially across probe sets in the given order.
     ``runs``, when given, maps each domain to
     ``model.residual_states(ps.token_matrix())`` already computed by the
-    caller; otherwise each sample is forwarded on its own through
-    ``model.forward_with_hooks``, which keeps peak memory at one sample's
-    states.  Sims are clamped into [-1, 1]; ``table.clamped`` counts how
-    many needed it.
+    caller; otherwise each domain's token matrix is streamed through the
+    model in chunks of ``CHUNK`` samples.  Sims are clamped into [-1, 1];
+    ``table.clamped`` counts how many needed it.
     """
     cfg = model.config
     header = LogHeader(
@@ -45,14 +56,15 @@ def capture_run(model, probe_sets, runs=None):
     )
     tags, stats, domain, subtask = header.subtask_tags, [], [], []
     for di, ps in enumerate(probe_sets):
-        for tag, tokens in ps.all_samples():
-            if runs is None:
-                trace = model.forward_with_hooks(tokens)
-                stats.append(layer_stats([h[None] for h in trace.h_in + trace.h_out[-1:]]))
+        for tag, _ in ps.all_samples():
             domain.append(di)
             subtask.append(tags.index(tag))
         if runs is not None:
             stats.append(layer_stats(runs[ps.domain][0]))
+            continue
+        tokens = ps.token_matrix()
+        for lo in range(0, len(tokens), CHUNK):
+            stats.append(layer_stats(model.stream(tokens[lo:lo + CHUNK])))
     n, depth = len(domain), model.depth
     sim = np.concatenate([s for s, _ in stats] or [np.empty((0, depth))]).reshape(-1)
     pooled = np.concatenate([p for _, p in stats] or [np.empty((0, depth, cfg.hidden_dim))])

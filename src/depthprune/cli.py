@@ -15,7 +15,7 @@ from .actlog import read_log_path, write_log_path
 from .baselines import cka_rank  # noqa: F401  (bench/tracer.py wraps it in this module)
 from .capture import capture_run
 from .errors import (AlphaOutOfRange, BudgetOutOfRange, DepthPruneError, InvalidConfig,
-                     SinkFailure)
+                     PlanModelMismatch, SchemaViolation, SinkFailure)
 from .model import ToyModelConfig, apply_prune_plan, build_model
 from .planner import DEFAULT_BUDGETS, METHODS, parse_plan, serialize_plan
 from .probes import DEFAULT_COUNTS, DOMAINS, check_counts, default_probe_sets
@@ -37,7 +37,7 @@ def _require(ok, message):
 def _load_config(path):
     """Read and fully validate a run config, before anything is built or computed."""
     try:
-        raw = json.loads(_read_text(path, "config"))
+        raw = json.loads(_read_text(path, "config", InvalidConfig))
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config {path}: invalid JSON ({exc.msg})") from exc
     _require(isinstance(raw, dict), "is not a JSON object")
@@ -119,12 +119,16 @@ def cmd_rank(args):
     return 0
 
 
-def _read_text(path, what):
+def _read_text(path, what, malformed):
+    """The UTF-8 text of a file; text that does not decode raises ``malformed``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise SinkFailure(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise malformed(
+            f"{what} {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _write_text(path, text):
@@ -149,7 +153,10 @@ def cmd_plan(args):
 
 def cmd_prune_eval(args):
     cfg = _load_config(args.config)
-    plan = parse_plan(_read_text(args.plan, "plan"))
+    plan = parse_plan(_read_text(args.plan, "plan", SchemaViolation))
+    if plan.num_layers != cfg["model"].num_layers:
+        raise PlanModelMismatch(
+            f"plan num_layers {plan.num_layers} != model num_layers {cfg['model'].num_layers}")
     model = build_model(cfg["model"])
     pruned = apply_prune_plan(model, plan)
     probe_sets = default_probe_sets(cfg["model"], cfg["probe_seed"], cfg["probe_counts"])

@@ -63,9 +63,12 @@ class CaptureTrace:
 
 
 def _layernorm(x: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-6)
+    # the steps of x.var(axis=-1), sharing its centred copy of x
+    y = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(y).mean(axis=-1, keepdims=True)
+    var += 1e-6
+    y /= np.sqrt(var, out=var)
+    return y
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -85,10 +88,11 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    """Softmax over the last axis, computed in ``x``'s own buffer."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 class Model:
@@ -116,14 +120,17 @@ class Model:
         protected = self.protected_layers
         return tuple(l for l in range(self.config.num_layers) if l not in protected)
 
-    def residual_states(self, tokens, start: int = 0, x0=None):
-        """Batched forward over ``tokens`` of shape (B, T); returns (states, logits).
+    def stream(self, tokens, start: int = 0, x0=None):
+        """Forward ``tokens`` of shape (B, T) one block at a time.
 
-        ``states`` has shape (depth - start + 1, B, T, d): the residual stream
-        entering ``blocks[start]``, then the stream after each later block.
-        ``logits`` has shape (B, T, vocab_size).  With ``start > 0`` the
-        stream entering ``blocks[start]`` must be given as ``x0`` (B, T, d),
-        which resumes a forward from a prefix computed elsewhere.
+        A generator: it yields the residual stream (B, T, d) entering
+        ``blocks[start]``, then the stream after each later block, computing
+        each block only when the next state is asked for.  With ``start > 0``
+        the stream entering ``blocks[start]`` must be given as ``x0``
+        (B, T, d), which resumes a forward from a prefix computed elsewhere.
+        Inputs are checked before the first state is yielded.  No state is
+        written to after it is yielded, so callers may keep any of them; the
+        first one is ``x0`` itself when given.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         cfg = self.config
@@ -148,18 +155,35 @@ class Model:
         heads, head_dim = cfg.num_heads, d // cfg.num_heads
         mask = np.triu(np.full((t, t), -np.inf), k=1)
         scale = 1.0 / np.sqrt(head_dim)
-        states = np.empty((self.depth - start + 1, b, t, d))
-        states[0] = x
-        for i, blk in enumerate(self.blocks[start:], 1):
+        yield x
+        for blk in self.blocks[start:]:
             a = _layernorm(x)
             q, k, v = ((a @ w).reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
                        for w in (blk.wq, blk.wk, blk.wv))
-            att = _softmax((q @ k.transpose(0, 1, 3, 2)) * scale + mask)
-            ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
+            att = q @ k.transpose(0, 1, 3, 2)
+            att *= scale
+            att += mask
+            ctx = (_softmax(att) @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
             x = x + ctx @ blk.wo
             x = x + _gelu(_layernorm(x) @ blk.w_up) @ blk.w_down
+            yield x
+
+    def head(self, x) -> np.ndarray:
+        """Logits (..., vocab_size) of final residual states (..., d)."""
+        return _layernorm(x) @ self.unembed
+
+    def residual_states(self, tokens, start: int = 0, x0=None):
+        """All of :meth:`stream` stacked; returns (states, logits).
+
+        ``states`` has shape (depth - start + 1, B, T, d) and ``logits``
+        (B, T, vocab_size).
+        """
+        states = None
+        for i, x in enumerate(self.stream(tokens, start, x0)):
+            if states is None:
+                states = np.empty((self.depth - start + 1,) + x.shape)
             states[i] = x
-        return states, _layernorm(x) @ self.unembed
+        return states, self.head(x)
 
     def forward_with_hooks(self, tokens) -> CaptureTrace:
         """One sequence through :meth:`residual_states`, split into per-block in/out."""

@@ -1,6 +1,7 @@
 """Budget x method sweeps, output-fidelity metrics, and CSV reports."""
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -92,8 +93,9 @@ def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.
     """Position-wise output agreement of pruned vs unpruned model on a probe set.
 
     ``base_run`` is ``base.residual_states(probes.token_matrix())`` when the
-    caller already has it.  The pruned model resumes from the base stream
-    after the block prefix the two models share.
+    caller already has it.  The pruned model is streamed from the base
+    stream after the block prefix the two models share, keeping only its
+    last state.
     """
     cb, cp = base.config, pruned.config
     if (cb.vocab_size, cb.max_seq_len, cb.hidden_dim) != (cp.vocab_size, cp.max_seq_len, cp.hidden_dim):
@@ -101,18 +103,26 @@ def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.
     if probes.num_samples == 0:
         raise ModelMismatch("probe set is empty")
     tokens = probes.token_matrix()
-    base_states, base_logits = base_run if base_run is not None else base.residual_states(tokens)
+    base_run = base_run if base_run is not None else base.residual_states(tokens)
     f = _shared_prefix(base, pruned)
-    if f is None:
-        states, logits = pruned.residual_states(tokens)
-    else:
-        states, logits = pruned.residual_states(tokens, start=f, x0=base_states[f])
-    positions = tokens.size
-    hb, hp = base_states[-1], states[-1]
-    n_base, n_pruned = np.linalg.norm(hb, axis=-1), np.linalg.norm(hp, axis=-1)
+    stream = pruned.stream(tokens) if f is None else pruned.stream(tokens, start=f,
+                                                                   x0=base_run[0][f])
+    for last in stream:
+        pass
+    return _compare(probes, base_run, last, pruned.head(last), method, budget_fraction, seed)
+
+
+def _compare(probes, base_run, last, logits, method: str = "", budget_fraction: float = 0.0,
+             seed: int = 0) -> FidelityReport:
+    """Agreement, cosine and KL of a pruned model's last state and logits on ``probes``.
+
+    ``base_run`` is the unpruned model's (states, logits) on the same probes.
+    """
+    hb, base_logits = base_run[0][-1], base_run[1]
+    n_base, n_pruned = np.linalg.norm(hb, axis=-1), np.linalg.norm(last, axis=-1)
     if float(n_base.min()) < ZERO_NORM_THRESHOLD or float(n_pruned.min()) < ZERO_NORM_THRESHOLD:
         raise ZeroNormInput("a final hidden state has near-zero norm")
-    cos = np.einsum("btd,btd->bt", hb, hp) / (n_base * n_pruned)
+    cos = np.einsum("btd,btd->bt", hb, last) / (n_base * n_pruned)
     pb = _floored_softmax(base_logits)
     pp = _floored_softmax(logits)
     agree = np.argmax(base_logits, axis=-1) == np.argmax(logits, axis=-1)
@@ -120,12 +130,34 @@ def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.
         method=method,
         budget_fraction=budget_fraction,
         domain=probes.domain,
-        top1_agreement=int(np.sum(agree)) / positions,
-        final_hidden_cosine=float(np.sum(cos)) / positions,
-        mean_kl=float(np.sum(pb * np.log(pb / pp))) / positions,
+        top1_agreement=int(np.sum(agree)) / agree.size,
+        final_hidden_cosine=float(np.sum(cos)) / agree.size,
+        mean_kl=float(np.sum(pb * np.log(pb / pp))) / agree.size,
         num_probes=probes.num_samples,
         seed=seed,
     )
+
+
+def _trie_leaves(base, base_run, pruned_models, tokens):
+    """Yield (key, last state, logits) of every pruned model in ``pruned_models``.
+
+    The models' block sequences form a prefix trie whose base path is
+    ``base_run``.  Leaves are visited in the lexicographic order of their
+    layer ids while a stack holds the states along the current path, so
+    every trie node off the base path is evaluated once for all the models
+    that share it.  Blocks are compared by identity, as in
+    ``_shared_prefix``; every model must share ``base``'s embeddings.
+    """
+    blocks, states = list(base.blocks), list(base_run[0])
+    for key, pruned in sorted(pruned_models.items(), key=lambda kv: kv[1].layer_ids):
+        seq, c = pruned.blocks, 0
+        while c < min(len(seq), len(blocks)) and seq[c] is blocks[c]:
+            c += 1
+        del blocks[c:], states[c + 1:]
+        if c < len(seq):
+            states.extend(islice(pruned.stream(tokens, start=c, x0=states[c]), 1, None))
+            blocks.extend(seq[c:])
+        yield key, states[len(seq)], pruned.head(states[len(seq)])
 
 
 def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed: int = None):
@@ -207,24 +239,25 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     header, table = capture_run(model, probe_sets, base_runs)
     heatmap = heatmap_matrix(table)
 
-    reports = []
     grid_plans = {}
-    cache = {}  # set of pruned layers -> {domain: FidelityReport}
+    rows = []           # (method, p, seed, set of pruned layers)
+    pruned_models = {}  # set of pruned layers -> pruned model; it keeps the base block order
     for method in methods:
         for p in budgets:
             for seed in seeds:
                 plan = plan_for_method(method, header, table, p, alpha=alpha, seed=seed)
-                if (method, p) not in grid_plans:
-                    grid_plans[(method, p)] = plan
-                key = frozenset(plan.pruned)  # the pruned model keeps the base block order
-                if key not in cache:
-                    pruned_model = apply_prune_plan(model, plan)
-                    cache[key] = {
-                        ps.domain: fidelity(model, pruned_model, ps, base_run=base_runs[ps.domain])
-                        for ps in probe_sets}
-                for ps in probe_sets:
-                    reports.append(replace(cache[key][ps.domain], method=method,
-                                           budget_fraction=p, seed=seed))
+                grid_plans.setdefault((method, p), plan)
+                key = frozenset(plan.pruned)
+                if key not in pruned_models:
+                    pruned_models[key] = apply_prune_plan(model, plan)
+                rows.append((method, p, seed, key))
+    results = {}  # (set of pruned layers, domain) -> FidelityReport
+    for ps in probe_sets:
+        base_run = base_runs[ps.domain]
+        for key, last, logits in _trie_leaves(model, base_run, pruned_models, ps.token_matrix()):
+            results[key, ps.domain] = _compare(ps, base_run, last, logits)
+    reports = [replace(results[key, ps.domain], method=method, budget_fraction=p, seed=seed)
+               for method, p, seed, key in rows for ps in probe_sets]
     plans = [grid_plans[k] for k in sorted(grid_plans, key=lambda mk: (mk[0], mk[1]))]
     return reports, plans, heatmap
 

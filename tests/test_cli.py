@@ -6,6 +6,7 @@ import pytest
 from depthprune import cli, report
 from depthprune.actlog import read_log_path
 from depthprune.cli import main
+from depthprune.planner import PrunePlan, default_protected, serialize_plan
 
 CONFIG = {
     "model": {"num_layers": 8, "hidden_dim": 32, "num_heads": 4},
@@ -261,3 +262,31 @@ def test_wrong_header_types_exit_one(workdir, tmp_path, capsys, path, value):
     log.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
     assert main(["score", "--log", str(log)]) == 1
     assert capsys.readouterr().err.startswith(f"SchemaViolation: line 1: {path[-1]}: ")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["capture", "--config", "{bad}"], "InvalidConfig: config {bad} "),
+    (["sweep", "--config", "{bad}"], "InvalidConfig: config {bad} "),
+    (["prune-eval", "--config", "{config}", "--plan", "{bad}"], "SchemaViolation: plan {bad} "),
+    (["score", "--log", "{bad}"], "SchemaViolation: log {bad} "),
+])
+def test_non_utf8_input_exits_one(workdir, tmp_path, capsys, argv, error):
+    paths = {"bad": tmp_path / "bad.txt", "config": workdir / "config.json"}
+    paths["bad"].write_bytes(b"\xff" + json.dumps(CONFIG).encode())
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith(error.format(**paths) + "is not UTF-8 text")
+
+
+def test_prune_eval_checks_plan_depth_before_building_a_model(workdir, tmp_path, capsys,
+                                                              monkeypatch):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(serialize_plan(PrunePlan(
+        method="cka", budget_fraction=0.25, k=3, num_layers=14,
+        protected=default_protected(14), pruned=(3, 5, 7))))
+    built = []
+    monkeypatch.setattr(cli, "build_model", lambda config: built.append(config))
+    assert main(["prune-eval", "--config", str(workdir / "config.json"),
+                 "--plan", str(plan_path)]) == 1
+    assert capsys.readouterr().err == (
+        "PlanModelMismatch: plan num_layers 14 != model num_layers 8\n")
+    assert built == []

@@ -2,19 +2,21 @@
 
 The oracle is the per-sample forward the engine replaced: einsum attention
 and a ``x ** 3`` GELU cube, one sequence at a time.  The engine reorders
-floating-point work (batched matmul, ``x * x * x``), so states and logits
-are compared within 1e-12 absolute; resumes and sweep rows, which repeat
-the engine's own arithmetic, are compared exactly.
+floating-point work (batched matmul, ``x * x * x``), so states, logits and
+capture sims are compared within 1e-12 absolute, and float32 pooled
+outputs within that plus float32 rounding; resumes, stacked streams and
+sweep rows, which repeat the engine's own arithmetic, are compared exactly.
 """
 
 import numpy as np
 import pytest
 
-from depthprune.capture import capture_run
+from depthprune.capture import CHUNK, capture_run
 from depthprune.model import (Model, ToyModelConfig, apply_prune_plan, build_model,
                               neutralize_block)
 from depthprune.planner import PrunePlan, default_protected
-from depthprune.probes import ProbeSet, default_probe_sets, generate_probes
+from depthprune.probes import (MATH_SUBTASKS, NONMATH_SUBTASKS, ProbeSet, default_probe_sets,
+                               generate_probes)
 from depthprune.report import fidelity, plan_for_method, sweep
 
 ATOL = 1e-12
@@ -162,3 +164,72 @@ def test_per_sample_capture_matches_batched_capture():
         np.testing.assert_array_equal(getattr(records, name), getattr(batched, name))
     assert np.abs(records.sim - batched.sim).max() <= ATOL
     np.testing.assert_allclose(records.pooled_out, batched.pooled_out, rtol=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_chunked_capture_matches_per_sample_reference(n):
+    # n samples per domain, either side of a chunk boundary
+    cfg = ToyModelConfig(seed=4)
+    model = build_model(cfg)
+    probe_sets = default_probe_sets(cfg, 6, {"math": {MATH_SUBTASKS[1]: n},
+                                             "nonmath": {NONMATH_SUBTASKS[2]: n}})
+    _, table = capture_run(model, probe_sets)
+    sims, pooled = [], []
+    for ps in probe_sets:
+        for _, tokens in ps.all_samples():
+            states, _ = reference_forward(model, tokens)
+            for h_in, h_out in zip(states[:-1], states[1:]):
+                cos = np.sum(h_in * h_out, axis=-1) / (np.sqrt(np.sum(h_in * h_in, axis=-1))
+                                                       * np.sqrt(np.sum(h_out * h_out, axis=-1)))
+                sims.append(cos.mean())
+                pooled.append(h_out.mean(axis=0))
+    np.testing.assert_array_equal(table.sample_id, np.repeat(np.arange(2 * n), cfg.num_layers))
+    np.testing.assert_allclose(table.sim, sims, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(table.pooled_out, pooled, rtol=2.0 ** -23, atol=ATOL)
+
+
+def test_residual_states_is_the_stacked_stream():
+    model = build_model(ToyModelConfig(seed=1))
+    tokens = generate_probes("nonmath", 1, seed=2, config=model.config).token_matrix()
+    states, logits = model.residual_states(tokens)
+    streamed = list(model.stream(tokens))
+    np.testing.assert_array_equal(states, np.stack(streamed))
+    np.testing.assert_array_equal(logits, model.head(streamed[-1]))
+    tail, tail_logits = model.residual_states(tokens, start=5, x0=states[5])
+    np.testing.assert_array_equal(tail, np.stack(list(model.stream(tokens, start=5,
+                                                                   x0=states[5]))))
+    np.testing.assert_array_equal(tail, states[5:])
+    np.testing.assert_array_equal(tail_logits, logits)
+
+
+def test_sweep_evaluates_each_prefix_trie_node_once(monkeypatch):
+    cfg = ToyModelConfig(num_layers=10, hidden_dim=32, num_heads=4, seed=2)
+    counts = {"math": 1, "nonmath": 1}
+    methods, budgets, seeds = ["ours-mixed", "cka", "interlace", "random"], [0.1, 0.25, 0.4], [0, 1]
+    model = build_model(cfg)
+    probe_sets = default_probe_sets(cfg, 3, counts)
+    runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
+    header, table = capture_run(model, probe_sets, runs)
+    pruned_sets = {frozenset(plan_for_method(method, header, table, p, seed=seed).pruned)
+                   for method in methods for p in budgets for seed in seeds}
+    # a node is the stream after retained layer j, given the layers pruned below j;
+    # nodes with nothing pruned below j are the base run's own states
+    nodes = {(j, frozenset(l for l in pruned if l < j))
+             for pruned in pruned_sets for j in range(cfg.num_layers)
+             if j not in pruned and min(pruned, default=j) < j}
+    resumed_blocks = sum(cfg.num_layers - min(pruned) - len(pruned)
+                         for pruned in pruned_sets if pruned)
+    assert len(nodes) < resumed_blocks  # the sets share prefixes, so the trie saves blocks
+
+    evaluated = []
+    real_stream = Model.stream
+
+    def counting_stream(self, tokens, start=0, x0=None):
+        for i, x in enumerate(real_stream(self, tokens, start, x0)):
+            if i and self.depth < cfg.num_layers:
+                evaluated.append(self.layer_ids[start + i - 1])
+            yield x
+
+    monkeypatch.setattr(Model, "stream", counting_stream)
+    sweep(cfg, methods, budgets, seeds, probe_counts=counts, probe_seed=3)
+    assert len(evaluated) == len(probe_sets) * len(nodes)

@@ -154,20 +154,21 @@ def test_sweep_caches_fidelity_by_the_set_of_pruned_layers(monkeypatch):
     # two methods whose plans prune the same layers in a different rank order
     orders = {"cka": (3, 5), "ours-mixed": (5, 3)}
     calls = []
-    real_fidelity = report.fidelity
+    real_compare = report._compare
 
     def stub_plan(method, header, table, p, **kwargs):
         return PrunePlan(method=method, budget_fraction=p, k=2, num_layers=CFG.num_layers,
                          protected=default_protected(CFG.num_layers), pruned=orders[method])
 
-    def counting_fidelity(base, pruned, probes, **kwargs):
+    def counting_compare(probes, *args, **kwargs):
         calls.append(probes.domain)
-        return real_fidelity(base, pruned, probes, **kwargs)
+        return real_compare(probes, *args, **kwargs)
 
     monkeypatch.setattr(report, "plan_for_method", stub_plan)
-    monkeypatch.setattr(report, "fidelity", counting_fidelity)
+    monkeypatch.setattr(report, "_compare", counting_compare)
     reports, _, _ = sweep(CFG, ["cka", "ours-mixed"], [0.25], [0],
                           probe_counts={"math": 1, "nonmath": 1})
+    # one evaluated trie leaf per domain serves both methods
     assert sorted(calls) == ["math", "nonmath"]
     assert [(r.method, r.domain) for r in reports] == [
         ("cka", "math"), ("cka", "nonmath"), ("ours-mixed", "math"), ("ours-mixed", "nonmath")]
