@@ -11,12 +11,6 @@ def model_id_for(config) -> str:
             f"-v{config.vocab_size}-s{config.seed}")
 
 
-# Samples per forward when capture runs the model itself: 8 keeps a chunk's
-# working set in cache and its peak memory near one sample's, where 16
-# raised the CLI capture's peak RSS past the benchmark's bound.
-CHUNK = 8
-
-
 def layer_stats(states):
     """(sims (B, depth), pooled outputs (B, depth, d) float32) of depth + 1 states (B, T, d).
 
@@ -41,9 +35,11 @@ def capture_run(model, probe_sets, runs=None):
     Samples are numbered sequentially across probe sets in the given order.
     ``runs``, when given, maps each domain to
     ``model.residual_states(ps.token_matrix())`` already computed by the
-    caller; otherwise each domain's token matrix is streamed through the
-    model in chunks of ``CHUNK`` samples.  Sims are clamped into [-1, 1];
-    ``table.clamped`` counts how many needed it.
+    caller; otherwise each domain's whole token matrix is streamed through
+    the model (:meth:`Model.stream` bounds each block's temporaries by
+    ``depthprune.model.CHUNK`` samples), holding two of its states at a time.
+    Sims are clamped into [-1, 1]; ``table.clamped`` counts how many needed
+    it.
     """
     cfg = model.config
     header = LogHeader(
@@ -59,12 +55,8 @@ def capture_run(model, probe_sets, runs=None):
         for tag, _ in ps.all_samples():
             domain.append(di)
             subtask.append(tags.index(tag))
-        if runs is not None:
-            stats.append(layer_stats(runs[ps.domain][0]))
-            continue
-        tokens = ps.token_matrix()
-        for lo in range(0, len(tokens), CHUNK):
-            stats.append(layer_stats(model.stream(tokens[lo:lo + CHUNK])))
+        stats.append(layer_stats(model.stream(ps.token_matrix()) if runs is None
+                                 else runs[ps.domain][0]))
     n, depth = len(domain), model.depth
     sim = np.concatenate([s for s, _ in stats] or [np.empty((0, depth))]).reshape(-1)
     pooled = np.concatenate([p for _, p in stats] or [np.empty((0, depth, cfg.hidden_dim))])

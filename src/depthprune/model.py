@@ -18,6 +18,13 @@ from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong
 from .rng import SeededStream
 
 
+# Samples per block evaluation: a block's temporaries (the (B, heads, T, T)
+# attention scores and the (B, T, 4d) MLP activations) are bounded by this
+# many samples at any batch size, which keeps them in cache.  16 raised the
+# CLI capture's peak RSS past the benchmark's bound.
+CHUNK = 8
+
+
 @dataclass(frozen=True)
 class ToyModelConfig:
     num_layers: int = 12
@@ -95,6 +102,22 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _block(blk: BlockWeights, x: np.ndarray, mask: np.ndarray, heads: int) -> np.ndarray:
+    """The residual stream after one pre-norm block on ``x`` (B, T, d), as a new array."""
+    b, t, d = x.shape
+    head_dim = d // heads
+    a = _layernorm(x)
+    q, k, v = ((a @ w).reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
+               for w in (blk.wq, blk.wk, blk.wv))
+    att = q @ k.transpose(0, 1, 3, 2)
+    att *= 1.0 / np.sqrt(head_dim)
+    att += mask
+    ctx = (_softmax(att) @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
+    h = x + ctx @ blk.wo
+    h += _gelu(_layernorm(h) @ blk.w_up) @ blk.w_down
+    return h
+
+
 class Model:
     """Immutable decoder stack; safe to share across threads."""
 
@@ -128,9 +151,12 @@ class Model:
         each block only when the next state is asked for.  With ``start > 0``
         the stream entering ``blocks[start]`` must be given as ``x0``
         (B, T, d), which resumes a forward from a prefix computed elsewhere.
-        Inputs are checked before the first state is yielded.  No state is
-        written to after it is yielded, so callers may keep any of them; the
-        first one is ``x0`` itself when given.
+        Each block is evaluated ``CHUNK`` samples at a time and the chunks are
+        joined into the state it yields, so a block's temporaries are bounded
+        at any batch size; rows are independent, so the bits do not depend
+        on B.  Inputs are checked before the first state is yielded.  No
+        state is written to after it is yielded, so callers may keep any of
+        them; the first one is ``x0`` itself when given.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         cfg = self.config
@@ -152,20 +178,15 @@ class Model:
             x = np.asarray(x0, dtype=np.float64)
             if x.shape != (b, t, d):
                 raise ValueError(f"x0 shape {x.shape} != {(b, t, d)}")
-        heads, head_dim = cfg.num_heads, d // cfg.num_heads
         mask = np.triu(np.full((t, t), -np.inf), k=1)
-        scale = 1.0 / np.sqrt(head_dim)
         yield x
         for blk in self.blocks[start:]:
-            a = _layernorm(x)
-            q, k, v = ((a @ w).reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
-                       for w in (blk.wq, blk.wk, blk.wv))
-            att = q @ k.transpose(0, 1, 3, 2)
-            att *= scale
-            att += mask
-            ctx = (_softmax(att) @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-            x = x + ctx @ blk.wo
-            x = x + _gelu(_layernorm(x) @ blk.w_up) @ blk.w_down
+            # Chunk results are joined after the last chunk, not written into
+            # a state allocated before the first: that order left each chunk's
+            # temporaries at the top of the heap, which glibc hands back to the
+            # OS when freed, and doubled a CLI capture's page faults.
+            x = (_block(blk, x, mask, cfg.num_heads) if b <= CHUNK else np.concatenate(
+                [_block(blk, x[lo:lo + CHUNK], mask, cfg.num_heads) for lo in range(0, b, CHUNK)]))
             yield x
 
     def head(self, x) -> np.ndarray:

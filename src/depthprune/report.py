@@ -1,14 +1,16 @@
 """Budget x method sweeps, output-fidelity metrics, and CSV reports."""
 
+import sys
+import threading
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import cycle, islice
 
 import numpy as np
 
 from .baselines import cka_rank, interlace_plan, random_plan
 from .capture import capture_run
-from .errors import (AlphaOutOfRange, BudgetOutOfRange, DepthPruneError, InconsistentDepth,
-                     InvalidConfig, ModelMismatch, ZeroNormInput)
+from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, DepthPruneError,
+                     InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput)
 from .linalg import ZERO_NORM_THRESHOLD
 from .model import apply_prune_plan, build_model
 from .planner import METHODS, budget_k, make_plan
@@ -89,13 +91,12 @@ def _shared_prefix(base, pruned):
 
 
 def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.0,
-             seed: int = 0, base_run=None) -> FidelityReport:
+             seed: int = 0) -> FidelityReport:
     """Position-wise output agreement of pruned vs unpruned model on a probe set.
 
-    ``base_run`` is ``base.residual_states(probes.token_matrix())`` when the
-    caller already has it.  The pruned model is streamed from the base
-    stream after the block prefix the two models share, keeping only its
-    last state.
+    The base model is streamed keeping only its state after the block
+    prefix the two models share and its last state; the pruned model is
+    streamed from the former, keeping only its last state.
     """
     cb, cp = base.config, pruned.config
     if (cb.vocab_size, cb.max_seq_len, cb.hidden_dim) != (cp.vocab_size, cp.max_seq_len, cp.hidden_dim):
@@ -103,22 +104,25 @@ def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.
     if probes.num_samples == 0:
         raise ModelMismatch("probe set is empty")
     tokens = probes.token_matrix()
-    base_run = base_run if base_run is not None else base.residual_states(tokens)
     f = _shared_prefix(base, pruned)
-    stream = pruned.stream(tokens) if f is None else pruned.stream(tokens, start=f,
-                                                                   x0=base_run[0][f])
+    x0 = None
+    for i, hb in enumerate(base.stream(tokens)):
+        if i == f:
+            x0 = hb
+    stream = pruned.stream(tokens) if x0 is None else pruned.stream(tokens, start=f, x0=x0)
     for last in stream:
         pass
-    return _compare(probes, base_run, last, pruned.head(last), method, budget_fraction, seed)
+    return _compare(probes, hb, base.head(hb), last, pruned.head(last), method,
+                    budget_fraction, seed)
 
 
-def _compare(probes, base_run, last, logits, method: str = "", budget_fraction: float = 0.0,
-             seed: int = 0) -> FidelityReport:
+def _compare(probes, hb, base_logits, last, logits, method: str = "",
+             budget_fraction: float = 0.0, seed: int = 0) -> FidelityReport:
     """Agreement, cosine and KL of a pruned model's last state and logits on ``probes``.
 
-    ``base_run`` is the unpruned model's (states, logits) on the same probes.
+    ``hb`` and ``base_logits`` are the unpruned model's last state and
+    logits on the same probes.
     """
-    hb, base_logits = base_run[0][-1], base_run[1]
     n_base, n_pruned = np.linalg.norm(hb, axis=-1), np.linalg.norm(last, axis=-1)
     if float(n_base.min()) < ZERO_NORM_THRESHOLD or float(n_pruned.min()) < ZERO_NORM_THRESHOLD:
         raise ZeroNormInput("a final hidden state has near-zero norm")
@@ -138,26 +142,67 @@ def _compare(probes, base_run, last, logits, method: str = "", budget_fraction: 
     )
 
 
-def _trie_leaves(base, base_run, pruned_models, tokens):
+def _trie_leaves(base, base_states, pruned_models, tokens):
     """Yield (key, last state, logits) of every pruned model in ``pruned_models``.
 
     The models' block sequences form a prefix trie whose base path is
-    ``base_run``.  Leaves are visited in the lexicographic order of their
-    layer ids while a stack holds the states along the current path, so
-    every trie node off the base path is evaluated once for all the models
-    that share it.  Blocks are compared by identity, as in
-    ``_shared_prefix``; every model must share ``base``'s embeddings.
+    ``base_states``.  Leaves are visited in the lexicographic order of their
+    layer ids, each resumed from the state after the blocks it shares with
+    the leaf before it, so every trie node off the base path is evaluated
+    once for all the models that share it.  Of a leaf's own states only
+    those that a later leaf resumes from are kept.  Blocks are compared by
+    identity, as in ``_shared_prefix``; every model must share ``base``'s
+    embeddings.
     """
-    blocks, states = list(base.blocks), list(base_run[0])
-    for key, pruned in sorted(pruned_models.items(), key=lambda kv: kv[1].layer_ids):
-        seq, c = pruned.blocks, 0
-        while c < min(len(seq), len(blocks)) and seq[c] is blocks[c]:
-            c += 1
-        del blocks[c:], states[c + 1:]
-        if c < len(seq):
-            states.extend(islice(pruned.stream(tokens, start=c, x0=states[c]), 1, None))
-            blocks.extend(seq[c:])
-        yield key, states[len(seq)], pruned.head(states[len(seq)])
+    leaves = sorted(pruned_models.items(), key=lambda kv: kv[1].layer_ids)
+    models = [base] + [pruned for _, pruned in leaves]
+    resume = [_shared_prefix(a, b) for a, b in zip(models, models[1:])]
+    # kept[i]: positions on leaf i's path that a later leaf resumes from.  In
+    # lexicographic order, leaf j reaches leaf i's state at position r only
+    # if no leaf between them resumes below r.
+    kept, later = [], set()
+    for r in reversed(resume):
+        kept.append(later)
+        later = {r} | {q for q in later if q <= r}
+    kept.reverse()
+    path = dict(enumerate(base_states))  # position -> state on the current path
+    for (key, pruned), c, keep in zip(leaves, resume, kept):
+        for q in [q for q in path if q > c]:
+            del path[q]
+        last = path[c]
+        for q, last in enumerate(islice(pruned.stream(tokens, start=c, x0=last), 1, None), c + 1):
+            if q in keep:
+                path[q] = last
+        yield key, last, pruned.head(last)
+
+
+def _threaded(fn, items):
+    """``[fn(item) for item in items]``, each item after the first on its own thread.
+
+    The first item runs on the calling thread.  numpy's kernels release the
+    GIL, so the calls share the machine's cores.  An exception raised on
+    another thread is re-raised here.  ``fn`` must call nothing that the
+    benchmark tracer wraps: its span stack belongs to the calling thread.
+    """
+    results, errors = [None] * len(items), []
+
+    def run(i):
+        try:
+            results[i] = fn(items[i])
+        except BaseException as exc:  # handed to the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(items))]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = fn(items[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed: int = None):
@@ -213,7 +258,10 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     Returns (reports, plans, heatmap): one FidelityReport per
     (method, budget, domain, seed), one plan per (method, budget) with
     random plans taken at the first seed, and the candidate heatmap.  Every
-    argument is checked before the model is built.
+    argument is checked before the model is built.  A (method, budget) whose
+    plan raises ``BudgetInfeasible`` is left out of both, with one line on
+    stderr.  Each domain's base forward, and then its fidelity walk, runs on
+    its own thread.
     """
     if not methods:
         raise DepthPruneError("no methods selected")
@@ -235,8 +283,10 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     check_counts(probe_counts or DEFAULT_COUNTS)
     model = build_model(config)
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
-    base_runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
-    header, table = capture_run(model, probe_sets, base_runs)
+    tokens = [ps.token_matrix() for ps in probe_sets]
+    base_runs = _threaded(model.residual_states, tokens)
+    header, table = capture_run(model, probe_sets,
+                                {ps.domain: run for ps, run in zip(probe_sets, base_runs)})
     heatmap = heatmap_matrix(table)
 
     grid_plans = {}
@@ -244,20 +294,30 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     pruned_models = {}  # set of pruned layers -> pruned model; it keeps the base block order
     for method in methods:
         for p in budgets:
-            for seed in seeds:
-                plan = plan_for_method(method, header, table, p, alpha=alpha, seed=seed)
-                grid_plans.setdefault((method, p), plan)
+            # only random reads the seed; any other plan serves every seed
+            try:
+                plans = [plan_for_method(method, header, table, p, alpha=alpha, seed=seed)
+                         for seed in (seeds if method == "random" else seeds[:1])]
+            except BudgetInfeasible as exc:
+                print(f"skipped {method} at budget {p!r}: {exc}", file=sys.stderr)
+                continue
+            grid_plans.setdefault((method, p), plans[0])
+            for seed, plan in zip(seeds, cycle(plans)):
                 key = frozenset(plan.pruned)
                 if key not in pruned_models:
                     pruned_models[key] = apply_prune_plan(model, plan)
                 rows.append((method, p, seed, key))
-    results = {}  # (set of pruned layers, domain) -> FidelityReport
-    for ps in probe_sets:
-        base_run = base_runs[ps.domain]
-        for key, last, logits in _trie_leaves(model, base_run, pruned_models, ps.token_matrix()):
-            results[key, ps.domain] = _compare(ps, base_run, last, logits)
-    reports = [replace(results[key, ps.domain], method=method, budget_fraction=p, seed=seed)
-               for method, p, seed, key in rows for ps in probe_sets]
+    if not rows:
+        raise BudgetInfeasible("no (method, budget) of the sweep is feasible")
+
+    def walk(i):
+        states, logits = base_runs[i]
+        return {key: _compare(probe_sets[i], states[-1], logits, last, leaf_logits)
+                for key, last, leaf_logits in _trie_leaves(model, states, pruned_models, tokens[i])}
+
+    results = _threaded(walk, range(len(probe_sets)))  # per domain: pruned set -> report
+    reports = [replace(res[key], method=method, budget_fraction=p, seed=seed)
+               for method, p, seed, key in rows for res in results]
     plans = [grid_plans[k] for k in sorted(grid_plans, key=lambda mk: (mk[0], mk[1]))]
     return reports, plans, heatmap
 

@@ -91,6 +91,24 @@ def test_sweep_writes_three_files_idempotently(workdir, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_sweep_skips_an_infeasible_cell(tmp_path, capsys):
+    # on the default 12-layer model interlace spaces only 4 removals, so
+    # budget 0.5 (5 of 10 layers) cannot be met; the other three cells can
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"probe_counts": {"math": 1, "nonmath": 1},
+                                  "methods": ["ours-mixed", "interlace"],
+                                  "budgets": [0.25, 0.5], "seeds": [0]}))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("skipped interlace at budget 0.5: ")
+    cells = {tuple(line.split(",")[:2])
+             for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]}
+    assert cells == {("ours-mixed", "0.25"), ("ours-mixed", "0.5"), ("interlace", "0.25")}
+    grid = [line.split(",")[:2] for line in (tmp_path / "removal_grid.csv").read_text()
+            .splitlines()[2:]]
+    assert grid == [["interlace", "0.25"], ["ours-mixed", "0.25"], ["ours-mixed", "0.5"]]
+
+
 def test_heatmap_stdout(workdir, capsys):
     assert main(["heatmap", "--log", str(workdir / "activations.log")]) == 0
     out = capsys.readouterr().out

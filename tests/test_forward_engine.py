@@ -11,12 +11,13 @@ sweep rows, which repeat the engine's own arithmetic, are compared exactly.
 import numpy as np
 import pytest
 
-from depthprune.capture import CHUNK, capture_run
-from depthprune.model import (Model, ToyModelConfig, apply_prune_plan, build_model,
+from depthprune.capture import capture_run
+from depthprune.model import (CHUNK, Model, ToyModelConfig, apply_prune_plan, build_model,
                               neutralize_block)
 from depthprune.planner import PrunePlan, default_protected
 from depthprune.probes import (MATH_SUBTASKS, NONMATH_SUBTASKS, ProbeSet, default_probe_sets,
                                generate_probes)
+from depthprune import report
 from depthprune.report import fidelity, plan_for_method, sweep
 
 ATOL = 1e-12
@@ -200,6 +201,35 @@ def test_residual_states_is_the_stacked_stream():
                                                                    x0=states[5]))))
     np.testing.assert_array_equal(tail, states[5:])
     np.testing.assert_array_equal(tail_logits, logits)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_stream_equals_per_sample_streams(n):
+    # blocks are evaluated CHUNK samples at a time; rows must not see the batch size
+    model = build_model(ToyModelConfig(seed=6))
+    tokens = np.random.default_rng(n).integers(0, model.config.vocab_size, size=(n, 20))
+    singles = [list(model.stream(tokens[i:i + 1])) for i in range(n)]
+    for l, x in enumerate(model.stream(tokens)):
+        np.testing.assert_array_equal(x, np.concatenate([s[l] for s in singles]))
+
+
+def test_trimmed_trie_equals_full_forwards():
+    # many overlapping pruned sets, so leaves resume from states that several
+    # earlier leaves left on the path, and from base states
+    cfg = ToyModelConfig(num_layers=10, hidden_dim=32, num_heads=4, seed=7)
+    model = build_model(cfg)
+    tokens = generate_probes("math", 1, seed=5, config=cfg).token_matrix()
+    rng = np.random.default_rng(0)
+    pruned_sets = {frozenset()} | {frozenset(rng.choice(np.arange(1, 9), size=k, replace=False)
+                                             .tolist()) for k in (1, 2, 3, 4) for _ in range(8)}
+    models = {key: apply_prune_plan(model, plan_for(cfg, sorted(key))) for key in pruned_sets}
+    states, _ = model.residual_states(tokens)
+    leaves = list(report._trie_leaves(model, states, models, tokens))
+    assert len(leaves) == len(pruned_sets) == len({key for key, _, _ in leaves})
+    for key, last, logits in leaves:
+        full_states, full_logits = models[key].residual_states(tokens)
+        np.testing.assert_array_equal(last, full_states[-1])
+        np.testing.assert_array_equal(logits, full_logits)
 
 
 def test_sweep_evaluates_each_prefix_trie_node_once(monkeypatch):

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from depthprune import report
-from depthprune.errors import (AlphaOutOfRange, BudgetOutOfRange, InconsistentDepth,
-                               InvalidConfig, ModelMismatch, ZeroNormInput)
+from depthprune.capture import capture_run
+from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
+                               InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput)
 from depthprune.model import Model, ToyModelConfig, apply_prune_plan, build_model
 from depthprune.planner import PrunePlan, default_protected
-from depthprune.probes import generate_probes
-from depthprune.report import (classify_regime, fidelity, removal_pattern_grid,
-                               sweep, sweep_csv)
+from depthprune.probes import default_probe_sets, generate_probes
+from depthprune.report import (classify_regime, fidelity, plan_for_method,
+                               removal_pattern_grid, sweep, sweep_csv)
 
 CFG = ToyModelConfig()
 
@@ -172,6 +175,49 @@ def test_sweep_caches_fidelity_by_the_set_of_pruned_layers(monkeypatch):
     assert sorted(calls) == ["math", "nonmath"]
     assert [(r.method, r.domain) for r in reports] == [
         ("cka", "math"), ("cka", "nonmath"), ("ours-mixed", "math"), ("ours-mixed", "nonmath")]
+
+
+def test_sweep_with_no_feasible_cell_raises():
+    # interlace spaces only 4 removals on the default 12-layer model
+    with pytest.raises(BudgetInfeasible, match="no \\(method, budget\\) of the sweep"):
+        sweep(CFG, ["interlace"], [0.5], [0], probe_counts={"math": 1, "nonmath": 1})
+
+
+def test_sweep_raises_a_worker_threads_error_with_its_type(monkeypatch):
+    real_compare = report._compare
+
+    def failing_compare(probes, *args, **kwargs):
+        if probes.domain == "nonmath":
+            raise ZeroNormInput("nonmath final state")
+        return real_compare(probes, *args, **kwargs)
+
+    monkeypatch.setattr(report, "_compare", failing_compare)
+    with pytest.raises(ZeroNormInput, match="nonmath final state"):
+        sweep(CFG, **SWEEP_ARGS)
+
+
+def test_sweep_equals_a_serial_loop_over_the_trie():
+    cfg = ToyModelConfig(num_layers=10, hidden_dim=32, num_heads=4, seed=5)
+    counts = {"math": 2, "nonmath": 2}
+    methods, budgets, seeds = ["ours-mixed", "cka", "random"], [0.125, 0.25, 0.5], [0, 1]
+    reports, _, _ = sweep(cfg, methods, budgets, seeds, probe_counts=counts, probe_seed=4)
+    model = build_model(cfg)
+    probe_sets = default_probe_sets(cfg, 4, counts)
+    runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
+    header, table = capture_run(model, probe_sets, runs)
+    cells = [(m, p, s) for m in methods for p in budgets for s in seeds]
+    plans = {cell: plan_for_method(cell[0], header, table, cell[1], seed=cell[2])
+             for cell in cells}
+    pruned = {frozenset(plan.pruned): apply_prune_plan(model, plan) for plan in plans.values()}
+    results = {}
+    for ps in probe_sets:
+        states, logits = runs[ps.domain]
+        for key, last, leaf_logits in report._trie_leaves(model, states, pruned,
+                                                          ps.token_matrix()):
+            results[key, ps.domain] = report._compare(ps, states[-1], logits, last, leaf_logits)
+    assert reports == [replace(results[frozenset(plans[m, p, s].pruned), ps.domain],
+                               method=m, budget_fraction=p, seed=s)
+                       for m, p, s in cells for ps in probe_sets]
 
 
 # ---- removal grid ----------------------------------------------------------
