@@ -5,24 +5,29 @@ a block's attention output projection and MLP down-projection makes it an
 exact identity on the residual stream, which is the planted-redundancy
 test construction used throughout the test suite.
 
-Weights come from the counter-based stream in :mod:`depthprune.rng`, drawn
-in a fixed order (token embedding, positional embedding, per-block
+Weights come from the counter-based stream in :mod:`depthprune.rng`, laid
+out in a fixed order (token embedding, positional embedding, per-block
 projections, unembedding), so equal configs give bit-identical models.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong
+from .parallel import threaded
 from .rng import SeededStream
 
 
-# Samples per block evaluation: a block's temporaries (the (B, heads, T, T)
+# Samples per block evaluation: a block's scratch buffers (the (B, heads, T, T)
 # attention scores and the (B, T, 4d) MLP activations) are bounded by this
 # many samples at any batch size, which keeps them in cache.  16 raised the
 # CLI capture's peak RSS past the benchmark's bound.
 CHUNK = 8
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,10 @@ class ToyModelConfig:
     seed: int = 0
 
     def validate(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not is_int(value):
+                raise InvalidConfig(f"{field.name} must be an int (got {value!r})")
         if self.num_layers < 3:
             raise InvalidConfig(f"num_layers must be >= 3 (got {self.num_layers}); "
                                 "otherwise no layer is pruneable after endpoint protection")
@@ -69,20 +78,22 @@ class CaptureTrace:
     logits: np.ndarray        # (T, vocab_size)
 
 
-def _layernorm(x: np.ndarray) -> np.ndarray:
+def _layernorm(x: np.ndarray, out: np.ndarray = None, tmp: np.ndarray = None) -> np.ndarray:
+    """Layer norm over the last axis, into ``out``; ``tmp`` (x's shape) is scratch.
+
+    Either buffer may be None, and is then allocated.
+    """
     # the steps of x.var(axis=-1), sharing its centred copy of x
-    y = x - x.mean(axis=-1, keepdims=True)
-    var = np.square(y).mean(axis=-1, keepdims=True)
+    y = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
+    var = np.square(y, out=tmp).mean(axis=-1, keepdims=True)
     var += 1e-6
     y /= np.sqrt(var, out=var)
     return y
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    # 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))), evaluated in
-    # place on one temporary: batched MLP activations are a forward's largest
-    # arrays.
-    g = x * x
+def _gelu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))), into ``out``."""
+    g = np.multiply(x, x, out=out)
     g *= x
     g *= 0.044715
     g += x
@@ -102,20 +113,41 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _block(blk: BlockWeights, x: np.ndarray, mask: np.ndarray, heads: int) -> np.ndarray:
-    """The residual stream after one pre-norm block on ``x`` (B, T, d), as a new array."""
-    b, t, d = x.shape
+def _buffers(n: int, t: int, d: int, heads: int) -> tuple:
+    """Scratch arrays for :func:`_block` on up to ``n`` samples of length ``t``.
+
+    Four (n, t, d) arrays, the (n, heads, t, t) attention scores and two
+    (n, t, 4d) MLP arrays.
+    """
+    return tuple(np.empty(shape) for shape in [(n, t, d)] * 4 + [(n, heads, t, t)]
+                 + [(n, t, 4 * d)] * 2)
+
+
+def _block(blk: BlockWeights, x: np.ndarray, mask: np.ndarray, heads: int, buf: tuple,
+           out: np.ndarray) -> np.ndarray:
+    """Write the residual stream after one pre-norm block on ``x`` (n, T, d) into ``out``.
+
+    ``buf`` is :func:`_buffers` for at least n samples; only its first n rows
+    are used, and they are overwritten.
+    """
+    n, t, d = x.shape
     head_dim = d // heads
-    a = _layernorm(x)
-    q, k, v = ((a @ w).reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
-               for w in (blk.wq, blk.wk, blk.wv))
-    att = q @ k.transpose(0, 1, 3, 2)
+    a, q, k, v, att, up, g = (b[:n] for b in buf)
+
+    def by_head(y):  # (n, t, d) -> a (n, heads, t, head_dim) view
+        return y.reshape(n, t, heads, head_dim).transpose(0, 2, 1, 3)
+
+    _layernorm(x, a, q)  # q and later k are free while a layer norm runs
+    for w, y in ((blk.wq, q), (blk.wk, k), (blk.wv, v)):
+        np.matmul(a, w, out=y)
+    np.matmul(by_head(q), by_head(k).transpose(0, 1, 3, 2), out=att)
     att *= 1.0 / np.sqrt(head_dim)
     att += mask
-    ctx = (_softmax(att) @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-    h = x + ctx @ blk.wo
-    h += _gelu(_layernorm(h) @ blk.w_up) @ blk.w_down
-    return h
+    np.matmul(_softmax(att), by_head(v), out=by_head(a))  # the context, back in (n, t, d)
+    np.add(x, np.matmul(a, blk.wo, out=q), out=out)
+    np.matmul(_layernorm(out, a, k), blk.w_up, out=up)
+    out += np.matmul(_gelu(up, g), blk.w_down, out=q)
+    return out
 
 
 class Model:
@@ -151,17 +183,23 @@ class Model:
         each block only when the next state is asked for.  With ``start > 0``
         the stream entering ``blocks[start]`` must be given as ``x0``
         (B, T, d), which resumes a forward from a prefix computed elsewhere.
-        Each block is evaluated ``CHUNK`` samples at a time and the chunks are
-        joined into the state it yields, so a block's temporaries are bounded
-        at any batch size; rows are independent, so the bits do not depend
-        on B.  Inputs are checked before the first state is yielded.  No
-        state is written to after it is yielded, so callers may keep any of
-        them; the first one is ``x0`` itself when given.
+        Each block is evaluated ``CHUNK`` samples at a time, written straight
+        into the state it yields, through scratch buffers that are allocated
+        once per stream and reused by every chunk of every block.  So a
+        block's temporaries are bounded at any batch size; rows are
+        independent, so the bits do not depend on B.  Inputs are checked
+        before the first state is yielded; tokens must be an integer array.
+        Every yielded state is a new array that is not written to after it
+        is yielded, so callers may keep any of them; the first one is ``x0``
+        itself when given.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = np.asarray(tokens)
         cfg = self.config
         if tokens.ndim != 2 or tokens.shape[0] < 1 or tokens.shape[1] < 1:
             raise ValueError("tokens must be a non-empty (batch, seq) array")
+        if tokens.dtype.kind not in "iu":
+            raise ValueError(f"tokens must be integers (got dtype {tokens.dtype})")
+        tokens = tokens.astype(np.int64, copy=False)
         b, t = tokens.shape
         if t > cfg.max_seq_len:
             raise SequenceTooLong(f"sequence length {t} > max_seq_len {cfg.max_seq_len}")
@@ -180,13 +218,12 @@ class Model:
                 raise ValueError(f"x0 shape {x.shape} != {(b, t, d)}")
         mask = np.triu(np.full((t, t), -np.inf), k=1)
         yield x
+        buf = _buffers(min(b, CHUNK), t, d, cfg.num_heads)
         for blk in self.blocks[start:]:
-            # Chunk results are joined after the last chunk, not written into
-            # a state allocated before the first: that order left each chunk's
-            # temporaries at the top of the heap, which glibc hands back to the
-            # OS when freed, and doubled a CLI capture's page faults.
-            x = (_block(blk, x, mask, cfg.num_heads) if b <= CHUNK else np.concatenate(
-                [_block(blk, x[lo:lo + CHUNK], mask, cfg.num_heads) for lo in range(0, b, CHUNK)]))
+            y = np.empty((b, t, d))
+            for lo in range(0, b, CHUNK):
+                _block(blk, x[lo:lo + CHUNK], mask, cfg.num_heads, buf, y[lo:lo + CHUNK])
+            x = y
             yield x
 
     def head(self, x) -> np.ndarray:
@@ -208,7 +245,7 @@ class Model:
 
     def forward_with_hooks(self, tokens) -> CaptureTrace:
         """One sequence through :meth:`residual_states`, split into per-block in/out."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = np.asarray(tokens)
         if tokens.ndim != 1 or tokens.shape[0] < 1:
             raise ValueError("tokens must be a non-empty 1-D sequence")
         states, logits = self.residual_states(tokens[None])
@@ -220,29 +257,36 @@ class Model:
 
 
 def build_model(config: ToyModelConfig) -> Model:
-    """Build a model with weights fully determined by config (incl. seed)."""
+    """Build a model with weights fully determined by config (incl. seed).
+
+    The weights are one Gaussian stream read in a fixed order: token
+    embedding, positional embedding, each block's wq, wk, wv, wo, w_up and
+    w_down, unembedding.  The draw plan gives each tensor its start
+    position in that stream first, so the tensors are drawn independently
+    and straight into their final arrays, on two threads: every other
+    tensor of the plan on one ``threading.Thread``, which splits each block
+    evenly (wq, wv, w_up against wk, wo, w_down).  The bits do not depend on
+    the split.
+    """
     config.validate()
-    stream = SeededStream(config.seed)
     d = config.hidden_dim
-
-    def draw(rows, cols, std):
-        return stream.gaussians(rows * cols).reshape(rows, cols) * std
-
     proj_std = 1.0 / np.sqrt(d)
-    embedding = draw(config.vocab_size, d, 1.0)
-    positional = draw(config.max_seq_len, d, 1.0)
-    blocks = []
-    for _ in range(config.num_layers):
-        blocks.append(BlockWeights(
-            wq=draw(d, d, proj_std),
-            wk=draw(d, d, proj_std),
-            wv=draw(d, d, proj_std),
-            wo=draw(d, d, proj_std),
-            w_up=draw(d, 4 * d, proj_std),
-            w_down=draw(4 * d, d, 1.0 / np.sqrt(4 * d)),
-        ))
-    unembed = draw(d, config.vocab_size, proj_std)
-    return Model(config, embedding, positional, blocks, unembed)
+    block = [(d, d, proj_std)] * 4 + [(d, 4 * d, proj_std), (4 * d, d, 1.0 / np.sqrt(4 * d))]
+    plan, start = [], 0   # (array, std, start position in the stream)
+    for rows, cols, std in ([(config.vocab_size, d, 1.0), (config.max_seq_len, d, 1.0)]
+                            + block * config.num_layers + [(d, config.vocab_size, proj_std)]):
+        plan.append((np.empty((rows, cols)), std, start))
+        start += SeededStream.raw_count(rows * cols)
+
+    def draw(part):
+        for w, std, start in part:
+            SeededStream(config.seed, start).gaussians(w.size, out=w.reshape(-1))
+            w *= std
+
+    threaded(draw, [plan[0::2], plan[1::2]])
+    w = [w for w, _, _ in plan]
+    blocks = [BlockWeights(*w[i:i + 6]) for i in range(2, len(w) - 1, 6)]
+    return Model(config, w[0], w[1], blocks, w[-1])
 
 
 def neutralize_block(model: Model, layer_id: int) -> Model:

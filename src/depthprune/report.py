@@ -1,7 +1,6 @@
 """Budget x method sweeps, output-fidelity metrics, and CSV reports."""
 
 import sys
-import threading
 from dataclasses import dataclass, replace
 from itertools import cycle, islice
 
@@ -12,7 +11,8 @@ from .capture import capture_run
 from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, DepthPruneError,
                      InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput)
 from .linalg import ZERO_NORM_THRESHOLD
-from .model import apply_prune_plan, build_model
+from .model import apply_prune_plan, build_model, is_int
+from .parallel import threaded
 from .planner import METHODS, budget_k, make_plan
 from .probes import DEFAULT_COUNTS, check_counts, default_probe_sets
 from .rng import SeededStream
@@ -43,10 +43,6 @@ class FidelityReport:
 @dataclass(frozen=True)
 class RegimeLabel:
     label: str
-
-
-def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_fraction(value) -> bool:
@@ -176,35 +172,6 @@ def _trie_leaves(base, base_states, pruned_models, tokens):
         yield key, last, pruned.head(last)
 
 
-def _threaded(fn, items):
-    """``[fn(item) for item in items]``, each item after the first on its own thread.
-
-    The first item runs on the calling thread.  numpy's kernels release the
-    GIL, so the calls share the machine's cores.  An exception raised on
-    another thread is re-raised here.  ``fn`` must call nothing that the
-    benchmark tracer wraps: its span stack belongs to the calling thread.
-    """
-    results, errors = [None] * len(items), []
-
-    def run(i):
-        try:
-            results[i] = fn(items[i])
-        except BaseException as exc:  # handed to the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(items))]
-    for thread in threads:
-        thread.start()
-    try:
-        results[0] = fn(items[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed: int = None):
     """(scores, full prune order) of one method over the header's pruneable layers.
 
@@ -284,7 +251,7 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     model = build_model(config)
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
     tokens = [ps.token_matrix() for ps in probe_sets]
-    base_runs = _threaded(model.residual_states, tokens)
+    base_runs = threaded(model.residual_states, tokens)
     header, table = capture_run(model, probe_sets,
                                 {ps.domain: run for ps, run in zip(probe_sets, base_runs)})
     heatmap = heatmap_matrix(table)
@@ -315,7 +282,7 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
         return {key: _compare(probe_sets[i], states[-1], logits, last, leaf_logits)
                 for key, last, leaf_logits in _trie_leaves(model, states, pruned_models, tokens[i])}
 
-    results = _threaded(walk, range(len(probe_sets)))  # per domain: pruned set -> report
+    results = threaded(walk, range(len(probe_sets)))  # per domain: pruned set -> report
     reports = [replace(res[key], method=method, budget_fraction=p, seed=seed)
                for method, p, seed, key in rows for res in results]
     plans = [grid_plans[k] for k in sorted(grid_plans, key=lambda mk: (mk[0], mk[1]))]

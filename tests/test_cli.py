@@ -162,6 +162,7 @@ def test_version_flag(capsys):
     ({"probe_counts": {"math": 2}}, "probe_counts"),
     ({"model": {"num_layers": "12"}}, "num_layers"),
     ({"probe_counts": {"math": {}, "nonmath": 2}}, "probe_counts"),
+    ({"model": {"num_heads": True}}, "num_heads"),
 ])
 @pytest.mark.parametrize("command", ["capture", "sweep"])
 def test_invalid_config_fails_before_building_a_model(tmp_path, capsys, monkeypatch,

@@ -213,6 +213,82 @@ def test_stream_equals_per_sample_streams(n):
         np.testing.assert_array_equal(x, np.concatenate([s[l] for s in singles]))
 
 
+def allocating_block(blk, x, mask, heads):
+    """One block as evaluated before scratch buffers: every step on new arrays."""
+    b, t, d = x.shape
+    hd = d // heads
+
+    def ln(y):
+        y = y - y.mean(axis=-1, keepdims=True)
+        var = np.square(y).mean(axis=-1, keepdims=True)
+        var += 1e-6
+        y /= np.sqrt(var, out=var)
+        return y
+
+    a = ln(x)
+    q, k, v = ((a @ w).reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+               for w in (blk.wq, blk.wk, blk.wv))
+    att = q @ k.transpose(0, 1, 3, 2)
+    att *= 1.0 / np.sqrt(hd)
+    att += mask
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    h = x + (att @ v).transpose(0, 2, 1, 3).reshape(b, t, d) @ blk.wo
+    u = ln(h) @ blk.w_up
+    g = u * u
+    g *= u
+    g *= 0.044715
+    g += u
+    g *= np.sqrt(2.0 / np.pi)
+    np.tanh(g, out=g)
+    g += 1.0
+    g *= u
+    g *= 0.5
+    h += g @ blk.w_down
+    return h
+
+
+@pytest.mark.parametrize("cfg", [
+    ToyModelConfig(seed=6),
+    ToyModelConfig(num_layers=24, hidden_dim=128, num_heads=8, seed=11),
+])
+@pytest.mark.parametrize("n", [1, CHUNK + 1, 2 * CHUNK + 1])
+def test_scratch_buffered_stream_equals_allocating_blocks(cfg, n):
+    # the states are yielded from reused scratch buffers, so each must be a
+    # new array that no later block writes to
+    model = build_model(cfg)
+    tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, size=(n, 19))
+    x = model.embedding[tokens] + model.positional[:19]
+    mask = np.triu(np.full((19, 19), -np.inf), k=1)
+    expected = [x]
+    for blk in model.blocks:
+        x = np.concatenate([allocating_block(blk, x[lo:lo + CHUNK], mask, cfg.num_heads)
+                            for lo in range(0, n, CHUNK)])
+        expected.append(x)
+    kept = []
+    for l, state in enumerate(model.stream(tokens)):
+        np.testing.assert_array_equal(state, expected[l])
+        kept.append((state, state.copy()))
+    for i, (state, at_yield) in enumerate(kept):
+        np.testing.assert_array_equal(state, at_yield)
+        assert not any(np.shares_memory(state, other) for other, _ in kept[i + 1:])
+
+
+@pytest.mark.parametrize("tokens", [
+    [[1.7, 2.2]],
+    [[1.0, 2.0]],
+    np.array([[True, False]]),
+    np.array([[1, 2]], dtype=object),
+])
+def test_stream_rejects_tokens_that_are_not_integers(tokens):
+    model = build_model(ToyModelConfig())
+    with pytest.raises(ValueError, match="tokens must be integers"):
+        next(model.stream(tokens))
+    with pytest.raises(ValueError, match="tokens must be integers"):
+        model.forward_with_hooks(np.asarray(tokens)[0])
+
+
 def test_trimmed_trie_equals_full_forwards():
     # many overlapping pruned sets, so leaves resume from states that several
     # earlier leaves left on the path, and from base states

@@ -1,11 +1,16 @@
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 
+from depthprune import model as model_module
 from depthprune.errors import (InvalidConfig, PlanModelMismatch,
                                SequenceTooLong)
 from depthprune.model import (ToyModelConfig, apply_prune_plan, build_model,
                               neutralize_block)
 from depthprune.planner import PrunePlan, default_protected
+from depthprune.rng import SeededStream
 
 
 def plan_for(config, pruned, p=None):
@@ -47,6 +52,19 @@ def test_min_depth_pruneable_set():
 def test_invalid_config(kwargs):
     with pytest.raises(InvalidConfig):
         ToyModelConfig(**kwargs).validate()
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(hidden_dim=64.0),
+    dict(num_heads=True),
+    dict(num_layers="12"),
+    dict(seed=None),
+    dict(vocab_size=np.int64(64)),
+])
+def test_config_rejects_a_field_that_is_not_a_plain_int(kwargs):
+    # checked before any weight is drawn; a bool would build a 1-head model
+    with pytest.raises(InvalidConfig, match="must be an int"):
+        build_model(ToyModelConfig(**kwargs))
 
 
 def test_logits_shape():
@@ -134,3 +152,87 @@ def test_retained_blocks_keep_original_order():
     pruned = apply_prune_plan(m, plan_for(cfg, [4]))
     # block 5 of the original is now at position 4
     np.testing.assert_array_equal(pruned.blocks[4].wq, m.blocks[5].wq)
+
+
+class _ReferenceStream:
+    """The serial counter-mode stream, as drawn before draw positions existed."""
+
+    def __init__(self, seed):
+        self._seed, self._pos = np.uint64(seed & 0xFFFFFFFFFFFFFFFF), 0
+
+    def gaussians(self, n):
+        m = (n + 1) // 2
+        idx = np.arange(self._pos + 1, self._pos + 2 * m + 1, dtype=np.uint64)
+        self._pos += 2 * m
+        z = self._seed + idx * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+        u = (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        r = np.sqrt(-2.0 * np.log1p(-u[:m]))
+        theta = 2.0 * np.pi * u[m:]
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+def reference_weights(config):
+    """Every weight tensor in draw order, drawn one after another on one thread."""
+    stream = _ReferenceStream(config.seed)
+    d = config.hidden_dim
+
+    def draw(rows, cols, std):
+        return stream.gaussians(rows * cols).reshape(rows, cols) * std
+
+    proj_std = 1.0 / np.sqrt(d)
+    weights = [draw(config.vocab_size, d, 1.0), draw(config.max_seq_len, d, 1.0)]
+    for _ in range(config.num_layers):
+        weights += [draw(d, d, proj_std), draw(d, d, proj_std), draw(d, d, proj_std),
+                    draw(d, d, proj_std), draw(d, 4 * d, proj_std),
+                    draw(4 * d, d, 1.0 / np.sqrt(4 * d))]
+    return weights + [draw(d, config.vocab_size, proj_std)]
+
+
+def model_weights(model):
+    blocks = [getattr(blk, name) for blk in model.blocks
+              for name in ("wq", "wk", "wv", "wo", "w_up", "w_down")]
+    return [model.embedding, model.positional] + blocks + [model.unembed]
+
+
+@pytest.mark.parametrize("cfg", [
+    ToyModelConfig(),
+    ToyModelConfig(num_layers=24, hidden_dim=128, num_heads=8, seed=11),
+    # odd element counts, so draw positions fall between Box-Muller pairs
+    ToyModelConfig(num_layers=3, vocab_size=3, hidden_dim=1, num_heads=1, max_seq_len=5,
+                   seed=2 ** 64 + 9),
+])
+def test_build_model_equals_a_serial_draw(cfg):
+    built, ref = model_weights(build_model(cfg)), reference_weights(cfg)
+    assert len(built) == len(ref) == 6 * cfg.num_layers + 3
+    for w, r in zip(built, ref):
+        assert w.shape == r.shape and w.dtype == np.float64 and w.flags.c_contiguous
+        np.testing.assert_array_equal(w, r)
+
+
+def test_default_weights_are_pinned():
+    # SHA-256 of the default config's weights in draw order, as drawn by the
+    # serial loop above (numpy 2.4, x86-64); it pins numpy's float64 log1p,
+    # cos and sin as well as the stream
+    digest = hashlib.sha256()
+    for w in model_weights(build_model(ToyModelConfig())):
+        digest.update(w.tobytes())
+    assert digest.hexdigest() == \
+        "af8c6cf85534a634c47d6a6520e4e3ccbc5f62b03d52b900ab8502257b58e7bf"
+
+
+def test_build_model_reraises_a_worker_threads_error_with_its_type(monkeypatch):
+    class WorkerFailure(Exception):
+        pass
+
+    class FailsOffTheCallingThread(SeededStream):
+        def gaussians(self, n, out=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise WorkerFailure("drawn off the calling thread")
+            return super().gaussians(n, out)
+
+    monkeypatch.setattr(model_module, "SeededStream", FailsOffTheCallingThread)
+    with pytest.raises(WorkerFailure, match="drawn off the calling thread"):
+        build_model(ToyModelConfig())

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from depthprune.rng import SeededStream, mix_seed
 
@@ -27,6 +28,37 @@ def test_gaussian_moments():
 
 def test_gaussian_odd_count():
     assert SeededStream(5).gaussians(7).shape == (7,)
+
+
+def test_start_position_skips_raw_draws():
+    np.testing.assert_array_equal(SeededStream(4, start=10).raw(5), SeededStream(4).raw(15)[10:])
+    s = SeededStream(4)
+    s.raw(6)
+    np.testing.assert_array_equal(SeededStream(4, start=6).gaussians(9), s.gaussians(9))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8])
+def test_gaussians_into_a_given_array(n):
+    out = np.full(n, np.nan)
+    assert SeededStream(2).gaussians(n, out=out) is out
+    np.testing.assert_array_equal(out, SeededStream(2).gaussians(n))
+
+
+def test_gaussians_reject_an_output_of_another_size():
+    with pytest.raises(ValueError, match="out shape"):
+        SeededStream(2).gaussians(4, out=np.empty(5))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: SeededStream(1).gaussians(-3),
+    lambda: SeededStream(1).gaussians(-1),
+    lambda: SeededStream(1).uniforms(-1),
+    lambda: SeededStream(1).raw(-1),
+    lambda: SeededStream(1, start=-1),
+])
+def test_negative_count_or_start_rejected(draw):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        draw()
 
 
 def test_stream_position_advances():
