@@ -257,15 +257,20 @@ def write_log_path(header: LogHeader, table: ActivationTable, path) -> int:
         return write_log(header, table, fh)
 
 
-def read_log_path(path):
+def read_path(path, what, malformed, parse):
+    """``parse`` of the open UTF-8 text file; text that does not decode raises ``malformed``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return read_log(fh)
+            return parse(fh)
     except OSError as exc:
-        raise SinkFailure(f"cannot read log {path}: {exc}") from exc
+        raise SinkFailure(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise SchemaViolation(
-            f"log {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        raise malformed(
+            f"{what} {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def read_log_path(path):
+    return read_path(path, "log", SchemaViolation, read_log)
 
 
 def log_to_bytes(header: LogHeader, table: ActivationTable) -> bytes:

@@ -9,17 +9,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
-from .actlog import read_log_path, write_log_path
+from .actlog import read_log_path, read_path, write_log_path
 from .baselines import cka_rank  # noqa: F401  (bench/tracer.py wraps it in this module)
 from .capture import capture_run
-from .errors import (AlphaOutOfRange, BudgetOutOfRange, DepthPruneError, InvalidConfig,
-                     PlanModelMismatch, SchemaViolation, SinkFailure)
-from .model import ToyModelConfig, apply_prune_plan, build_model, is_int
-from .planner import DEFAULT_BUDGETS, METHODS, parse_plan, serialize_plan
-from .probes import DEFAULT_COUNTS, DOMAINS, check_counts, default_probe_sets
-from .report import (classify_regime, fidelity, heatmap_matrix, is_fraction, method_scores,
+from .errors import DepthPruneError, InvalidConfig, PlanModelMismatch, SchemaViolation
+from .model import ToyModelConfig, apply_prune_plan, build_model
+from .planner import parse_plan, serialize_plan
+from .probes import DOMAINS, default_probe_sets
+from .report import (RunConfig, classify_regime, fidelity, heatmap_matrix, method_scores,
                      plan_for_method, removal_pattern_grid, sweep, sweep_csv)
 from .scoring import DEFAULT_ALPHA, aggregate_domain, znormalize
 
@@ -29,52 +29,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _require(ok, message):
-    if not ok:
-        raise InvalidConfig(f"config: {message}")
-
-
 def _load_config(path):
     """Read and fully validate a run config, before anything is built or computed."""
     try:
-        raw = json.loads(_read_text(path, "config", InvalidConfig))
+        raw = read_path(path, "config", InvalidConfig, json.load)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config {path}: invalid JSON ({exc.msg})") from exc
-    _require(isinstance(raw, dict), "is not a JSON object")
-    cfg = {"model": {}, "probe_counts": dict(DEFAULT_COUNTS), "probe_seed": 0,
-           "methods": list(METHODS), "budgets": list(DEFAULT_BUDGETS), "alpha": DEFAULT_ALPHA,
-           "seeds": [0], "out": "out"}
-    for key in sorted(raw):
-        _require(key in cfg, f"unknown key {key!r}")
-    cfg.update(raw)
-    _require(isinstance(cfg["model"], dict), "model: expected an object")
-    model_fields = {"num_layers", "hidden_dim", "num_heads", "vocab_size",
-                    "max_seq_len", "seed"}
-    for name in sorted(cfg["model"]):
-        _require(name in model_fields, f"model: unknown field {name!r}")
-    cfg["model"] = ToyModelConfig(**cfg["model"])
-    cfg["model"].validate()
-    _require(is_fraction(cfg["alpha"]), f"alpha: {cfg['alpha']!r} outside [0, 1]")
-    for key in ("methods", "budgets", "seeds"):
-        _require(isinstance(cfg[key], list), f"{key}: expected a list")
-    for method in cfg["methods"]:
-        _require(method in METHODS,
-                 f"methods: unknown method {method!r} (expected one of {METHODS})")
-    for p in cfg["budgets"]:
-        _require(is_fraction(p), f"budgets: {p!r} outside [0, 1]")
-    for seed in cfg["seeds"] + [cfg["probe_seed"]]:
-        _require(is_int(seed), f"seeds: {seed!r} is not an integer")
-    _require(isinstance(cfg["out"], str), f"out: {cfg['out']!r} is not a path")
-    check_counts(cfg["probe_counts"])
-    return cfg
+    try:
+        if not isinstance(raw, dict):
+            raise InvalidConfig("is not a JSON object")
+        model = raw.get("model", {})
+        if not isinstance(model, dict):
+            raise InvalidConfig("model: expected an object")
+        for names, cls, what in ((raw, RunConfig, "key"), (model, ToyModelConfig, "model field")):
+            unknown = sorted(set(names) - {f.name for f in fields(cls)})
+            if unknown:
+                raise InvalidConfig(f"unknown {what} {unknown[0]!r}")
+        run = RunConfig(**{**raw, "model": ToyModelConfig(**model)})
+        run.validate()
+    except DepthPruneError as exc:  # every config fault is an InvalidConfig
+        raise InvalidConfig(f"config {path}: {exc}") from exc
+    return run
 
 
 def cmd_capture(args):
-    cfg = _load_config(args.config)
-    out = args.out or os.path.join(cfg["out"], "activations.log")
+    run = _load_config(args.config)
+    out = args.out or os.path.join(run.out, "activations.log")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    model = build_model(cfg["model"])
-    probe_sets = default_probe_sets(cfg["model"], cfg["probe_seed"], cfg["probe_counts"])
+    model = build_model(run.model)
+    probe_sets = default_probe_sets(run.model, run.probe_seed, run.probe_counts)
     header, table = capture_run(model, probe_sets)
     count = write_log_path(header, table, out)
     print(f"wrote {count} records to {out}")
@@ -95,39 +78,20 @@ def cmd_score(args):
     return 0
 
 
-def _check_method(args, budget=None):
+def _check_flags(args, budget=None):
     """Reject a bad --method, --budget, --alpha or missing --seed before the log is read."""
-    if args.method not in METHODS:
-        raise InvalidConfig(f"unknown method {args.method!r} (expected one of {METHODS})")
-    if args.method == "interlace" and budget is None:
-        raise InvalidConfig("method interlace ranks only under a budget: use plan --budget")
-    if not 0.0 <= args.alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {args.alpha}")
-    if budget is not None and not 0.0 <= budget <= 1.0:
-        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {budget}")
-    if args.method == "random" and args.seed is None:
-        raise InvalidConfig("method random requires --seed for reproducibility")
+    seeds = () if args.seed is None else (args.seed,)
+    RunConfig(methods=(args.method,), budgets=() if budget is None else (budget,),
+              alpha=args.alpha, seeds=seeds).validate(ranked=True)
 
 
 def cmd_rank(args):
-    _check_method(args)
+    _check_flags(args)
     header, table = read_log_path(args.log)
     scores, order = method_scores(args.method, header, table, args.alpha, args.seed)
     for layer in order:
         print(f"{layer}\t{scores[layer]:+.6f}")
     return 0
-
-
-def _read_text(path, what, malformed):
-    """The UTF-8 text of a file; text that does not decode raises ``malformed``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise SinkFailure(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise malformed(
-            f"{what} {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _write_text(path, text):
@@ -137,7 +101,7 @@ def _write_text(path, text):
 
 
 def cmd_plan(args):
-    _check_method(args, args.budget)
+    _check_flags(args, args.budget)
     header, table = read_log_path(args.log)
     plan = plan_for_method(args.method, header, table, args.budget,
                            alpha=args.alpha, seed=args.seed)
@@ -151,14 +115,14 @@ def cmd_plan(args):
 
 
 def cmd_prune_eval(args):
-    cfg = _load_config(args.config)
-    plan = parse_plan(_read_text(args.plan, "plan", SchemaViolation))
-    if plan.num_layers != cfg["model"].num_layers:
+    run = _load_config(args.config)
+    plan = parse_plan(read_path(args.plan, "plan", SchemaViolation, lambda fh: fh.read()))
+    if plan.num_layers != run.model.num_layers:
         raise PlanModelMismatch(
-            f"plan num_layers {plan.num_layers} != model num_layers {cfg['model'].num_layers}")
-    model = build_model(cfg["model"])
+            f"plan num_layers {plan.num_layers} != model num_layers {run.model.num_layers}")
+    model = build_model(run.model)
     pruned = apply_prune_plan(model, plan)
-    probe_sets = default_probe_sets(cfg["model"], cfg["probe_seed"], cfg["probe_counts"])
+    probe_sets = default_probe_sets(run.model, run.probe_seed, run.probe_counts)
     print("method,budget,domain,top1_agreement,final_hidden_cosine,mean_kl,num_probes")
     for ps in probe_sets:
         rep = fidelity(model, pruned, ps, method=plan.method,
@@ -170,11 +134,11 @@ def cmd_prune_eval(args):
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args.config)
-    out_dir = args.out or cfg["out"]
-    reports, plans, heatmap = sweep(cfg["model"], cfg["methods"], cfg["budgets"], cfg["seeds"],
-                                    alpha=cfg["alpha"], probe_counts=cfg["probe_counts"],
-                                    probe_seed=cfg["probe_seed"])
+    run = _load_config(args.config)
+    out_dir = args.out or run.out
+    reports, plans, heatmap = sweep(run.model, run.methods, run.budgets, run.seeds,
+                                    alpha=run.alpha, probe_counts=run.probe_counts,
+                                    probe_seed=run.probe_seed)
     outputs = {
         "sweep.csv": sweep_csv(reports),
         "removal_grid.csv": removal_pattern_grid(plans),

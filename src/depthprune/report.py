@@ -1,7 +1,7 @@
 """Budget x method sweeps, output-fidelity metrics, and CSV reports."""
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import cycle, islice
 
 import numpy as np
@@ -11,9 +11,9 @@ from .capture import capture_run
 from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, DepthPruneError,
                      InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput)
 from .linalg import ZERO_NORM_THRESHOLD
-from .model import apply_prune_plan, build_model, is_int
+from .model import ToyModelConfig, apply_prune_plan, build_model, is_int
 from .parallel import threaded
-from .planner import METHODS, budget_k, make_plan
+from .planner import DEFAULT_BUDGETS, METHODS, budget_k, make_plan
 from .probes import DEFAULT_COUNTS, check_counts, default_probe_sets
 from .rng import SeededStream
 from .scoring import (DEFAULT_ALPHA, aggregate_domain, heatmap_matrix, mixed_ranking,
@@ -47,6 +47,50 @@ class RegimeLabel:
 
 def is_fraction(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run of the pipeline: its fields are the keys of a config file."""
+    model: ToyModelConfig = ToyModelConfig()
+    probe_counts: dict = field(default_factory=lambda: dict(DEFAULT_COUNTS))
+    probe_seed: int = 0
+    methods: tuple = METHODS
+    budgets: tuple = DEFAULT_BUDGETS
+    alpha: float = DEFAULT_ALPHA
+    seeds: tuple = (0,)
+    out: str = "out"
+
+    def validate(self, ranked=False):
+        """Raise a typed error for the first bad field, before anything is built.
+
+        With ``ranked`` (the methods are ranked now), interlace needs a budget and random a seed.
+        """
+        self.model.validate()
+        check_counts(self.probe_counts)
+        for key in ("methods", "budgets", "seeds"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise InvalidConfig(f"{key}: expected a list")
+        for method in self.methods:
+            if method not in METHODS:
+                raise InvalidConfig(
+                    f"methods: unknown method {method!r} (expected one of {METHODS})")
+        if ranked and "interlace" in self.methods and not self.budgets:
+            raise InvalidConfig("method interlace ranks only under a budget: use plan --budget")
+        if not is_fraction(self.alpha):
+            raise AlphaOutOfRange(f"alpha must be in [0, 1], got {self.alpha!r}")
+        for p in self.budgets:
+            if not is_fraction(p):
+                raise BudgetOutOfRange(f"budgets: budget fraction must be in [0, 1], got {p!r}")
+        for seed in self.seeds:
+            if not is_int(seed):
+                raise InvalidConfig(f"seeds: seed {seed!r} is not an integer")
+        if not is_int(self.probe_seed):
+            raise InvalidConfig(f"seeds: probe_seed {self.probe_seed!r} is not an integer")
+        if not isinstance(self.out, str):
+            raise InvalidConfig(f"out: {self.out!r} is not a path")
+        if ranked and "random" in self.methods and not self.seeds:
+            raise InvalidConfig("method random requires --seed for reproducibility")
 
 
 def classify_regime(p: float) -> RegimeLabel:
@@ -230,24 +274,10 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     stderr.  Each domain's base forward, and then its fidelity walk, runs on
     its own thread.
     """
-    if not methods:
-        raise DepthPruneError("no methods selected")
-    if not budgets:
-        raise DepthPruneError("no budgets selected")
-    if not seeds:
-        raise DepthPruneError("no seeds selected")
-    for method in methods:
-        if method not in METHODS:
-            raise InvalidConfig(f"unknown method {method!r} (expected one of {METHODS})")
-    for p in budgets:
-        if not is_fraction(p):
-            raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {p!r}")
-    if not is_fraction(alpha):
-        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
-    for seed in seeds:
-        if not is_int(seed):
-            raise InvalidConfig(f"seed {seed!r} is not an integer")
-    check_counts(probe_counts or DEFAULT_COUNTS)
+    if not (methods and budgets and seeds):
+        raise InvalidConfig("a sweep needs at least one method, one budget and one seed")
+    RunConfig(model=config, probe_counts=probe_counts or DEFAULT_COUNTS, probe_seed=probe_seed,
+              methods=methods, budgets=budgets, alpha=alpha, seeds=seeds).validate()
     model = build_model(config)
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
     tokens = [ps.token_matrix() for ps in probe_sets]

@@ -179,6 +179,24 @@ def test_invalid_config_fails_before_building_a_model(tmp_path, capsys, monkeypa
     assert err.startswith("InvalidConfig:") and field in err
 
 
+@pytest.mark.parametrize("key", ["methods", "budgets", "seeds"])
+def test_sweep_rejects_an_empty_grid_before_building_a_model(tmp_path, capsys, monkeypatch,
+                                                             key):
+    # capture accepts these lists; a sweep has no cell without one of each
+    def no_model(config):
+        raise AssertionError("a model was built for an empty sweep")
+
+    monkeypatch.setattr(report, "build_model", no_model)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({**CONFIG, key: []}))
+    assert main(["capture", "--config", str(path), "--out", str(tmp_path / "a.log")]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "InvalidConfig: a sweep needs at least one method, one budget and one seed\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["rank", "--method", "bogus"], "bogus"),
     (["rank", "--method", "random"], "seed"),

@@ -144,6 +144,10 @@ def test_sweep_deterministic_bytes():
     (dict(probe_counts={"math": 2}), InvalidConfig, "probe_counts: expected one entry"),
     (dict(probe_counts={"math": 2.5, "nonmath": 2}), InvalidConfig, "probe_counts math: 2.5"),
     (dict(probe_counts={"math": {}, "nonmath": 2}), InvalidConfig, "probe_counts math: empty"),
+    (dict(probe_seed="x"), InvalidConfig, "probe_seed 'x' is not an integer"),
+    (dict(probe_seed=1.5), InvalidConfig, "probe_seed 1.5 is not an integer"),
+    (dict(probe_seed=None), InvalidConfig, "probe_seed None is not an integer"),
+    (dict(probe_seed=True), InvalidConfig, "probe_seed True is not an integer"),
 ])
 def test_sweep_checks_arguments_before_building_a_model(monkeypatch, bad, error, message):
     calls = []
