@@ -33,13 +33,12 @@ def capture_run(model, probe_sets, runs=None):
     """One table row per (sample, retained layer); returns (header, table).
 
     Samples are numbered sequentially across probe sets in the given order.
-    ``runs``, when given, maps each domain to
-    ``model.residual_states(ps.token_matrix())`` already computed by the
-    caller; otherwise each domain's whole token matrix is streamed through
-    the model (:meth:`Model.stream` bounds each block's temporaries by
-    ``depthprune.model.CHUNK`` samples), holding two of its states at a time.
-    Sims are clamped into [-1, 1]; ``table.clamped`` counts how many needed
-    it.
+    ``runs`` holds one iterable of the model's states per probe set, such as
+    a list of them already computed by the caller; by default each domain's
+    whole token matrix is streamed through the model (:meth:`Model.stream`
+    bounds each block's temporaries by ``depthprune.model.CHUNK`` samples),
+    holding two of its states at a time.  Sims are clamped into [-1, 1];
+    ``table.clamped`` counts how many needed it.
     """
     cfg = model.config
     header = LogHeader(
@@ -50,13 +49,14 @@ def capture_run(model, probe_sets, runs=None):
         domains=tuple(DomainInfo(ps.domain, tuple(tag for tag, _ in ps.subtasks), ps.num_samples)
                       for ps in probe_sets),
     )
+    if runs is None:
+        runs = (model.stream(ps.token_matrix()) for ps in probe_sets)
     tags, stats, domain, subtask = header.subtask_tags, [], [], []
-    for di, ps in enumerate(probe_sets):
+    for di, (ps, states) in enumerate(zip(probe_sets, runs, strict=True)):
         for tag, _ in ps.all_samples():
             domain.append(di)
             subtask.append(tags.index(tag))
-        stats.append(layer_stats(model.stream(ps.token_matrix()) if runs is None
-                                 else runs[ps.domain][0]))
+        stats.append(layer_stats(states))
     n, depth = len(domain), model.depth
     sim = np.concatenate([s for s, _ in stats] or [np.empty((0, depth))]).reshape(-1)
     pooled = np.concatenate([p for _, p in stats] or [np.empty((0, depth, cfg.hidden_dim))])

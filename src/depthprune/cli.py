@@ -8,6 +8,7 @@ error, 2 runtime error.
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -165,6 +166,9 @@ def build_parser():
 
     def add(name, fn, **flags):
         p = sub.add_parser(name)
+        # no flag looks like a number, so a flag's value may be any negative float
+        # (-1e-05, -inf), not only argparse's -N and -N.N
+        p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)

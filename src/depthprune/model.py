@@ -230,27 +230,14 @@ class Model:
         """Logits (..., vocab_size) of final residual states (..., d)."""
         return _layernorm(x) @ self.unembed
 
-    def residual_states(self, tokens, start: int = 0, x0=None):
-        """All of :meth:`stream` stacked; returns (states, logits).
-
-        ``states`` has shape (depth - start + 1, B, T, d) and ``logits``
-        (B, T, vocab_size).
-        """
-        states = None
-        for i, x in enumerate(self.stream(tokens, start, x0)):
-            if states is None:
-                states = np.empty((self.depth - start + 1,) + x.shape)
-            states[i] = x
-        return states, self.head(x)
-
     def forward_with_hooks(self, tokens) -> CaptureTrace:
-        """One sequence through :meth:`residual_states`, split into per-block in/out."""
+        """One sequence through :meth:`stream`, split into per-block in/out."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 1 or tokens.shape[0] < 1:
             raise ValueError("tokens must be a non-empty 1-D sequence")
-        states, logits = self.residual_states(tokens[None])
-        return CaptureTrace(layer_ids=self.layer_ids, h_in=tuple(states[:-1, 0]),
-                            h_out=tuple(states[1:, 0]), logits=logits[0])
+        states = list(self.stream(tokens[None]))
+        return CaptureTrace(layer_ids=self.layer_ids, h_in=tuple(x[0] for x in states[:-1]),
+                            h_out=tuple(x[0] for x in states[1:]), logits=self.head(states[-1])[0])
 
     def logits(self, tokens) -> np.ndarray:
         return self.forward_with_hooks(tokens).logits

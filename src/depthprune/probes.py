@@ -199,6 +199,6 @@ def generate_probes(domain: str, counts, seed: int, config: ToyModelConfig) -> P
 
 
 def default_probe_sets(config: ToyModelConfig, seed: int, counts=None) -> list:
-    counts = counts or DEFAULT_COUNTS
+    counts = DEFAULT_COUNTS if counts is None else counts
     return [generate_probes(d, counts[d], mix_seed(seed, di), config)
             for di, d in enumerate(DOMAINS)]

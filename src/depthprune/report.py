@@ -2,7 +2,7 @@
 
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import cycle, islice
+from itertools import cycle
 
 import numpy as np
 
@@ -134,9 +134,9 @@ def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.
              seed: int = 0) -> FidelityReport:
     """Position-wise output agreement of pruned vs unpruned model on a probe set.
 
-    The base model is streamed keeping only its state after the block
-    prefix the two models share and its last state; the pruned model is
-    streamed from the former, keeping only its last state.
+    A one-leaf :func:`_trie_leaves` walk over the streamed base model, which
+    keeps only the base's state after the block prefix the two models share
+    and its last state.
     """
     cb, cp = base.config, pruned.config
     if (cb.vocab_size, cb.max_seq_len, cb.hidden_dim) != (cp.vocab_size, cp.max_seq_len, cp.hidden_dim):
@@ -144,24 +144,16 @@ def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.
     if probes.num_samples == 0:
         raise ModelMismatch("probe set is empty")
     tokens = probes.token_matrix()
-    f = _shared_prefix(base, pruned)
-    x0 = None
-    for i, hb in enumerate(base.stream(tokens)):
-        if i == f:
-            x0 = hb
-    stream = pruned.stream(tokens) if x0 is None else pruned.stream(tokens, start=f, x0=x0)
-    for last in stream:
-        pass
-    return _compare(probes, hb, base.head(hb), last, pruned.head(last), method,
-                    budget_fraction, seed)
+    rep = _reports(base, base.stream(tokens), {0: pruned}, probes, tokens)[0]
+    return replace(rep, method=method, budget_fraction=budget_fraction, seed=seed)
 
 
-def _compare(probes, hb, base_logits, last, logits, method: str = "",
-             budget_fraction: float = 0.0, seed: int = 0) -> FidelityReport:
+def _compare(probes, hb, base_logits, last, logits) -> FidelityReport:
     """Agreement, cosine and KL of a pruned model's last state and logits on ``probes``.
 
     ``hb`` and ``base_logits`` are the unpruned model's last state and
-    logits on the same probes.
+    logits on the same probes.  The method, budget and seed are left blank
+    for the caller to fill in with ``replace``.
     """
     n_base, n_pruned = np.linalg.norm(hb, axis=-1), np.linalg.norm(last, axis=-1)
     if float(n_base.min()) < ZERO_NORM_THRESHOLD or float(n_pruned.min()) < ZERO_NORM_THRESHOLD:
@@ -171,49 +163,68 @@ def _compare(probes, hb, base_logits, last, logits, method: str = "",
     pp = _floored_softmax(logits)
     agree = np.argmax(base_logits, axis=-1) == np.argmax(logits, axis=-1)
     return FidelityReport(
-        method=method,
-        budget_fraction=budget_fraction,
+        method="",
+        budget_fraction=0.0,
         domain=probes.domain,
         top1_agreement=int(np.sum(agree)) / agree.size,
         final_hidden_cosine=float(np.sum(cos)) / agree.size,
         mean_kl=float(np.sum(pb * np.log(pb / pp))) / agree.size,
         num_probes=probes.num_samples,
-        seed=seed,
+        seed=0,
     )
 
 
 def _trie_leaves(base, base_states, pruned_models, tokens):
-    """Yield (key, last state, logits) of every pruned model in ``pruned_models``.
+    """Yield (key, last state, logits): ``(None, ...)`` for ``base``, then each pruned model.
 
-    The models' block sequences form a prefix trie whose base path is
-    ``base_states``.  Leaves are visited in the lexicographic order of their
-    layer ids, each resumed from the state after the blocks it shares with
-    the leaf before it, so every trie node off the base path is evaluated
-    once for all the models that share it.  Of a leaf's own states only
-    those that a later leaf resumes from are kept.  Blocks are compared by
-    identity, as in ``_shared_prefix``; every model must share ``base``'s
-    embeddings.
+    ``base_states`` is any iterable of ``base``'s states on ``tokens`` in
+    order, such as a list or a live ``base.stream(tokens)``; of them only the
+    last and those a pruned model resumes from are kept.  The models' block
+    sequences form a prefix trie whose base path is ``base_states``.  Leaves
+    are visited in the lexicographic order of their layer ids, each resumed
+    from the state after the blocks it shares with the leaf before it, so
+    every trie node off the base path is evaluated once for all the models
+    that share it.  Of a leaf's own states only those that a later leaf
+    resumes from are kept.  Blocks are compared by identity, as in
+    ``_shared_prefix``; a model that shares nothing with the leaf before it
+    is streamed from its own embeddings.
     """
     leaves = sorted(pruned_models.items(), key=lambda kv: kv[1].layer_ids)
     models = [base] + [pruned for _, pruned in leaves]
     resume = [_shared_prefix(a, b) for a, b in zip(models, models[1:])]
     # kept[i]: positions on leaf i's path that a later leaf resumes from.  In
     # lexicographic order, leaf j reaches leaf i's state at position r only
-    # if no leaf between them resumes below r.
+    # if no leaf between them resumes below r; after the loop, ``later``
+    # holds the base positions that some leaf resumes from.
     kept, later = [], set()
     for r in reversed(resume):
         kept.append(later)
-        later = {r} | {q for q in later if q <= r}
+        later = set() if r is None else {r} | {q for q in later if q <= r}
     kept.reverse()
-    path = dict(enumerate(base_states))  # position -> state on the current path
+    path = {}  # position -> state on the current path
+    for q, last in enumerate(base_states):
+        if q in later:
+            path[q] = last
+    yield None, last, base.head(last)
     for (key, pruned), c, keep in zip(leaves, resume, kept):
-        for q in [q for q in path if q > c]:
+        for q in [q for q in path if c is None or q > c]:
             del path[q]
-        last = path[c]
-        for q, last in enumerate(islice(pruned.stream(tokens, start=c, x0=last), 1, None), c + 1):
+        # with c None, the leaf starts from its own embeddings
+        for q, last in enumerate(pruned.stream(tokens, start=c or 0, x0=path.get(c)), c or 0):
             if q in keep:
                 path[q] = last
         yield key, last, pruned.head(last)
+
+
+def _reports(base, base_states, pruned_models, probes, tokens):
+    """{key: FidelityReport} of every model in ``pruned_models``: one trie walk on ``probes``.
+
+    ``tokens`` is ``probes.token_matrix()`` and ``base_states`` the base's
+    states on them, as :func:`_trie_leaves` takes them.
+    """
+    leaves = _trie_leaves(base, base_states, pruned_models, tokens)
+    _, hb, base_logits = next(leaves)
+    return {key: _compare(probes, hb, base_logits, last, logits) for key, last, logits in leaves}
 
 
 def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed: int = None):
@@ -276,14 +287,14 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     """
     if not (methods and budgets and seeds):
         raise InvalidConfig("a sweep needs at least one method, one budget and one seed")
-    RunConfig(model=config, probe_counts=probe_counts or DEFAULT_COUNTS, probe_seed=probe_seed,
-              methods=methods, budgets=budgets, alpha=alpha, seeds=seeds).validate()
+    RunConfig(model=config, probe_counts=DEFAULT_COUNTS if probe_counts is None else probe_counts,
+              probe_seed=probe_seed, methods=methods, budgets=budgets, alpha=alpha,
+              seeds=seeds).validate()
     model = build_model(config)
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
     tokens = [ps.token_matrix() for ps in probe_sets]
-    base_runs = threaded(model.residual_states, tokens)
-    header, table = capture_run(model, probe_sets,
-                                {ps.domain: run for ps, run in zip(probe_sets, base_runs)})
+    base_runs = threaded(lambda t: list(model.stream(t)), tokens)
+    header, table = capture_run(model, probe_sets, base_runs)
     heatmap = heatmap_matrix(table)
 
     grid_plans = {}
@@ -307,12 +318,9 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     if not rows:
         raise BudgetInfeasible("no (method, budget) of the sweep is feasible")
 
-    def walk(i):
-        states, logits = base_runs[i]
-        return {key: _compare(probe_sets[i], states[-1], logits, last, leaf_logits)
-                for key, last, leaf_logits in _trie_leaves(model, states, pruned_models, tokens[i])}
-
-    results = threaded(walk, range(len(probe_sets)))  # per domain: pruned set -> report
+    results = threaded(  # per domain: pruned set -> report
+        lambda i: _reports(model, base_runs[i], pruned_models, probe_sets[i], tokens[i]),
+        range(len(probe_sets)))
     reports = [replace(res[key], method=method, budget_fraction=p, seed=seed)
                for method, p, seed, key in rows for res in results]
     plans = [grid_plans[k] for k in sorted(grid_plans, key=lambda mk: (mk[0], mk[1]))]

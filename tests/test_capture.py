@@ -79,6 +79,6 @@ def test_capture_counts_clamped_sims():
     x = np.random.default_rng(0).standard_normal((probes.num_samples, 1, cfg.hidden_dim))
     states = np.broadcast_to(x, (cfg.num_layers + 1,) + x.shape)
     raw, _ = layer_stats(states)
-    _, table = capture_run(model, [probes], {"math": (states, None)})
+    _, table = capture_run(model, [probes], [states])
     assert table.clamped == int(np.count_nonzero(np.abs(raw) > 1.0)) > 0
     np.testing.assert_array_equal(table.sim, np.clip(raw, -1.0, 1.0).reshape(-1))

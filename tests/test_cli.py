@@ -213,6 +213,21 @@ def test_rank_and_plan_check_flags_before_reading_the_log(tmp_path, capsys, argv
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["plan", "--method", "cka", "--budget", "-1e-05"], "BudgetOutOfRange"),
+    (["plan", "--method", "cka", "--budget", "-5e-1"], "BudgetOutOfRange"),
+    (["plan", "--method", "cka", "--budget", "-1E3"], "BudgetOutOfRange"),
+    (["plan", "--method", "cka", "--budget", "-inf"], "BudgetOutOfRange"),
+    (["plan", "--method", "cka", "--budget", "-NaN"], "BudgetOutOfRange"),
+    (["rank", "--method", "ours-mixed", "--alpha", "-1e+16"], "AlphaOutOfRange"),
+    (["rank", "--method", "ours-mixed", "--alpha", "-Infinity"], "AlphaOutOfRange"),
+])
+def test_negative_floats_in_any_form_reach_the_range_checks(tmp_path, capsys, argv, error):
+    # argparse on its own takes only -N and -N.N as a flag's value
+    assert main(argv + ["--log", str(tmp_path / "missing.log")]) == 1
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["rank", "--method", "cka", "--budget", "0.25"],
     ["rank", "--method", "cka", "--out", "plan.json"],

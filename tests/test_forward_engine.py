@@ -8,6 +8,9 @@ outputs within that plus float32 rounding; resumes, stacked streams and
 sweep rows, which repeat the engine's own arithmetic, are compared exactly.
 """
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,7 +68,8 @@ def test_batched_states_match_reference(cfg):
     model = build_model(cfg)
     tokens = np.concatenate([ps.token_matrix() for ps in default_probe_sets(
         cfg, 1, {"math": 1, "nonmath": 1})])
-    states, logits = model.residual_states(tokens)
+    states = np.stack(list(model.stream(tokens)))
+    logits = model.head(states[-1])
     assert states.shape == (cfg.num_layers + 1,) + tokens.shape + (cfg.hidden_dim,)
     assert logits.shape == tokens.shape + (cfg.vocab_size,)
     for b, seq in enumerate(tokens):
@@ -80,9 +84,10 @@ def test_resume_equals_full_forward_of_pruned_model():
     model = build_model(cfg)
     tokens = generate_probes("math", 2, seed=4, config=cfg).token_matrix()
     pruned = apply_prune_plan(model, plan_for(cfg, [4, 7]))
-    base_states, _ = model.residual_states(tokens)
-    full_states, full_logits = pruned.residual_states(tokens)
-    states, logits = pruned.residual_states(tokens, start=4, x0=base_states[4])
+    base_states = np.stack(list(model.stream(tokens)))
+    full_states = np.stack(list(pruned.stream(tokens)))
+    states = np.stack(list(pruned.stream(tokens, start=4, x0=base_states[4])))
+    full_logits, logits = pruned.head(full_states[-1]), pruned.head(states[-1])
     np.testing.assert_array_equal(states, full_states[4:])
     np.testing.assert_array_equal(logits, full_logits)
 
@@ -91,7 +96,8 @@ def test_adapter_trace_is_a_view_of_the_engine():
     model = build_model(ToyModelConfig())
     tokens = [5, 1, 9, 2, 6]
     trace = model.forward_with_hooks(tokens)
-    states, logits = model.residual_states([tokens])
+    states = np.stack(list(model.stream([tokens])))
+    logits = model.head(states[-1])
     for l in range(model.depth):
         np.testing.assert_array_equal(trace.h_in[l], states[l, 0])
         np.testing.assert_array_equal(trace.h_out[l], states[l + 1, 0])
@@ -107,7 +113,7 @@ def test_adapter_trace_is_a_view_of_the_engine():
 ])
 def test_residual_states_rejects_bad_input(kwargs):
     with pytest.raises(ValueError):
-        build_model(ToyModelConfig()).residual_states(**kwargs)
+        next(build_model(ToyModelConfig()).stream(**kwargs))
 
 
 def test_token_matrix_rejects_mixed_lengths():
@@ -138,7 +144,7 @@ def test_sweep_rows_equal_uncached_fidelity():
     reports, _, _ = sweep(cfg, methods, budgets, seeds, probe_counts=counts, probe_seed=3)
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 3, counts)
-    runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
+    runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
     header, records = capture_run(model, probe_sets, runs)
     expected = []
     for method in methods:
@@ -157,7 +163,7 @@ def test_per_sample_capture_matches_batched_capture():
     cfg = ToyModelConfig()
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 0, {"math": 2, "nonmath": 2})
-    runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
+    runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
     header, records = capture_run(model, probe_sets)
     batched_header, batched = capture_run(model, probe_sets, runs)
     assert header == batched_header
@@ -187,20 +193,6 @@ def test_chunked_capture_matches_per_sample_reference(n):
     np.testing.assert_array_equal(table.sample_id, np.repeat(np.arange(2 * n), cfg.num_layers))
     np.testing.assert_allclose(table.sim, sims, rtol=0, atol=ATOL)
     np.testing.assert_allclose(table.pooled_out, pooled, rtol=2.0 ** -23, atol=ATOL)
-
-
-def test_residual_states_is_the_stacked_stream():
-    model = build_model(ToyModelConfig(seed=1))
-    tokens = generate_probes("nonmath", 1, seed=2, config=model.config).token_matrix()
-    states, logits = model.residual_states(tokens)
-    streamed = list(model.stream(tokens))
-    np.testing.assert_array_equal(states, np.stack(streamed))
-    np.testing.assert_array_equal(logits, model.head(streamed[-1]))
-    tail, tail_logits = model.residual_states(tokens, start=5, x0=states[5])
-    np.testing.assert_array_equal(tail, np.stack(list(model.stream(tokens, start=5,
-                                                                   x0=states[5]))))
-    np.testing.assert_array_equal(tail, states[5:])
-    np.testing.assert_array_equal(tail_logits, logits)
 
 
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
@@ -291,7 +283,9 @@ def test_stream_rejects_tokens_that_are_not_integers(tokens):
 
 def test_trimmed_trie_equals_full_forwards():
     # many overlapping pruned sets, so leaves resume from states that several
-    # earlier leaves left on the path, and from base states
+    # earlier leaves left on the path, and from base states; then the same
+    # sets from a streamed base, with a leaf in the middle of the order whose
+    # copied embeddings it shares with no other model
     cfg = ToyModelConfig(num_layers=10, hidden_dim=32, num_heads=4, seed=7)
     model = build_model(cfg)
     tokens = generate_probes("math", 1, seed=5, config=cfg).token_matrix()
@@ -299,13 +293,79 @@ def test_trimmed_trie_equals_full_forwards():
     pruned_sets = {frozenset()} | {frozenset(rng.choice(np.arange(1, 9), size=k, replace=False)
                                              .tolist()) for k in (1, 2, 3, 4) for _ in range(8)}
     models = {key: apply_prune_plan(model, plan_for(cfg, sorted(key))) for key in pruned_sets}
-    states, _ = model.residual_states(tokens)
-    leaves = list(report._trie_leaves(model, states, models, tokens))
-    assert len(leaves) == len(pruned_sets) == len({key for key, _, _ in leaves})
-    for key, last, logits in leaves:
-        full_states, full_logits = models[key].residual_states(tokens)
-        np.testing.assert_array_equal(last, full_states[-1])
-        np.testing.assert_array_equal(logits, full_logits)
+    middle = sorted(models.values(), key=lambda m: m.layer_ids)[len(models) // 2]
+    copied = Model(cfg, model.embedding.copy(), model.positional.copy(), middle.blocks,
+                   model.unembed, middle.layer_ids)
+    for base_states, leaf_models in [(list(model.stream(tokens)), models),
+                                     (model.stream(tokens), {**models, "copied": copied})]:
+        leaves = list(report._trie_leaves(model, base_states, leaf_models, tokens))[1:]
+        assert len(leaves) == len(leaf_models) == len({key for key, _, _ in leaves})
+        for key, last, logits in leaves:
+            full_states = list(leaf_models[key].stream(tokens))
+            np.testing.assert_array_equal(last, full_states[-1])
+            np.testing.assert_array_equal(logits, leaf_models[key].head(full_states[-1]))
+
+
+def reference_fidelity(base, pruned, probes):
+    """The fidelity loop that the one-leaf trie walk replaced.
+
+    It streams the base keeping its state after the shared block prefix and
+    its last state, then streams the pruned model from the former.
+    """
+    tokens = probes.token_matrix()
+    f = report._shared_prefix(base, pruned)
+    x0 = None
+    for i, hb in enumerate(base.stream(tokens)):
+        if i == f:
+            x0 = hb
+    stream = pruned.stream(tokens) if x0 is None else pruned.stream(tokens, start=f, x0=x0)
+    for last in stream:
+        pass
+    return report._compare(probes, hb, base.head(hb), last, pruned.head(last))
+
+
+def test_fidelity_equals_the_loop_it_replaced():
+    cfg = ToyModelConfig(seed=3)
+    base = build_model(cfg)
+    planned = apply_prune_plan(base, plan_for(cfg, [3, 4, 8]))
+    models = [
+        base,
+        planned,
+        neutralize_block(base, 6),
+        Model(cfg, base.embedding.copy(), base.positional.copy(), planned.blocks, base.unembed,
+              planned.layer_ids),
+        build_model(ToyModelConfig(seed=4)),
+    ]
+    for ps in default_probe_sets(cfg, 1, {"math": 1, "nonmath": 1}):
+        for pruned in models:
+            expected = reference_fidelity(base, pruned, ps)
+            assert fidelity(base, pruned, ps) == expected
+            assert fidelity(base, pruned, ps, method="cka", budget_fraction=0.25, seed=9) == \
+                replace(expected, method="cka", budget_fraction=0.25, seed=9)
+
+
+def test_fidelity_holds_at_most_two_base_states(monkeypatch):
+    # the base is streamed: only its state at the pruned model's first
+    # removed layer and its last state may outlive the base forward
+    cfg = ToyModelConfig()
+    base = build_model(cfg)
+    pruned = apply_prune_plan(base, plan_for(cfg, [4, 7]))
+    probes = generate_probes("math", 1, seed=0, config=cfg)
+    base_states, alive = [], []
+    real_stream = Model.stream
+
+    def watched_stream(self, tokens, start=0, x0=None):
+        for x in real_stream(self, tokens, start, x0):
+            if self is base:
+                base_states.append(weakref.ref(x))
+            else:
+                alive.append(sum(ref() is not None for ref in base_states))
+            yield x
+
+    monkeypatch.setattr(Model, "stream", watched_stream)
+    fidelity(base, pruned, probes)
+    assert len(base_states) == cfg.num_layers + 1
+    assert len(alive) == pruned.depth - 4 + 1 and max(alive) <= 2
 
 
 def test_sweep_evaluates_each_prefix_trie_node_once(monkeypatch):
@@ -314,7 +374,7 @@ def test_sweep_evaluates_each_prefix_trie_node_once(monkeypatch):
     methods, budgets, seeds = ["ours-mixed", "cka", "interlace", "random"], [0.1, 0.25, 0.4], [0, 1]
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 3, counts)
-    runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
+    runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
     header, table = capture_run(model, probe_sets, runs)
     pruned_sets = {frozenset(plan_for_method(method, header, table, p, seed=seed).pruned)
                    for method in methods for p in budgets for seed in seeds}

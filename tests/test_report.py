@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -148,6 +149,7 @@ def test_sweep_deterministic_bytes():
     (dict(probe_seed=1.5), InvalidConfig, "probe_seed 1.5 is not an integer"),
     (dict(probe_seed=None), InvalidConfig, "probe_seed None is not an integer"),
     (dict(probe_seed=True), InvalidConfig, "probe_seed True is not an integer"),
+    (dict(probe_counts={}), InvalidConfig, "probe_counts: expected one entry"),
 ])
 def test_sweep_checks_arguments_before_building_a_model(monkeypatch, bad, error, message):
     calls = []
@@ -207,17 +209,17 @@ def test_sweep_equals_a_serial_loop_over_the_trie():
     reports, _, _ = sweep(cfg, methods, budgets, seeds, probe_counts=counts, probe_seed=4)
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 4, counts)
-    runs = {ps.domain: model.residual_states(ps.token_matrix()) for ps in probe_sets}
+    runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
     header, table = capture_run(model, probe_sets, runs)
     cells = [(m, p, s) for m in methods for p in budgets for s in seeds]
     plans = {cell: plan_for_method(cell[0], header, table, cell[1], seed=cell[2])
              for cell in cells}
     pruned = {frozenset(plan.pruned): apply_prune_plan(model, plan) for plan in plans.values()}
     results = {}
-    for ps in probe_sets:
-        states, logits = runs[ps.domain]
-        for key, last, leaf_logits in report._trie_leaves(model, states, pruned,
-                                                          ps.token_matrix()):
+    for ps, states in zip(probe_sets, runs):
+        logits = model.head(states[-1])
+        for key, last, leaf_logits in islice(report._trie_leaves(model, states, pruned,
+                                                                 ps.token_matrix()), 1, None):
             results[key, ps.domain] = report._compare(ps, states[-1], logits, last, leaf_logits)
     assert reports == [replace(results[frozenset(plans[m, p, s].pruned), ps.domain],
                                method=m, budget_fraction=p, seed=s)
