@@ -102,10 +102,11 @@ def _header_to_json(header: LogHeader) -> str:
 
 
 def _check_rows(header, table):
-    """Raise SchemaViolation for the earliest invalid record.
+    """Raise SchemaViolation for the earliest invalid record, then for a miscounted domain.
 
     Checks are listed in the order one record is checked, so a record with
-    several faults reports the first.
+    several faults reports the first.  Each domain's records must hold as
+    many distinct samples as its header ``sample_count`` declares.
     """
     tags, n, d, pooled = header.subtask_tags, len(table), header.hidden_dim, table.pooled_out
     allowed = np.zeros((len(header.domains) + 1, len(tags) + 1), dtype=bool)  # last: unknown
@@ -137,6 +138,11 @@ def _check_rows(header, table):
     if bad:
         i, k = min(bad)
         raise SchemaViolation(f"record {i}: {checks[k][1](i)}")
+    for i, info in enumerate(header.domains):
+        held = len(set(table.sample_id[table.domain == i].tolist()))
+        if held != info.sample_count:
+            raise SchemaViolation(f"domains: {info.domain!r} declares sample_count "
+                                  f"{info.sample_count}, but its records hold {held} samples")
 
 
 def write_log(header: LogHeader, table: ActivationTable, destination) -> int:

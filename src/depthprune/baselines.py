@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (BudgetInfeasible, BudgetTooLarge, DegenerateFeatures,
                      MissingSubtask)
-from .linalg import center_rows, cosine
+from .linalg import center_rows, token_cosine_mean
 from .planner import PrunePlan
 from .probes import MATH_SUBTASKS, NONMATH_SUBTASKS
 from .rng import SeededStream
@@ -79,13 +79,8 @@ def cka_rank(table, pruneable) -> CkaTable:
 
 def _adjacent_sims(features: dict, layers) -> dict:
     """S_l = mean over the 9 subtask rows of cosine(row_l, row_{l+1})."""
-    sims = {}
-    for l in layers:
-        if l + 1 not in features:
-            continue
-        vals = [cosine(features[l][i], features[l + 1][i]) for i in range(len(ALL_SUBTASKS))]
-        sims[l] = float(np.mean(vals))
-    return sims
+    return {l: token_cosine_mean(features[l], features[l + 1])
+            for l in layers if l + 1 in features}
 
 
 def _inout_redundancy(table) -> dict:

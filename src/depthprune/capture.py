@@ -37,9 +37,17 @@ def capture_run(model, probe_sets, runs=None):
     a list of them already computed by the caller; by default each domain's
     whole token matrix is streamed through the model (:meth:`Model.stream`
     bounds each block's temporaries by ``depthprune.model.CHUNK`` samples),
-    holding two of its states at a time.  Sims are clamped into [-1, 1];
-    ``table.clamped`` counts how many needed it.
+    holding two of its states at a time.  A ``runs`` that is a mapping, or
+    that holds a different number of runs than there are probe sets, raises
+    ``ValueError`` before any block is reduced.  Sims are clamped into
+    [-1, 1]; ``table.clamped`` counts how many needed it.
     """
+    if runs is not None:
+        if hasattr(runs, "keys"):  # a mapping would be iterated as its keys
+            raise ValueError("runs: expected one iterable of states per probe set, got a mapping")
+        runs = list(runs)
+        if len(runs) != len(probe_sets):
+            raise ValueError(f"runs: {len(runs)} runs for {len(probe_sets)} probe sets")
     cfg = model.config
     header = LogHeader(
         model_id=model_id_for(cfg),
@@ -52,7 +60,7 @@ def capture_run(model, probe_sets, runs=None):
     if runs is None:
         runs = (model.stream(ps.token_matrix()) for ps in probe_sets)
     tags, stats, domain, subtask = header.subtask_tags, [], [], []
-    for di, (ps, states) in enumerate(zip(probe_sets, runs, strict=True)):
+    for di, (ps, states) in enumerate(zip(probe_sets, runs)):
         for tag, _ in ps.all_samples():
             domain.append(di)
             subtask.append(tags.index(tag))

@@ -227,6 +227,16 @@ def _reports(base, base_states, pruned_models, probes, tokens):
     return {key: _compare(probes, hb, base_logits, last, logits) for key, last, logits in leaves}
 
 
+def _drain(states):
+    """Yield the items of the list ``states`` in order, dropping each from it as it goes.
+
+    A walk over it then holds only the states it keeps itself.
+    """
+    states.reverse()
+    while states:
+        yield states.pop()
+
+
 def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed: int = None):
     """(scores, full prune order) of one method over the header's pruneable layers.
 
@@ -283,7 +293,8 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     argument is checked before the model is built.  A (method, budget) whose
     plan raises ``BudgetInfeasible`` is left out of both, with one line on
     stderr.  Each domain's base forward, and then its fidelity walk, runs on
-    its own thread.
+    its own thread; the walk drains the base states, so it ends up holding
+    only the last and those a pruned model resumes from.
     """
     if not (methods and budgets and seeds):
         raise InvalidConfig("a sweep needs at least one method, one budget and one seed")
@@ -319,7 +330,7 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
         raise BudgetInfeasible("no (method, budget) of the sweep is feasible")
 
     results = threaded(  # per domain: pruned set -> report
-        lambda i: _reports(model, base_runs[i], pruned_models, probe_sets[i], tokens[i]),
+        lambda i: _reports(model, _drain(base_runs[i]), pruned_models, probe_sets[i], tokens[i]),
         range(len(probe_sets)))
     reports = [replace(res[key], method=method, budget_fraction=p, seed=seed)
                for method, p, seed, key in rows for res in results]

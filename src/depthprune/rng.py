@@ -13,6 +13,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_AHEAD = 64  # raw draws that ``randint_below`` reads ahead at a time
 
 
 def _mix64(z):
@@ -51,14 +52,21 @@ class SeededStream:
         _check_count("start", start)
         self._seed = np.uint64(seed & _MASK64)
         self._pos = start
+        # scalar draws read ahead: raw draws at positions _ahead_pos, _ahead_pos + 1, ...
+        self._ahead, self._ahead_pos = [], start
 
-    def raw(self, n: int) -> np.ndarray:
-        _check_count("count", n)
-        z = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
-        self._pos += n
+    def _draws(self, pos: int, n: int) -> np.ndarray:
+        """Raw draws pos, pos + 1, ..., pos + n - 1 of the stream."""
+        z = np.arange(pos + 1, pos + n + 1, dtype=np.uint64)
         z *= _GAMMA
         z += self._seed
         return _mix64(z)
+
+    def raw(self, n: int) -> np.ndarray:
+        _check_count("count", n)
+        z = self._draws(self._pos, n)
+        self._pos += n
+        return z
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 values uniform in [0, 1)."""
@@ -106,7 +114,13 @@ class SeededStream:
             raise ValueError("bound must be positive")
         limit = (2 ** 64 // bound) * bound
         while True:
-            x = int(self.raw(1)[0])
+            # draws are addressed by position, so the block read ahead is only a cache
+            i = self._pos - self._ahead_pos
+            if not 0 <= i < len(self._ahead):
+                self._ahead = self._draws(self._pos, _AHEAD).tolist()
+                self._ahead_pos, i = self._pos, 0
+            x = self._ahead[i]
+            self._pos += 1
             if x < limit:
                 return x % bound
 

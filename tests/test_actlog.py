@@ -12,11 +12,11 @@ from depthprune.actlog import (_COLUMNS, DomainInfo, LogHeader, log_to_bytes, re
 from depthprune.errors import SchemaViolation, TruncatedFile
 
 
-def header_4x2():
+def header_4x2(math_samples=1):
     return LogHeader(
         model_id="toy", num_layers=4, hidden_dim=2,
         protected_layers=frozenset({0, 3}),
-        domains=(DomainInfo("math", ("Math-CoT",), 1),
+        domains=(DomainInfo("math", ("Math-CoT",), math_samples),
                  DomainInfo("nonmath", ("Captioning",), 0)),
     )
 
@@ -26,18 +26,19 @@ def row(sample_id=0, layer=1, dim=2, sim=0.5, domain="math", subtask="Math-CoT")
 
 
 def table(*rows):
-    return table_from_rows(header_4x2(), list(rows))
+    """A table of math ``rows`` under a header that counts their samples."""
+    return table_from_rows(header_4x2(len({r[0] for r in rows})), list(rows))
 
 
 def test_empty_stream_header_only():
     buf = io.StringIO()
-    assert write_log(header_4x2(), table(), buf) == 0
+    assert write_log(header_4x2(0), table(), buf) == 0
     lines = buf.getvalue().splitlines()
     assert lines[1:] == [json.dumps({name: ""}, separators=(",", ":")) for name, _ in _COLUMNS]
     header, got = read_log(io.StringIO(buf.getvalue()))
     assert len(got) == 0
     assert got.pooled_out.shape == (0, 2)
-    assert header == header_4x2()
+    assert header == header_4x2(0)
 
 
 def test_round_trip_single_record():
@@ -57,7 +58,8 @@ def test_round_trip_preserves_float32_bits():
     rng = np.random.default_rng(0)
     rows = [(i, 1, "math", "Math-CoT", float(rng.uniform(-1, 1)),
              rng.standard_normal(2).astype(np.float32)) for i in range(20)]
-    data = log_to_bytes(header_4x2(), table(*rows))
+    tab = table(*rows)
+    data = log_to_bytes(tab.header, tab)
     _, got = read_log(io.StringIO(data.decode()))
     for i, r in enumerate(rows):
         np.testing.assert_array_equal(got.pooled_out[i], r[5])
@@ -103,7 +105,8 @@ def test_write_validates_before_writing():
 
 
 def log_lines(tab=None):
-    return log_to_bytes(header_4x2(), table(row()) if tab is None else tab).decode().splitlines()
+    tab = table(row()) if tab is None else tab
+    return log_to_bytes(tab.header, tab).decode().splitlines()
 
 
 def text(lines):
@@ -237,7 +240,8 @@ def test_read_streams_lines():
         def readline(self):
             return self._buf.readline()
 
-    data = log_to_bytes(header_4x2(), table(row(0), row(1))).decode()
+    tab = table(row(0), row(1))
+    data = log_to_bytes(tab.header, tab).decode()
     _, got = read_log(LinesOnly(data))
     assert got.sample_id.tolist() == [0, 1]
 
@@ -276,6 +280,23 @@ def test_header_rejects_repeated_domain():
         read_log(io.StringIO(text(lines)))
 
 
+def test_header_sample_counts_must_match_the_records():
+    # scoring reports each domain's n from its records, so a header that
+    # declares 250 math samples over records of 5 would go unnoticed
+    tab = table(*(row(i) for i in range(5)))
+    for domain, count, held in [(0, 250, 5), (0, 4, 5), (1, 3, 0)]:
+        lines = log_lines(tab)
+        header = json.loads(lines[0])
+        header["domains"][domain]["sample_count"] = count
+        lines[0] = json.dumps(header)
+        name = header["domains"][domain]["domain"]
+        with pytest.raises(SchemaViolation, match=f"^domains: {name!r} declares sample_count "
+                                                  f"{count}, but its records hold {held} samples"):
+            read_log(io.StringIO(text(lines)))
+    with pytest.raises(SchemaViolation, match="^domains: 'math' declares sample_count 250"):
+        write_log(header_4x2(250), tab, io.StringIO())
+
+
 # ---- property tests over random headers and tables --------------------------
 
 TAGS = ("A", "B", "C", "D")
@@ -286,24 +307,26 @@ finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 def headers_and_tables(draw, min_rows=0):
     num_layers = draw(st.integers(1, 6))
     hidden_dim = draw(st.integers(1, 4))
-    domains = tuple(
-        DomainInfo(name, tuple(draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=3,
-                                             unique=True))), draw(st.integers(0, 9)))
-        for name in draw(st.lists(st.sampled_from(("math", "nonmath", "other")), min_size=1,
-                                  max_size=3, unique=True)))
-    header = LogHeader(model_id=draw(st.text(max_size=8)), num_layers=num_layers,
-                       hidden_dim=hidden_dim,
-                       protected_layers=frozenset(draw(st.sets(st.integers(0, num_layers - 1)))),
-                       domains=domains)
+    subtasks = {name: tuple(draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=3,
+                                          unique=True)))
+                for name in draw(st.lists(st.sampled_from(("math", "nonmath", "other")),
+                                          min_size=1, max_size=3, unique=True))}
     pairs = draw(st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(0, num_layers - 1)),
                           min_size=min_rows, max_size=12, unique=True))
     rows = []
     for sample_id, layer in pairs:
-        d = draw(st.sampled_from(domains))
-        rows.append((sample_id, layer, d.domain, draw(st.sampled_from(d.subtasks)),
+        name = draw(st.sampled_from(sorted(subtasks)))
+        rows.append((sample_id, layer, name, draw(st.sampled_from(subtasks[name])),
                      draw(st.floats(-1.0, 1.0)),
                      np.array(draw(st.lists(finite32, min_size=hidden_dim, max_size=hidden_dim)),
                               dtype=np.float32)))
+    # each domain declares as many samples as its records hold
+    domains = tuple(DomainInfo(name, tags, len({r[0] for r in rows if r[2] == name}))
+                    for name, tags in subtasks.items())
+    header = LogHeader(model_id=draw(st.text(max_size=8)), num_layers=num_layers,
+                       hidden_dim=hidden_dim,
+                       protected_layers=frozenset(draw(st.sets(st.integers(0, num_layers - 1)))),
+                       domains=domains)
     return header, table_from_rows(header, rows)
 
 

@@ -7,8 +7,11 @@ from conftest import make_synthetic_records, select_rows
 from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
                                   interlace_plan, interlace_solution,
                                   linear_cka, random_plan)
+from depthprune.capture import capture_run
 from depthprune.errors import (BudgetInfeasible, BudgetTooLarge,
                                DegenerateFeatures, MissingSubtask)
+from depthprune.model import ToyModelConfig, build_model
+from depthprune.probes import default_probe_sets
 
 
 def random_orthogonal(d, seed):
@@ -197,3 +200,31 @@ def test_random_plan_uniformity_chi_square():
     sigma = np.sqrt(10_000 * 0.2 * 0.8)
     for layer, n in counts.items():
         assert abs(n - expected) < 3 * sigma, f"layer {layer}: {n}"
+
+
+# interlace plans at every budget on bench-shaped models, pinned when
+# _adjacent_sims became one token_cosine_mean per layer pair (its sims moved
+# by ulps from the per-row cosine loop): k removals are the first k of each
+# plan, and one more is infeasible
+PINNED_INTERLACE = [
+    ((12, 64, 4), 7, (10, 7, 4, 2)),
+    ((12, 64, 4), 19, (8, 5, 2, 10)),
+    ((12, 64, 4), 54, (9, 5, 2, 7)),
+    ((24, 128, 8), 7, (20, 17, 13, 11, 8, 5, 2, 22)),
+    ((24, 128, 8), 19, (22, 19, 15, 12, 9, 5, 3, 17, 1)),
+    ((24, 128, 8), 33, (22, 18, 15, 11, 9, 6, 3, 20, 1)),
+]
+
+
+@pytest.mark.parametrize("shape,seed,plan", PINNED_INTERLACE)
+def test_interlace_plans_are_pinned(shape, seed, plan):
+    num_layers, hidden_dim, num_heads = shape
+    cfg = ToyModelConfig(num_layers=num_layers, hidden_dim=hidden_dim, num_heads=num_heads,
+                         seed=seed)
+    _, table = capture_run(build_model(cfg),
+                           default_probe_sets(cfg, seed, {"math": 1, "nonmath": 1}))
+    pruneable = range(1, num_layers - 1)
+    for k in range(len(plan) + 1):
+        assert interlace_solution(table, pruneable, k)[0] == plan[:k]
+    with pytest.raises(BudgetInfeasible):
+        interlace_solution(table, pruneable, len(plan) + 1)

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
+from depthprune import capture
 from depthprune.capture import capture_run, layer_stats
 from depthprune.linalg import token_cosine_mean
 from depthprune.model import ToyModelConfig, build_model, neutralize_block
-from depthprune.probes import generate_probes
+from depthprune.probes import default_probe_sets, generate_probes
 
 
 def test_record_count_is_samples_times_depth(small_capture, small_probes):
@@ -82,3 +84,20 @@ def test_capture_counts_clamped_sims():
     _, table = capture_run(model, [probes], [states])
     assert table.clamped == int(np.count_nonzero(np.abs(raw) > 1.0)) > 0
     np.testing.assert_array_equal(table.sim, np.clip(raw, -1.0, 1.0).reshape(-1))
+
+
+def test_capture_rejects_runs_of_the_wrong_form(monkeypatch):
+    # a mapping (the old per-domain form) or a miscounted list fails before any reduction
+    cfg = ToyModelConfig(num_layers=4, hidden_dim=16, num_heads=2)
+    model = build_model(cfg)
+    probe_sets = default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1})
+    states = list(model.stream(probe_sets[0].token_matrix()))
+    reduced = []
+    monkeypatch.setattr(capture, "layer_stats", reduced.append)
+    with pytest.raises(ValueError, match="^runs: expected one iterable of states per probe set, "
+                                         "got a mapping"):
+        capture_run(model, probe_sets[:1], {"math": (states, None)})
+    for runs in ([states], [states] * 3):
+        with pytest.raises(ValueError, match=f"^runs: {len(runs)} runs for 2 probe sets"):
+            capture_run(model, probe_sets, runs)
+    assert reduced == []

@@ -368,6 +368,40 @@ def test_fidelity_holds_at_most_two_base_states(monkeypatch):
     assert len(alive) == pruned.depth - 4 + 1 and max(alive) <= 2
 
 
+def test_sweep_drops_each_base_state_its_walk_has_passed(monkeypatch):
+    # each domain's walk drains its list of base states: when a pruned model
+    # starts to stream, only the base states it or a later leaf resumes from
+    # and the base's last state may still be alive
+    cfg = ToyModelConfig(num_layers=10, hidden_dim=32, num_heads=4, seed=5)
+    built, base_states, starts = [], {}, {}
+    real_build, real_stream = report.build_model, Model.stream
+
+    def watched_build(config):
+        built.append(real_build(config))
+        return built[-1]
+
+    def watched_stream(self, tokens, start=0, x0=None):
+        refs = base_states.setdefault(id(tokens), [])
+        for i, x in enumerate(real_stream(self, tokens, start, x0)):
+            if self is built[0]:
+                refs.append(weakref.ref(x))
+            elif i == 0:
+                starts.setdefault(id(tokens), []).append(
+                    (report._shared_prefix(built[0], self), sum(r() is not None for r in refs)))
+            yield x
+
+    monkeypatch.setattr(report, "build_model", watched_build)
+    monkeypatch.setattr(Model, "stream", watched_stream)
+    sweep(cfg, ["ours-mixed", "cka", "random"], [0.125, 0.25, 0.5], [0, 1],
+          probe_counts={"math": 1, "nonmath": 1}, probe_seed=4)
+    assert len(base_states) == len(starts) == 2
+    for domain, leaves in starts.items():
+        assert len(base_states[domain]) == cfg.num_layers + 1
+        bounds = [len({sp for sp, _ in leaves[j:]}) + 1 for j in range(len(leaves))]
+        assert all(alive <= bound for (_, alive), bound in zip(leaves, bounds)), (leaves, bounds)
+        assert max(bounds) < cfg.num_layers + 1
+
+
 def test_sweep_evaluates_each_prefix_trie_node_once(monkeypatch):
     cfg = ToyModelConfig(num_layers=10, hidden_dim=32, num_heads=4, seed=2)
     counts = {"math": 1, "nonmath": 1}

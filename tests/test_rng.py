@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from depthprune.rng import SeededStream, mix_seed
+from depthprune import probes
+from depthprune.model import ToyModelConfig
+from depthprune.rng import _GAMMA, SeededStream, _mix64, mix_seed
 
 
 def test_same_seed_same_stream():
@@ -77,3 +79,95 @@ def test_sample_without_replacement_distinct():
 
 def test_mix_seed_order_sensitive():
     assert mix_seed(1, 2) != mix_seed(2, 1)
+
+
+class UnbufferedStream:
+    """The stream before scalar draws were read ahead: one ``raw(1)`` per integer."""
+
+    def __init__(self, seed, start=0):
+        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._pos = start
+
+    def raw(self, n):
+        z = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
+        self._pos += n
+        z *= _GAMMA
+        z += self._seed
+        return _mix64(z)
+
+    def uniforms(self, n):
+        z = self.raw(n)
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 2.0 ** -53
+        return u
+
+    def gaussians(self, n):
+        out = np.empty(n)
+        m = (n + 1) // 2
+        u = self.uniforms(2 * m)
+        r, theta = u[:m], u[m:]
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        np.cos(theta, out=out[:m])
+        out[:m] *= r
+        np.sin(theta[:n - m], out=out[m:])
+        out[m:] *= r[:n - m]
+        return out
+
+    def randint_below(self, bound):
+        limit = (2 ** 64 // bound) * bound
+        while True:
+            x = int(self.raw(1)[0])
+            if x < limit:
+                return x % bound
+
+    def sample_without_replacement(self, items, k):
+        pool = list(items)
+        out = []
+        for i in range(k):
+            j = i + self.randint_below(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+            out.append(pool[i])
+        return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_read_ahead_draws_equal_unbuffered_draws(seed):
+    # scalar draws come from a block read ahead; interleaved bulk draws must go
+    # on from the logical position, across block ends and rejected draws
+    # (a bound just above 2 ** 63 rejects about half of all raw draws)
+    ops = np.random.default_rng(seed)
+    start = int(ops.integers(0, 100))
+    got, want = SeededStream(seed, start), UnbufferedStream(seed, start)
+    for _ in range(300):
+        op = int(ops.integers(5))
+        if op == 0:
+            bound = int(ops.choice([1, 2, 7, 64, 2 ** 32 + 1, 2 ** 63 + 1]))
+            assert got.randint_below(bound) == want.randint_below(bound)
+        elif op == 1:
+            n, k = int(ops.integers(1, 40)), int(ops.integers(0, 5))
+            k = min(k, n)
+            assert got.sample_without_replacement(range(n), k) == \
+                want.sample_without_replacement(range(n), k)
+        elif op == 2:
+            n = int(ops.integers(0, 80))
+            np.testing.assert_array_equal(got.raw(n), want.raw(n))
+        elif op == 3:
+            n = int(ops.integers(0, 9))
+            np.testing.assert_array_equal(got.gaussians(n), want.gaussians(n))
+        else:
+            n = int(ops.integers(0, 9))
+            np.testing.assert_array_equal(got.uniforms(n), want.uniforms(n))
+
+
+def test_probe_tokens_equal_unbuffered_draws(monkeypatch):
+    cfg = ToyModelConfig(vocab_size=16)
+    counts = {"math": 6, "nonmath": 6}
+    got = [ps.token_matrix() for ps in probes.default_probe_sets(cfg, 3, counts)]
+    monkeypatch.setattr(probes, "SeededStream", UnbufferedStream)
+    for ps, tokens in zip(probes.default_probe_sets(cfg, 3, counts), got):
+        np.testing.assert_array_equal(ps.token_matrix(), tokens)
