@@ -53,6 +53,9 @@ class LogHeader:
         for p in self.protected_layers:
             if not (0 <= p < self.num_layers):
                 raise SchemaViolation(f"protected_layers: index {p} outside [0, {self.num_layers})")
+        if not self.pruneable:
+            raise SchemaViolation(f"protected_layers: all {self.num_layers} layers are protected, "
+                                  "so no layer is pruneable")
         if len({d.domain for d in self.domains}) != len(self.domains):
             raise SchemaViolation("domains: a domain name is declared twice")
         for d in self.domains:
@@ -60,6 +63,11 @@ class LogHeader:
                 raise SchemaViolation(f"domains: negative sample_count for {d.domain}")
             if len(set(d.subtasks)) != len(d.subtasks):
                 raise SchemaViolation(f"domains: duplicate subtask tag in {d.domain}")
+
+    @property
+    def pruneable(self) -> tuple:
+        """The layers not protected, in ascending order."""
+        return tuple(sorted(set(range(self.num_layers)) - self.protected_layers))
 
     @property
     def subtask_tags(self) -> tuple:

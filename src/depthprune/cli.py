@@ -68,12 +68,11 @@ def cmd_capture(args):
 
 def cmd_score(args):
     header, table = read_log_path(args.log)
-    pruneable = sorted(set(range(header.num_layers)) - header.protected_layers)
     for domain in DOMAINS:
-        scores = znormalize(aggregate_domain(table, domain, pruneable))
+        scores = znormalize(aggregate_domain(table, domain, header.pruneable))
         print(f"domain={domain} n={scores.sample_count} "
               f"mu={scores.mu:.6f} sigma={scores.sigma:.6f}")
-        for layer in pruneable:
+        for layer in header.pruneable:
             print(f"  layer {layer:3d}  raw={scores.raw[layer]:+.6f}  "
                   f"norm={scores.normalized[layer]:+.6f}")
     return 0

@@ -170,11 +170,6 @@ class Model:
     def protected_layers(self) -> frozenset:
         return frozenset({0, self.config.num_layers - 1})
 
-    @property
-    def pruneable_layers(self) -> tuple:
-        protected = self.protected_layers
-        return tuple(l for l in range(self.config.num_layers) if l not in protected)
-
     def stream(self, tokens, start: int = 0, x0=None):
         """Forward ``tokens`` of shape (B, T) one block at a time.
 

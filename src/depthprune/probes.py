@@ -29,7 +29,6 @@ PROBE_LEN = 32
 class ProbeSet:
     domain: str
     subtasks: tuple  # of (subtask_tag, tuple of token tuples)
-    seed: int
 
     @property
     def num_samples(self) -> int:
@@ -195,7 +194,7 @@ def generate_probes(domain: str, counts, seed: int, config: ToyModelConfig) -> P
             stream = SeededStream(mix_seed(seed, si, i))
             samples.append(tuple(_GENERATORS[tag](stream, length, vocab)))
         subtasks.append((tag, tuple(samples)))
-    return ProbeSet(domain=domain, subtasks=tuple(subtasks), seed=seed)
+    return ProbeSet(domain=domain, subtasks=tuple(subtasks))
 
 
 def default_probe_sets(config: ToyModelConfig, seed: int, counts=None) -> list:

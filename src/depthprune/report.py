@@ -85,6 +85,11 @@ class RunConfig:
         for seed in self.seeds:
             if not is_int(seed):
                 raise InvalidConfig(f"seeds: seed {seed!r} is not an integer")
+        for key in ("methods", "budgets", "seeds"):
+            values = getattr(self, key)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise InvalidConfig(f"{key}: {value!r} is listed twice")
         if not is_int(self.probe_seed):
             raise InvalidConfig(f"seeds: probe_seed {self.probe_seed!r} is not an integer")
         if not isinstance(self.out, str):
@@ -243,7 +248,7 @@ def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed
     ``ours-math`` and ``ours-nonmath`` are ``ours-mixed`` at alpha 0 and 1;
     ``random`` is a seeded permutation with every score 0.0.
     """
-    pruneable = sorted(set(range(header.num_layers)) - header.protected_layers)
+    pruneable = header.pruneable
     if method == "random":
         stream = SeededStream(_random_seed(seed))
         return {l: 0.0 for l in pruneable}, tuple(
@@ -269,17 +274,15 @@ def _random_seed(seed):
 def plan_for_method(method: str, header, table, p: float, alpha: float = DEFAULT_ALPHA,
                     seed: int = None):
     """Build the PrunePlan for one method tag at budget p from log data."""
-    protected = frozenset(header.protected_layers)
-    num_layers = header.num_layers
-    l_mid = sorted(set(range(num_layers)) - protected)
-    k = budget_k(p, len(l_mid))
+    num_layers, pruneable = header.num_layers, header.pruneable
+    k = budget_k(p, len(pruneable))
     if method == "interlace":
-        return interlace_plan(table, l_mid, k, budget_fraction=p)
+        return interlace_plan(table, pruneable, k, budget_fraction=p)
     if method == "random":
-        return random_plan(l_mid, k, _random_seed(seed), num_layers=num_layers,
+        return random_plan(pruneable, k, _random_seed(seed), num_layers=num_layers,
                            budget_fraction=p)
     scores, _ = method_scores(method, header, table, alpha)
-    return make_plan(scores, p, num_layers, protected, method,
+    return make_plan(scores, p, num_layers, header.protected_layers, method,
                      alpha=alpha if method == "ours-mixed" else None)
 
 

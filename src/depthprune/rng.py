@@ -3,27 +3,34 @@
 The generator is splitmix64 used in counter mode: draw i of a stream
 seeded with s is mix64(s + (i + 1) * 0x9E3779B97F4A7C15), where mix64 is
 the standard xor-shift/multiply finalizer.  Counter mode makes bulk
-generation vectorizable while keeping the scheme reproducible from its
-published constants, independent of any platform RNG.
+generation vectorizable (numpy) and a scalar draw a function of its
+position alone (Python ints), while keeping the scheme reproducible from
+its published constants, independent of any platform RNG.
 """
 
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_AHEAD = 64  # raw draws that ``randint_below`` reads ahead at a time
 
 
 def _mix64(z):
-    """mix64 of a uint64 scalar, or of an array in the array's own buffer."""
+    """mix64 of a uint64 array, in the array's own buffer."""
     z ^= z >> np.uint64(30)
-    z *= _MIX1
+    z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
-    z *= _MIX2
+    z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     return z
+
+
+def _mix64_int(z: int) -> int:
+    """mix64 of a Python int in [0, 2**64)."""
+    z = (z ^ z >> 30) * _MIX1 & _MASK64
+    z = (z ^ z >> 27) * _MIX2 & _MASK64
+    return z ^ z >> 31
 
 
 def _check_count(name: str, n: int) -> None:
@@ -33,11 +40,10 @@ def _check_count(name: str, n: int) -> None:
 
 def mix_seed(*parts: int) -> int:
     """Fold several integers into one 64-bit stream seed."""
-    state = np.uint64(0)
-    with np.errstate(over="ignore"):
-        for p in parts:
-            state = _mix64(state + np.uint64(p & _MASK64) * _GAMMA)
-    return int(state)
+    state = 0
+    for p in parts:
+        state = _mix64_int((state + p * _GAMMA) & _MASK64)
+    return state
 
 
 class SeededStream:
@@ -50,23 +56,16 @@ class SeededStream:
 
     def __init__(self, seed: int, start: int = 0):
         _check_count("start", start)
-        self._seed = np.uint64(seed & _MASK64)
+        self._seed = seed & _MASK64
         self._pos = start
-        # scalar draws read ahead: raw draws at positions _ahead_pos, _ahead_pos + 1, ...
-        self._ahead, self._ahead_pos = [], start
-
-    def _draws(self, pos: int, n: int) -> np.ndarray:
-        """Raw draws pos, pos + 1, ..., pos + n - 1 of the stream."""
-        z = np.arange(pos + 1, pos + n + 1, dtype=np.uint64)
-        z *= _GAMMA
-        z += self._seed
-        return _mix64(z)
 
     def raw(self, n: int) -> np.ndarray:
         _check_count("count", n)
-        z = self._draws(self._pos, n)
+        z = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
         self._pos += n
-        return z
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._seed)
+        return _mix64(z)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 values uniform in [0, 1)."""
@@ -114,13 +113,8 @@ class SeededStream:
             raise ValueError("bound must be positive")
         limit = (2 ** 64 // bound) * bound
         while True:
-            # draws are addressed by position, so the block read ahead is only a cache
-            i = self._pos - self._ahead_pos
-            if not 0 <= i < len(self._ahead):
-                self._ahead = self._draws(self._pos, _AHEAD).tolist()
-                self._ahead_pos, i = self._pos, 0
-            x = self._ahead[i]
             self._pos += 1
+            x = _mix64_int((self._seed + self._pos * _GAMMA) & _MASK64)
             if x < limit:
                 return x % bound
 

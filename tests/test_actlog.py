@@ -1,6 +1,7 @@
 import base64
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,18 @@ def test_bad_header_layer_range():
         write_log(header, table(), io.StringIO())
 
 
+def test_header_needs_a_pruneable_layer():
+    # every method ranks the layers left unprotected, so a header must leave one
+    header = replace(header_4x2(), protected_layers=frozenset(range(4)))
+    with pytest.raises(SchemaViolation, match="^protected_layers: all 4 layers are protected"):
+        write_log(header, table(), io.StringIO())
+    lines = log_lines()
+    lines[0] = lines[0].replace('"protected_layers":[0,3]', '"protected_layers":[0,1,2,3]')
+    with pytest.raises(SchemaViolation, match="^protected_layers: all 4 layers are protected"):
+        read_log(io.StringIO(text(lines)))
+    assert replace(header, protected_layers=frozenset({0, 2, 3})).pruneable == (1,)
+
+
 def test_header_rejects_repeated_domain():
     # scoring looks a domain up by name, so a second "math" would go unread
     header = LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
@@ -325,7 +338,8 @@ def headers_and_tables(draw, min_rows=0):
                     for name, tags in subtasks.items())
     header = LogHeader(model_id=draw(st.text(max_size=8)), num_layers=num_layers,
                        hidden_dim=hidden_dim,
-                       protected_layers=frozenset(draw(st.sets(st.integers(0, num_layers - 1)))),
+                       protected_layers=frozenset(draw(st.sets(st.integers(0, num_layers - 1),
+                                                               max_size=num_layers - 1))),
                        domains=domains)
     return header, table_from_rows(header, rows)
 

@@ -197,6 +197,21 @@ def test_sweep_rejects_an_empty_grid_before_building_a_model(tmp_path, capsys, m
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_rejects_a_repeated_entry_before_building_a_model(tmp_path, capsys, monkeypatch):
+    # this grid would write each of its rows 8 times
+    def no_model(config):
+        raise AssertionError("a model was built for a sweep with a repeated entry")
+
+    monkeypatch.setattr(report, "build_model", no_model)
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps({**CONFIG, "methods": ["cka", "cka"], "budgets": [0.25, 0.25],
+                                "seeds": [0, 0]}))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"InvalidConfig: config {path}: methods: 'cka' is listed twice\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["rank", "--method", "bogus"], "bogus"),
     (["rank", "--method", "random"], "seed"),
@@ -314,6 +329,23 @@ def test_wrong_header_types_exit_one(workdir, tmp_path, capsys, path, value):
     log.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
     assert main(["score", "--log", str(log)]) == 1
     assert capsys.readouterr().err.startswith(f"SchemaViolation: line 1: {path[-1]}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["score"], ["heatmap"], ["rank", "--method", "ours-mixed"], ["rank", "--method", "cka"],
+    ["plan", "--method", "ours-mixed", "--budget", "0.25"],
+    ["plan", "--method", "interlace", "--budget", "0.25"],
+    ["plan", "--method", "random", "--budget", "0.25", "--seed", "0"],
+])
+def test_a_log_with_every_layer_protected_exits_one(workdir, tmp_path, capsys, argv):
+    lines = (workdir / "activations.log").read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["protected_layers"] = list(range(header["num_layers"]))
+    log = tmp_path / "all-protected.log"
+    log.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    assert main(argv + ["--log", str(log)]) == 1
+    assert capsys.readouterr() == ("", "SchemaViolation: protected_layers: all 8 layers are "
+                                       "protected, so no layer is pruneable\n")
 
 
 @pytest.mark.parametrize("argv,error", [

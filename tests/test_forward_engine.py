@@ -117,7 +117,7 @@ def test_residual_states_rejects_bad_input(kwargs):
 
 
 def test_token_matrix_rejects_mixed_lengths():
-    ps = ProbeSet(domain="math", subtasks=(("Math-CoT", ((1, 2, 3), (4, 5))),), seed=0)
+    ps = ProbeSet(domain="math", subtasks=(("Math-CoT", ((1, 2, 3), (4, 5))),))
     with pytest.raises(ValueError):
         ps.token_matrix()
 

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from depthprune import model as model_module
+from depthprune.capture import capture_run
 from depthprune.errors import (InvalidConfig, PlanModelMismatch,
                                SequenceTooLong)
 from depthprune.model import (ToyModelConfig, apply_prune_plan, build_model,
                               neutralize_block)
 from depthprune.planner import PrunePlan, default_protected
+from depthprune.probes import default_probe_sets
 from depthprune.rng import SeededStream
 
 
@@ -39,7 +41,9 @@ def test_seed_changes_weights():
 
 def test_min_depth_pruneable_set():
     cfg = ToyModelConfig(num_layers=3)
-    assert build_model(cfg).pruneable_layers == (1,)
+    probe_sets = default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1})
+    header, _ = capture_run(build_model(cfg), probe_sets)
+    assert header.pruneable == (1,)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,15 +1,20 @@
+import warnings
 from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import make_synthetic_records
 from depthprune import report
 from depthprune.capture import capture_run
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
-                               InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput)
+                               InconsistentDepth, InvalidConfig, MissingSubtask, ModelMismatch,
+                               ZeroNormInput)
 from depthprune.model import Model, ToyModelConfig, apply_prune_plan, build_model
-from depthprune.planner import PrunePlan, default_protected
+from depthprune.planner import (METHODS, PrunePlan, budget_k, default_protected, parse_plan,
+                                serialize_plan)
 from depthprune.probes import default_probe_sets, generate_probes
 from depthprune.report import (classify_regime, fidelity, plan_for_method,
                                removal_pattern_grid, sweep, sweep_csv)
@@ -150,6 +155,11 @@ def test_sweep_deterministic_bytes():
     (dict(probe_seed=None), InvalidConfig, "probe_seed None is not an integer"),
     (dict(probe_seed=True), InvalidConfig, "probe_seed True is not an integer"),
     (dict(probe_counts={}), InvalidConfig, "probe_counts: expected one entry"),
+    # a repeated entry would write its rows twice
+    (dict(methods=["random", "random"]), InvalidConfig, "methods: 'random' is listed twice"),
+    (dict(budgets=[0.25, 0.0, 0.25]), InvalidConfig, "budgets: 0.25 is listed twice"),
+    (dict(budgets=[1, 1.0]), InvalidConfig, "budgets: 1.0 is listed twice"),
+    (dict(seeds=[0, 0]), InvalidConfig, "seeds: 0 is listed twice"),
 ])
 def test_sweep_checks_arguments_before_building_a_model(monkeypatch, bad, error, message):
     calls = []
@@ -265,3 +275,51 @@ def test_grid_inconsistent_depth():
                            protected=default_protected(10), pruned=()))
     with pytest.raises(InconsistentDepth):
         removal_pattern_grid(plans)
+
+
+# ---- plan invariants over random headers -----------------------------------
+
+@st.composite
+def protected_logs(draw):
+    """(header, table) of synthetic records with a random protected set that leaves a layer."""
+    num_layers = draw(st.integers(3, 14))
+    protected = draw(st.sets(st.integers(0, num_layers - 1), max_size=num_layers - 1))
+    header, table = make_synthetic_records(num_layers, seed=draw(st.integers(0, 2 ** 16)))
+    header = replace(header, protected_layers=frozenset(protected))
+    return header, replace(table, header=header)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=protected_logs(), drawn=st.lists(st.floats(0.0, 1.0), max_size=4),
+       alpha=st.floats(0.0, 1.0), seed=st.integers(-2 ** 40, 2 ** 40))
+def test_every_method_plans_or_raises_a_typed_error(log, drawn, alpha, seed):
+    header, table = log
+    budgets = sorted({0.0, 0.1, 0.25, 0.4, 0.5, 1.0, *drawn})
+    pruneable = header.pruneable
+    for method in METHODS:
+        plans = []
+        for p in budgets:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    plan = plan_for_method(method, header, table, p, alpha=alpha, seed=seed)
+            except MissingSubtask:
+                # cka scores layer l by CKA(l - 1, l), which layer 0 has not
+                assert method == "cka" and 0 in pruneable
+                continue
+            except BudgetInfeasible:
+                assert method == "interlace"
+                continue
+            assert not (method == "cka" and 0 in pruneable)
+            assert plan.k == budget_k(p, len(pruneable)) == len(plan.pruned)
+            assert len(set(plan.pruned)) == plan.k and set(plan.pruned) <= set(pruneable)
+            assert plan.protected == header.protected_layers
+            assert parse_plan(serialize_plan(plan)) == plan
+            plans.append(plan)
+        if method == "interlace":
+            for plan in plans:
+                layers = sorted(plan.pruned)
+                assert all(b - a >= 2 for a, b in zip(layers, layers[1:]))
+        else:  # a larger budget extends the same order
+            for small, large in zip(plans, plans[1:]):
+                assert large.pruned[:small.k] == small.pruned

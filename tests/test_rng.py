@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from depthprune import probes
 from depthprune.model import ToyModelConfig
-from depthprune.rng import _GAMMA, SeededStream, _mix64, mix_seed
+from depthprune.rng import SeededStream, mix_seed
 
 
 def test_same_seed_same_stream():
@@ -81,19 +82,54 @@ def test_mix_seed_order_sensitive():
     assert mix_seed(1, 2) != mix_seed(2, 1)
 
 
+# the reference: the stream as computed with numpy uint64 arithmetic alone
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+MIX2 = np.uint64(0x94D049BB133111EB)
+MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def numpy_mix64(z):
+    """mix64 of a uint64 scalar, or of an array in the array's own buffer."""
+    z ^= z >> np.uint64(30)
+    z *= MIX1
+    z ^= z >> np.uint64(27)
+    z *= MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def numpy_mix_seed(*parts):
+    state = np.uint64(0)
+    with np.errstate(over="ignore"):
+        for p in parts:
+            state = numpy_mix64(state + np.uint64(p & MASK64) * GAMMA)
+    return int(state)
+
+
+@given(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=5))
+@example([])
+@example([-1])
+@example([2 ** 64])
+@example([2 ** 64 - 1, -2 ** 63, 2 ** 63])
+@example([12345, -6789, 2 ** 65 + 2 ** 64 + 11, 0, -1])
+def test_mix_seed_equals_numpy_mix_seed(parts):
+    assert mix_seed(*parts) == numpy_mix_seed(*parts)
+
+
 class UnbufferedStream:
-    """The stream before scalar draws were read ahead: one ``raw(1)`` per integer."""
+    """The stream with one numpy ``raw(1)`` per scalar draw."""
 
     def __init__(self, seed, start=0):
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._seed = np.uint64(seed & MASK64)
         self._pos = start
 
     def raw(self, n):
         z = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
         self._pos += n
-        z *= _GAMMA
+        z *= GAMMA
         z += self._seed
-        return _mix64(z)
+        return numpy_mix64(z)
 
     def uniforms(self, n):
         z = self.raw(n)
@@ -136,9 +172,9 @@ class UnbufferedStream:
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_read_ahead_draws_equal_unbuffered_draws(seed):
-    # scalar draws come from a block read ahead; interleaved bulk draws must go
-    # on from the logical position, across block ends and rejected draws
+def test_scalar_draws_equal_unbuffered_draws(seed):
+    # scalar draws are computed from their position; interleaved bulk draws must
+    # go on from the same position, across rejected draws
     # (a bound just above 2 ** 63 rejects about half of all raw draws)
     ops = np.random.default_rng(seed)
     start = int(ops.integers(0, 100))

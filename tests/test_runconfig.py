@@ -3,14 +3,17 @@
 Before ``RunConfig``, configs were checked by ``cli._load_config`` (a chain
 of ``_require`` calls), the ``rank``/``plan`` flags by ``cli._check_method``
 and the library sweep by its own inline checks.  Those chains are copied
-below as the reference.  The two places where ``RunConfig`` differs on
+below as the reference.  The three places where ``RunConfig`` differs on
 purpose:
 
 - the library sweep now checks ``probe_seed`` (not reachable from a config,
   whose ``probe_seed`` the old ``_load_config`` checked too);
 - a config with an empty ``methods``, ``budgets`` or ``seeds`` list makes
   ``sweep`` exit with ``InvalidConfig``, where the old sweep raised a bare
-  ``DepthPruneError`` (both exit 1).
+  ``DepthPruneError`` (both exit 1);
+- a config whose ``methods``, ``budgets`` or ``seeds`` list repeats an entry
+  exits with ``InvalidConfig`` for every command, where the old chains
+  accepted it and ``sweep`` wrote each repeated row again.
 """
 
 import contextlib
@@ -190,10 +193,11 @@ def _check_config(root, raw, command):
     with mock.patch.object(cli, "build_model", _refuse), \
             mock.patch.object(report, "build_model", _refuse):
         got = _main_outcome([command, "--config", str(path), "--out", str(root / "out")])
-    empty_grid = command == "sweep" and isinstance(raw, dict) and any(
-        raw.get(key) == [] for key in ("methods", "budgets", "seeds"))
-    if empty_grid and expected == (1, "DepthPruneError"):
-        assert got == (1, "InvalidConfig")  # the one fixed gap on this path
+    grids = [raw.get(key) for key in ("methods", "budgets", "seeds")] if isinstance(raw, dict) else []
+    empty_grid = command == "sweep" and [] in grids
+    repeat = any(isinstance(g, list) and any(v in g[:i] for i, v in enumerate(g)) for g in grids)
+    if (empty_grid and expected == (1, "DepthPruneError")) or repeat:
+        assert got == (1, "InvalidConfig")  # the gaps fixed on this path
     else:
         assert got == expected
 
@@ -210,6 +214,14 @@ def test_config_checks_match_the_replaced_chains(tmp_path_factory, raw, command)
     {"methods": ["interlace"], "budgets": []}, {"methods": ["random"], "seeds": []}])
 @pytest.mark.parametrize("command", ["capture", "sweep"])
 def test_empty_lists_match_the_replaced_chains(tmp_path, raw, command):
+    _check_config(tmp_path, raw, command)
+
+
+# the replaced chains accepted these; every command refuses them now
+@pytest.mark.parametrize("raw", [
+    {"methods": ["cka", "cka"]}, {"budgets": [0.25, 1, 0.25]}, {"seeds": [3, 3]}])
+@pytest.mark.parametrize("command", ["capture", "sweep"])
+def test_repeated_entries_are_refused(tmp_path, raw, command):
     _check_config(tmp_path, raw, command)
 
 
