@@ -21,6 +21,7 @@ SCHEMA_VERSION = 3
 
 _COLUMNS = (("sample_id", "<i8"), ("layer", "<i8"), ("domain", "<i8"), ("subtask", "<i8"),
             ("sim", "<f4"), ("pooled_out", "<f4"))
+# The only key lists of a header and a domain, in file order; each key names a field.
 _HEADER_KINDS = {"schema_version": int, "model_id": str, "num_layers": int, "hidden_dim": int,
                  "protected_layers": (list, int), "domains": list}
 _DOMAIN_KINDS = {"domain": str, "subtasks": (list, str), "sample_count": int}
@@ -95,17 +96,9 @@ class ActivationTable:
 
 
 def _header_to_json(header: LogHeader) -> str:
-    obj = {
-        "schema_version": header.schema_version,
-        "model_id": header.model_id,
-        "num_layers": header.num_layers,
-        "hidden_dim": header.hidden_dim,
-        "protected_layers": sorted(header.protected_layers),
-        "domains": [
-            {"domain": d.domain, "subtasks": list(d.subtasks), "sample_count": d.sample_count}
-            for d in header.domains
-        ],
-    }
+    obj = {key: getattr(header, key) for key in _HEADER_KINDS}
+    obj["protected_layers"] = sorted(header.protected_layers)
+    obj["domains"] = [{key: getattr(d, key) for key in _DOMAIN_KINDS} for d in header.domains]
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -202,15 +195,9 @@ def _parse_header(line: str) -> LogHeader:
         problem = problem or object_problem(d, _DOMAIN_KINDS, "domain")
     if problem is not None:
         raise SchemaViolation(f"line 1: {problem}")
-    header = LogHeader(
-        model_id=obj["model_id"],
-        num_layers=obj["num_layers"],
-        hidden_dim=obj["hidden_dim"],
-        protected_layers=frozenset(obj["protected_layers"]),
-        domains=tuple(DomainInfo(d["domain"], tuple(d["subtasks"]), d["sample_count"])
-                      for d in obj["domains"]),
-        schema_version=obj["schema_version"],
-    )
+    domains = tuple(DomainInfo(**dict(d, subtasks=tuple(d["subtasks"]))) for d in obj["domains"])
+    header = LogHeader(**dict(obj, protected_layers=frozenset(obj["protected_layers"]),
+                              domains=domains))
     header.validate()
     return header
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from .actlog import ActivationTable, DomainInfo, LogHeader
 from .linalg import mean_pool, token_cosine_mean
+from .planner import default_protected
 
 
 def model_id_for(config) -> str:
@@ -53,7 +54,7 @@ def capture_run(model, probe_sets, runs=None):
         model_id=model_id_for(cfg),
         num_layers=cfg.num_layers,
         hidden_dim=cfg.hidden_dim,
-        protected_layers=model.protected_layers,
+        protected_layers=default_protected(cfg.num_layers),
         domains=tuple(DomainInfo(ps.domain, tuple(tag for tag, _ in ps.subtasks), ps.num_samples)
                       for ps in probe_sets),
     )

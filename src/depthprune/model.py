@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong
 from .parallel import threaded
+from .planner import default_protected
 from .rng import SeededStream
 
 
@@ -166,10 +167,6 @@ class Model:
     def depth(self) -> int:
         return len(self.blocks)
 
-    @property
-    def protected_layers(self) -> frozenset:
-        return frozenset({0, self.config.num_layers - 1})
-
     def stream(self, tokens, start: int = 0, x0=None):
         """Forward ``tokens`` of shape (B, T) one block at a time.
 
@@ -290,7 +287,7 @@ def apply_prune_plan(model: Model, plan) -> Model:
     if plan.num_layers != cfg.num_layers:
         raise PlanModelMismatch(
             f"plan num_layers {plan.num_layers} != model num_layers {cfg.num_layers}")
-    protected = frozenset(plan.protected) | model.protected_layers
+    protected = frozenset(plan.protected) | default_protected(cfg.num_layers)
     for layer in plan.pruned:
         if not (0 <= layer < cfg.num_layers):
             raise PlanModelMismatch(f"pruned layer {layer} outside [0, {cfg.num_layers})")

@@ -17,6 +17,7 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
+# A plan file's only key list, in file order; each key is the name of a PrunePlan field.
 _PLAN_KINDS = {
     "method": str, "alpha": lambda v: v is None or _is_number(v), "budget_fraction": _is_number,
     "k": int, "num_layers": int, "protected": (list, int), "pruned": (list, int),
@@ -26,6 +27,7 @@ _PLAN_KINDS = {
 
 
 def default_protected(num_layers: int) -> frozenset:
+    """The endpoint layers {0, L - 1}, which are never ranked or pruned: the one such rule."""
     return frozenset({0, num_layers - 1})
 
 
@@ -94,18 +96,10 @@ def make_plan(scores, p: float, num_layers: int, protected, method: str,
 
 def serialize_plan(plan: PrunePlan) -> str:
     plan.validate()
-    obj = {
-        "method": plan.method,
-        "alpha": plan.alpha,
-        "budget_fraction": plan.budget_fraction,
-        "k": plan.k,
-        "num_layers": plan.num_layers,
-        "protected": sorted(plan.protected),
-        "pruned": list(plan.pruned),
-        "scores": ({str(l): plan.scores[l] for l in sorted(plan.scores)}
-                   if plan.scores is not None else None),
-        "seed": plan.seed,
-    }
+    obj = {key: getattr(plan, key) for key in _PLAN_KINDS}
+    obj["protected"] = sorted(plan.protected)
+    if plan.scores is not None:
+        obj["scores"] = {str(l): plan.scores[l] for l in sorted(plan.scores)}
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
@@ -123,16 +117,7 @@ def parse_plan(text) -> PrunePlan:
             scores = {int(l): float(s) for l, s in scores.items()}
         except ValueError as exc:
             raise SchemaViolation("plan: scores: keys must be layer indices") from exc
-    plan = PrunePlan(
-        method=obj["method"],
-        budget_fraction=obj["budget_fraction"],
-        k=obj["k"],
-        num_layers=obj["num_layers"],
-        protected=frozenset(obj["protected"]),
-        pruned=tuple(obj["pruned"]),
-        alpha=obj["alpha"],
-        scores=scores,
-        seed=obj["seed"],
-    )
+    plan = PrunePlan(**dict(obj, protected=frozenset(obj["protected"]),
+                            pruned=tuple(obj["pruned"]), scores=scores))
     plan.validate()
     return plan

@@ -1,3 +1,4 @@
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,26 @@ from depthprune.probes import (MATH_SUBTASKS, NONMATH_SUBTASKS,
                                default_probe_sets)
 
 SMALL_COUNTS = {"math": 10, "nonmath": 10}
+
+# The slowest test takes about 4 s under CI's warning flags; one that runs past this many
+# seconds fails instead of hanging the suite.  The faulthandler options in pyproject.toml are
+# the backstop for a hang that outlives the alarm, such as a Hypothesis shrink after it.
+TEST_TIME_LIMIT_S = 30
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Raise ``TimeoutError``, naming the test, once it has run for ``TEST_TIME_LIMIT_S``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{request.node.nodeid} ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

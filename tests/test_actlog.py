@@ -55,6 +55,19 @@ def test_round_trip_single_record():
     np.testing.assert_array_equal(got.pooled_out[0], row()[5])
 
 
+def test_header_line_bytes_are_pinned():
+    header = replace(header_4x2(), protected_layers=frozenset({3, 1, 0}),
+                     domains=(DomainInfo("math", ("Math-CoT", "Arithmetic"), 1),
+                              DomainInfo("nonmath", ("Captioning",), 0)))
+    data = log_to_bytes(header, table_from_rows(header, [row()]))
+    assert data.split(b"\n")[0] == (
+        b'{"schema_version":3,"model_id":"toy","num_layers":4,"hidden_dim":2,'
+        b'"protected_layers":[0,1,3],"domains":[{"domain":"math","subtasks":'
+        b'["Math-CoT","Arithmetic"],"sample_count":1},{"domain":"nonmath",'
+        b'"subtasks":["Captioning"],"sample_count":0}]}')
+    assert read_log(io.StringIO(data.decode()))[0] == header
+
+
 def test_round_trip_preserves_float32_bits():
     rng = np.random.default_rng(0)
     rows = [(i, 1, "math", "Math-CoT", float(rng.uniform(-1, 1)),

@@ -128,10 +128,12 @@ def test_depth_arithmetic():
 def test_plan_touching_protected_layer_rejected():
     cfg = ToyModelConfig()
     m = build_model(cfg)
-    bad = PrunePlan(method="random", budget_fraction=0.1, k=1, num_layers=12,
-                    protected=frozenset({11}), pruned=(0,), seed=0)
-    with pytest.raises(PlanModelMismatch):
-        apply_prune_plan(m, bad)
+    # each endpoint is refused even when the plan protects only the other one
+    for protected, pruned in (({11}, (0,)), ({0}, (11,))):
+        bad = PrunePlan(method="random", budget_fraction=0.1, k=1, num_layers=12,
+                        protected=frozenset(protected), pruned=pruned, seed=0)
+        with pytest.raises(PlanModelMismatch, match=f"^pruned layer {pruned[0]} is protected$"):
+            apply_prune_plan(m, bad)
 
 
 def test_plan_out_of_range_rejected():

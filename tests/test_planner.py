@@ -102,6 +102,18 @@ def test_serialize_round_trip_empty_scores():
     assert parse_plan(serialize_plan(plan)) == plan
 
 
+def test_serialized_plan_bytes_are_pinned():
+    # score keys sort numerically ("2" before "10"); a null alpha and seed are written out
+    plan = PrunePlan(method="cka", budget_fraction=0.25, k=2, num_layers=12,
+                     protected=default_protected(12), pruned=(10, 2),
+                     scores={10: 0.75, 2: -1.5})
+    text = serialize_plan(plan)
+    assert text == ('{"method":"cka","alpha":null,"budget_fraction":0.25,"k":2,"num_layers":12,'
+                    '"protected":[0,11],"pruned":[10,2],"scores":{"2":-1.5,"10":0.75},'
+                    '"seed":null}\n')
+    assert parse_plan(text) == plan
+
+
 @st.composite
 def plans(draw):
     num_layers = draw(st.integers(1, 10))
