@@ -2,20 +2,3 @@
 decoder-only transformers."""
 
 __version__ = "0.1.0"
-
-from .model import ToyModelConfig, apply_prune_plan, build_model, neutralize_block
-from .planner import PrunePlan, budget_k, make_plan, parse_plan, serialize_plan
-from .probes import generate_probes
-from .capture import capture_run
-from .scoring import aggregate_domain, heatmap_matrix, mixed_ranking, znormalize
-from .baselines import cka_rank, interlace_plan, linear_cka, random_plan
-from .report import classify_regime, fidelity, removal_pattern_grid, sweep
-
-__all__ = [
-    "ToyModelConfig", "apply_prune_plan", "build_model", "neutralize_block",
-    "PrunePlan", "budget_k", "make_plan", "parse_plan", "serialize_plan",
-    "generate_probes", "capture_run",
-    "aggregate_domain", "heatmap_matrix", "mixed_ranking", "znormalize",
-    "cka_rank", "interlace_plan", "linear_cka", "random_plan",
-    "classify_regime", "fidelity", "removal_pattern_grid", "sweep",
-]

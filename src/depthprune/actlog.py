@@ -62,8 +62,10 @@ class LogHeader:
         for d in self.domains:
             if d.sample_count < 0:
                 raise SchemaViolation(f"domains: negative sample_count for {d.domain}")
-            if len(set(d.subtasks)) != len(d.subtasks):
-                raise SchemaViolation(f"domains: duplicate subtask tag in {d.domain}")
+        tags = [tag for d in self.domains for tag in d.subtasks]
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise SchemaViolation(f"domains: subtask tag {tag!r} is declared twice")
 
     @property
     def pruneable(self) -> tuple:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetInfeasible, BudgetTooLarge, DegenerateFeatures,
+from .errors import (BudgetInfeasible, BudgetTooLarge, DegenerateFeatures, DepthPruneError,
                      MissingSubtask)
 from .linalg import center_rows, token_cosine_mean
 from .planner import PrunePlan
@@ -168,7 +168,9 @@ def interlace_plan(table, pruneable, k: int, budget_fraction: float = None) -> P
 
 def random_plan(pruneable, k: int, seed: int, num_layers: int,
                 budget_fraction: float = None) -> PrunePlan:
-    """k distinct layers drawn uniformly without replacement, seeded."""
+    """k distinct layers drawn uniformly without replacement, seeded: the first k of one order."""
+    if seed is None:
+        raise DepthPruneError("method random requires a seed")
     pruneable = sorted(pruneable)
     if k > len(pruneable):
         raise BudgetTooLarge(f"k = {k} exceeds pruneable count {len(pruneable)}")

@@ -12,19 +12,6 @@ from .errors import EmptyInput, ZeroNormInput
 ZERO_NORM_THRESHOLD = 1e-12
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity <u,v> / (|u||v|) of two equal-length vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"cosine expects equal-length vectors, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < ZERO_NORM_THRESHOLD or nv < ZERO_NORM_THRESHOLD:
-        raise ZeroNormInput(f"degenerate vector norm ({min(nu, nv):.3e} < {ZERO_NORM_THRESHOLD})")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def mean_pool(m) -> np.ndarray:
     """Mean over rows; (n, d) -> (d,), or batched (..., n, d) -> (..., d)."""
     m = np.asarray(m, dtype=np.float64)

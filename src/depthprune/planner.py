@@ -71,6 +71,9 @@ class PrunePlan:
         for p in self.protected:
             if not (0 <= p < self.num_layers):
                 raise SchemaViolation(f"protected: layer {p} outside [0, {self.num_layers})")
+        for layer in self.scores or ():
+            if not (0 <= layer < self.num_layers):
+                raise SchemaViolation(f"scores: layer {layer} outside [0, {self.num_layers})")
 
 
 def make_plan(scores, p: float, num_layers: int, protected, method: str,
@@ -113,10 +116,10 @@ def parse_plan(text) -> PrunePlan:
         raise SchemaViolation(f"plan: {problem}")
     scores = obj["scores"]
     if scores is not None:
-        try:
-            scores = {int(l): float(s) for l, s in scores.items()}
-        except ValueError as exc:
-            raise SchemaViolation("plan: scores: keys must be layer indices") from exc
+        for key in scores:  # only the form serialize_plan writes, str(layer)
+            if not key.removeprefix("-").isdecimal() or str(int(key)) != key:
+                raise SchemaViolation(f"plan: scores: key {key!r} is not a layer index")
+        scores = {int(key): float(s) for key, s in scores.items()}
     plan = PrunePlan(**dict(obj, protected=frozenset(obj["protected"]),
                             pruned=tuple(obj["pruned"]), scores=scores))
     plan.validate()

@@ -15,7 +15,6 @@ from .model import ToyModelConfig, apply_prune_plan, build_model, is_int
 from .parallel import threaded
 from .planner import DEFAULT_BUDGETS, METHODS, budget_k, make_plan
 from .probes import DEFAULT_COUNTS, check_counts, default_probe_sets
-from .rng import SeededStream
 from .scoring import (DEFAULT_ALPHA, aggregate_domain, heatmap_matrix, mixed_ranking,
                       rank_order, znormalize)
 
@@ -246,13 +245,12 @@ def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed
     """(scores, full prune order) of one method over the header's pruneable layers.
 
     ``ours-math`` and ``ours-nonmath`` are ``ours-mixed`` at alpha 0 and 1;
-    ``random`` is a seeded permutation with every score 0.0.
+    ``random`` is ``random_plan``'s full order, every score 0.0: each random plan is its first K.
     """
     pruneable = header.pruneable
     if method == "random":
-        stream = SeededStream(_random_seed(seed))
-        return {l: 0.0 for l in pruneable}, tuple(
-            stream.sample_without_replacement(pruneable, len(pruneable)))
+        order = random_plan(pruneable, len(pruneable), seed, num_layers=header.num_layers).pruned
+        return {l: 0.0 for l in pruneable}, order
     if method in ("ours-math", "ours-nonmath", "ours-mixed"):
         ranking = mixed_ranking(znormalize(aggregate_domain(table, "math", pruneable)),
                                 znormalize(aggregate_domain(table, "nonmath", pruneable)),
@@ -265,12 +263,6 @@ def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed
                           else f"unknown method {method!r}")
 
 
-def _random_seed(seed):
-    if seed is None:
-        raise DepthPruneError("method random requires a seed")
-    return seed
-
-
 def plan_for_method(method: str, header, table, p: float, alpha: float = DEFAULT_ALPHA,
                     seed: int = None):
     """Build the PrunePlan for one method tag at budget p from log data."""
@@ -279,8 +271,7 @@ def plan_for_method(method: str, header, table, p: float, alpha: float = DEFAULT
     if method == "interlace":
         return interlace_plan(table, pruneable, k, budget_fraction=p)
     if method == "random":
-        return random_plan(pruneable, k, _random_seed(seed), num_layers=num_layers,
-                           budget_fraction=p)
+        return random_plan(pruneable, k, seed, num_layers=num_layers, budget_fraction=p)
     scores, _ = method_scores(method, header, table, alpha)
     return make_plan(scores, p, num_layers, header.protected_layers, method,
                      alpha=alpha if method == "ours-mixed" else None)

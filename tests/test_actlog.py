@@ -306,6 +306,25 @@ def test_header_rejects_repeated_domain():
         read_log(io.StringIO(text(lines)))
 
 
+@pytest.mark.parametrize("domains", [
+    (DomainInfo("math", ("A", "B", "A"), 1), DomainInfo("nonmath", ("C",), 1)),
+    # one tag under two domains would merge both domains' records in one heatmap row
+    (DomainInfo("math", ("A", "B"), 1), DomainInfo("nonmath", ("C", "A"), 1)),
+])
+def test_header_rejects_repeated_subtask_tag(domains):
+    header = LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
+                       domains=domains)
+    with pytest.raises(SchemaViolation, match="^domains: subtask tag 'A' is declared twice"):
+        write_log(header, table(), io.StringIO())
+
+
+def test_read_rejects_a_subtask_tag_of_two_domains():
+    lines = log_lines()
+    lines[0] = lines[0].replace('"Captioning"', '"Math-CoT"')
+    with pytest.raises(SchemaViolation, match="^domains: subtask tag 'Math-CoT' is declared twice"):
+        read_log(io.StringIO(text(lines)))
+
+
 def test_header_sample_counts_must_match_the_records():
     # scoring reports each domain's n from its records, so a header that
     # declares 250 math samples over records of 5 would go unnoticed
@@ -333,10 +352,13 @@ finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 def headers_and_tables(draw, min_rows=0):
     num_layers = draw(st.integers(1, 6))
     hidden_dim = draw(st.integers(1, 4))
-    subtasks = {name: tuple(draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=3,
-                                          unique=True)))
-                for name in draw(st.lists(st.sampled_from(("math", "nonmath", "other")),
-                                          min_size=1, max_size=3, unique=True))}
+    names = draw(st.lists(st.sampled_from(("math", "nonmath", "other")),
+                          min_size=1, max_size=3, unique=True))
+    # a tag belongs to one domain: the drawn tags are cut into one run per domain
+    tags = draw(st.lists(st.sampled_from(TAGS), min_size=len(names), unique=True))
+    cuts = sorted(draw(st.permutations(range(1, len(tags))))[:len(names) - 1])
+    subtasks = {name: tuple(tags[a:b])
+                for name, a, b in zip(names, [0, *cuts], [*cuts, len(tags)])}
     pairs = draw(st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(0, num_layers - 1)),
                           min_size=min_rows, max_size=12, unique=True))
     rows = []

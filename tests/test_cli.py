@@ -282,6 +282,7 @@ def test_unreadable_config_or_plan_exits_two(workdir, tmp_path, capsys, argv, wh
     ("pruned", [3.0]),
     ("k", True),
     ("alpha", "x"),
+    ("scores", {"2": -1.5, "02": 3.0, "1_0": 0.75}),
 ])
 def test_wrong_plan_types_exit_one(workdir, tmp_path, capsys, key, value):
     plan_path = tmp_path / "plan.json"

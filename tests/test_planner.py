@@ -150,6 +150,23 @@ def test_parse_rejects_protected_overlap():
         parse_plan(text)
 
 
+@pytest.mark.parametrize("scores,message", [
+    # "02" would replace "2" and "1_0" read as layer 10
+    ('{"2":-1.5,"02":3.0,"1_0":0.75}', "^plan: scores: key '02' is not a layer index"),
+    ('{"2":-1.5," 10":0.75}', "^plan: scores: key ' 10' is not a layer index"),
+    ('{"2":-1.5,"x":0.75}', "^plan: scores: key 'x' is not a layer index"),
+    ('{"99":1.0}', r"^scores: layer 99 outside \[0, 12\)"),
+    ('{"2":-1.5,"12":0.75}', r"^scores: layer 12 outside \[0, 12\)"),
+    ('{"-1":1.0}', r"^scores: layer -1 outside \[0, 12\)"),
+], ids=["leading-zero", "space", "word", "far-past-the-last-layer", "past-the-last-layer",
+        "negative"])
+def test_parse_rejects_score_keys_that_are_not_layers(scores, message):
+    text = ('{"method":"cka","alpha":null,"budget_fraction":0.25,"k":2,"num_layers":12,'
+            '"protected":[0,11],"pruned":[10,2],"scores":%s,"seed":null}' % scores)
+    with pytest.raises(SchemaViolation, match=message):
+        parse_plan(text)
+
+
 def test_parse_rejects_unknown_key():
     plan = make_plan(scores_for(12), 0.1, 12, default_protected(12), "cka")
     text = serialize_plan(plan).rstrip()[:-1] + ',"extra":1}'

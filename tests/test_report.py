@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_synthetic_records
 from depthprune import report
+from depthprune.baselines import random_plan
 from depthprune.capture import capture_run
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
-                               InconsistentDepth, InvalidConfig, MissingSubtask, ModelMismatch,
-                               ZeroNormInput)
+                               DepthPruneError, InconsistentDepth, InvalidConfig, MissingSubtask,
+                               ModelMismatch, ZeroNormInput)
 from depthprune.model import Model, ToyModelConfig, apply_prune_plan, build_model
 from depthprune.planner import (METHODS, PrunePlan, budget_k, default_protected, parse_plan,
                                 serialize_plan)
 from depthprune.probes import default_probe_sets, generate_probes
-from depthprune.report import (classify_regime, fidelity, plan_for_method,
+from depthprune.report import (classify_regime, fidelity, method_scores, plan_for_method,
                                removal_pattern_grid, sweep, sweep_csv)
 
 CFG = ToyModelConfig()
@@ -323,3 +324,27 @@ def test_every_method_plans_or_raises_a_typed_error(log, drawn, alpha, seed):
         else:  # a larger budget extends the same order
             for small, large in zip(plans, plans[1:]):
                 assert large.pruned[:small.k] == small.pruned
+
+
+# ---- the random baseline ---------------------------------------------------
+
+def test_random_plans_are_prefixes_of_the_random_ranking(small_capture):
+    # rank --method random and every plan --method random come from one draw
+    header, table = small_capture
+    for seed in range(200):
+        scores, order = method_scores("random", header, table, seed=seed)
+        assert scores == {l: 0.0 for l in header.pruneable}
+        assert sorted(order) == list(header.pruneable)
+        for p in (0.1, 0.25, 0.4, 0.5, 1.0):
+            plan = plan_for_method("random", header, table, p, seed=seed)
+            assert plan.pruned == order[:budget_k(p, len(order))]
+
+
+def test_random_requires_a_seed(small_capture):
+    header, table = small_capture
+    with pytest.raises(DepthPruneError, match="requires a seed"):
+        random_plan(header.pruneable, 2, None, num_layers=header.num_layers)
+    with pytest.raises(DepthPruneError, match="requires a seed"):
+        method_scores("random", header, table)
+    with pytest.raises(DepthPruneError, match="requires a seed"):
+        plan_for_method("random", header, table, 0.25)
