@@ -11,6 +11,7 @@ outputs are stored as float32, so a log round-trips bit for bit.
 import base64
 import io
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,8 +257,17 @@ def read_log(source):
 
 
 def write_log_path(header: LogHeader, table: ActivationTable, path) -> int:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        return write_log(header, table, fh)
+    return write_path(path, "log", lambda fh: write_log(header, table, fh))
+
+
+def write_path(path, what, write):
+    """``write`` of the UTF-8 text file ``path``, its directory made first if missing."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            return write(fh)
+    except OSError as exc:
+        raise SinkFailure(f"cannot write {what} {path}: {exc}") from exc
 
 
 def read_path(path, what, malformed, parse):

@@ -5,12 +5,10 @@ output vectors and stored similarities, and respect the protected
 endpoint set through the pruneable layer set they are given.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (BudgetInfeasible, BudgetTooLarge, DegenerateFeatures, DepthPruneError,
-                     MissingSubtask)
+from .errors import (BudgetInfeasible, DegenerateFeatures, DepthPruneError, MissingSubtask,
+                     is_int)
 from .linalg import center_rows, token_cosine_mean
 from .planner import PrunePlan
 from .probes import MATH_SUBTASKS, NONMATH_SUBTASKS
@@ -53,28 +51,23 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
     return float(num / (denom_x * denom_y))
 
 
-@dataclass(frozen=True)
-class CkaTable:
-    adjacency: dict     # layer l -> CKA(X_l, X_{l+1})
-    redundancy: dict    # pruneable layer l' -> score attributed to the later layer
-
-
-def cka_rank(table, pruneable) -> CkaTable:
+def cka_rank(table, pruneable) -> dict:
     """Adjacent-layer CKA redundancy; high CKA(l, l+1) marks l+1 pruneable.
 
-    A degenerate (zero-spread) feature pair scores 0.0.
+    Returns {pruneable layer l: CKA(X_{l-1}, X_l)}; a degenerate (zero-spread)
+    feature pair scores 0.0.
     """
     features = feature_matrices(table)
-    adjacency = {}
+    redundancy = {}
     for later in sorted(pruneable):
         earlier = later - 1
         if earlier not in features or later not in features:
             raise MissingSubtask(f"no features for adjacency pair ({earlier}, {later})")
         try:
-            adjacency[earlier] = linear_cka(features[earlier], features[later])
+            redundancy[later] = linear_cka(features[earlier], features[later])
         except DegenerateFeatures:
-            adjacency[earlier] = 0.0
-    return CkaTable(adjacency=adjacency, redundancy={l + 1: v for l, v in adjacency.items()})
+            redundancy[later] = 0.0
+    return redundancy
 
 
 def _adjacent_sims(features: dict, layers) -> dict:
@@ -169,11 +162,11 @@ def interlace_plan(table, pruneable, k: int, budget_fraction: float = None) -> P
 def random_plan(pruneable, k: int, seed: int, num_layers: int,
                 budget_fraction: float = None) -> PrunePlan:
     """k distinct layers drawn uniformly without replacement, seeded: the first k of one order."""
-    if seed is None:
-        raise DepthPruneError("method random requires a seed")
+    if not is_int(seed):
+        raise DepthPruneError(f"method random requires a seed (an integer), got {seed!r}")
     pruneable = sorted(pruneable)
     if k > len(pruneable):
-        raise BudgetTooLarge(f"k = {k} exceeds pruneable count {len(pruneable)}")
+        raise BudgetInfeasible(f"k = {k} exceeds pruneable count {len(pruneable)}")
     stream = SeededStream(seed)
     pruned = stream.sample_without_replacement(pruneable, k)
     protected = frozenset(range(num_layers)) - frozenset(pruneable)

@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .actlog import read_log_path, read_path, write_log_path
+from .actlog import read_log_path, read_path, write_log_path, write_path
 from .baselines import cka_rank  # noqa: F401  (bench/tracer.py wraps it in this module)
 from .capture import capture_run
 from .errors import DepthPruneError, InvalidConfig, PlanModelMismatch, SchemaViolation
@@ -56,7 +56,6 @@ def _load_config(path):
 def cmd_capture(args):
     run = _load_config(args.config)
     out = args.out or os.path.join(run.out, "activations.log")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     model = build_model(run.model)
     probe_sets = default_probe_sets(run.model, run.probe_seed, run.probe_counts)
     header, table = capture_run(model, probe_sets)
@@ -94,10 +93,8 @@ def cmd_rank(args):
     return 0
 
 
-def _write_text(path, text):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_text(path, what, text):
+    write_path(path, what, lambda fh: fh.write(text))
 
 
 def cmd_plan(args):
@@ -109,7 +106,7 @@ def cmd_plan(args):
     print(f"method={plan.method} budget={plan.budget_fraction} k={plan.k} regime={regime.label}")
     print("pruned: " + ",".join(str(l) for l in plan.pruned))
     if args.out:
-        _write_text(args.out, serialize_plan(plan))
+        _write_text(args.out, "plan", serialize_plan(plan))
         print(f"wrote plan to {args.out}")
     return 0
 
@@ -146,7 +143,7 @@ def cmd_sweep(args):
     }
     for name, text in outputs.items():
         path = os.path.join(out_dir, name)
-        _write_text(path, text)
+        _write_text(path, "sweep output", text)
         print(f"wrote {path}")
     return 0
 

@@ -1,8 +1,22 @@
-"""Typed errors for the depth-pruning toolkit.
+"""Typed errors for the depth-pruning toolkit, and the value rules they enforce.
 
 Every error carries an ``exit_code`` used by the CLI: 1 for validation
 problems (bad input, schema, config), 2 for runtime failures (I/O).
+``is_int``, ``is_number`` and ``is_fraction`` (a number in [0, 1]) are the
+only rules for a valid integer, number and fraction; none takes a ``bool``.
 """
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_fraction(value) -> bool:
+    return is_number(value) and 0 <= value <= 1
 
 
 class DepthPruneError(Exception):
@@ -49,14 +63,6 @@ class UnknownDomain(DepthPruneError):
 
 
 # scoring
-class MissingLayerCoverage(DepthPruneError):
-    pass
-
-
-class EmptyDomain(DepthPruneError):
-    pass
-
-
 class AlphaOutOfRange(DepthPruneError):
     pass
 
@@ -78,16 +84,8 @@ class BudgetInfeasible(DepthPruneError):
     pass
 
 
-class BudgetTooLarge(DepthPruneError):
-    pass
-
-
 # planner
 class BudgetOutOfRange(DepthPruneError):
-    pass
-
-
-class RankingCoverageMismatch(DepthPruneError):
     pass
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong
+from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong, is_int
 from .parallel import threaded
 from .planner import default_protected
 from .rng import SeededStream
@@ -25,10 +25,6 @@ from .rng import SeededStream
 # many samples at any batch size, which keeps them in cache.  16 raised the
 # CLI capture's peak RSS past the benchmark's bound.
 CHUNK = 8
-
-
-def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ import math
 from dataclasses import dataclass
 
 from .actlog import object_problem
-from .errors import BudgetOutOfRange, RankingCoverageMismatch, SchemaViolation
+from .errors import (BudgetOutOfRange, LayerSetMismatch, SchemaViolation, is_fraction,
+                     is_int, is_number)
 from .scoring import rank_order
 
 METHODS = ("ours-math", "ours-nonmath", "ours-mixed", "cka", "interlace", "random")
@@ -13,16 +14,12 @@ METHODS = ("ours-math", "ours-nonmath", "ours-mixed", "cka", "interlace", "rando
 DEFAULT_BUDGETS = (0.10, 0.25, 0.40)
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
 # A plan file's only key list, in file order; each key is the name of a PrunePlan field.
 _PLAN_KINDS = {
-    "method": str, "alpha": lambda v: v is None or _is_number(v), "budget_fraction": _is_number,
+    "method": str, "alpha": lambda v: v is None or is_fraction(v), "budget_fraction": is_number,
     "k": int, "num_layers": int, "protected": (list, int), "pruned": (list, int),
-    "scores": lambda v: v is None or (type(v) is dict and all(map(_is_number, v.values()))),
-    "seed": lambda v: v is None or type(v) is int,
+    "scores": lambda v: v is None or (type(v) is dict and all(map(is_number, v.values()))),
+    "seed": lambda v: v is None or is_int(v),
 }
 
 
@@ -33,8 +30,8 @@ def default_protected(num_layers: int) -> frozenset:
 
 def budget_k(p: float, n_mid: int) -> int:
     """K = floor(p * n_mid), guarded against float representation of p."""
-    if not (0.0 <= p <= 1.0):
-        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {p}")
+    if not is_fraction(p):
+        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {p!r}")
     if n_mid < 0:
         raise BudgetOutOfRange(f"n_mid must be >= 0, got {n_mid}")
     return int(math.floor(p * n_mid + 1e-9))
@@ -87,7 +84,7 @@ def make_plan(scores, p: float, num_layers: int, protected, method: str,
     scores = dict(scores)
     l_mid = frozenset(range(num_layers)) - protected
     if set(scores) != l_mid:
-        raise RankingCoverageMismatch(
+        raise LayerSetMismatch(
             f"ranking covers {sorted(scores)}, pruneable set is {sorted(l_mid)}")
     k = budget_k(p, len(l_mid))
     order = rank_order(scores)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, UnknownDomain
+from .errors import InvalidConfig, UnknownDomain, is_int
 from .model import ToyModelConfig
 from .rng import SeededStream, mix_seed
 
@@ -156,19 +156,26 @@ def subtasks_for(domain: str) -> tuple:
     raise UnknownDomain(f"unknown domain {domain!r} (expected one of {DOMAINS})")
 
 
+def subtask_counts(domain: str, count) -> dict:
+    """{subtask: count} of one domain's positive count per subtask or non-empty {tag: count}."""
+    tags = subtasks_for(domain)
+    per_subtask = count if isinstance(count, dict) else dict.fromkeys(tags, count)
+    if not per_subtask:
+        raise InvalidConfig(f"probe_counts {domain}: empty subtask map")
+    for tag, n in per_subtask.items():
+        if tag not in tags:
+            raise InvalidConfig(f"probe_counts {domain}: unknown subtask {tag!r}")
+        if not is_int(n) or n <= 0:
+            raise InvalidConfig(f"probe_counts {domain}: {n!r} is not a positive integer")
+    return per_subtask
+
+
 def check_counts(counts):
     """Raise InvalidConfig unless each domain has a positive count or a non-empty {tag: count}."""
     if not (isinstance(counts, dict) and set(counts) == set(DOMAINS)):
         raise InvalidConfig(f"probe_counts: expected one entry for each of {DOMAINS}")
     for d in DOMAINS:
-        per_subtask = counts[d] if isinstance(counts[d], dict) else {None: counts[d]}
-        if not per_subtask:
-            raise InvalidConfig(f"probe_counts {d}: empty subtask map")
-        for tag, n in per_subtask.items():
-            if tag is not None and tag not in subtasks_for(d):
-                raise InvalidConfig(f"probe_counts {d}: unknown subtask {tag!r}")
-            if type(n) is not int or n <= 0:
-                raise InvalidConfig(f"probe_counts {d}: {n!r} is not a positive integer")
+        subtask_counts(d, counts[d])
 
 
 def generate_probes(domain: str, counts, seed: int, config: ToyModelConfig) -> ProbeSet:
@@ -176,18 +183,11 @@ def generate_probes(domain: str, counts, seed: int, config: ToyModelConfig) -> P
 
     counts may be a single per-subtask count or a {subtask: count} map.
     """
-    tags = subtasks_for(domain)
-    if isinstance(counts, int):
-        counts = {tag: counts for tag in tags}
-    for tag, n in counts.items():
-        if tag not in tags:
-            raise UnknownDomain(f"subtask {tag!r} does not belong to domain {domain!r}")
-        if n <= 0:
-            raise ValueError(f"probe count for {tag!r} must be positive")
+    counts = subtask_counts(domain, counts)
     length = min(PROBE_LEN, config.max_seq_len)
     vocab = config.vocab_size
     subtasks = []
-    for si, tag in enumerate(tags):
+    for si, tag in enumerate(subtasks_for(domain)):
         n = counts.get(tag, 0)
         samples = []
         for i in range(n):

@@ -9,9 +9,10 @@ import numpy as np
 from .baselines import cka_rank, interlace_plan, random_plan
 from .capture import capture_run
 from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, DepthPruneError,
-                     InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput)
+                     EmptyInput, InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput,
+                     is_fraction, is_int)
 from .linalg import ZERO_NORM_THRESHOLD
-from .model import ToyModelConfig, apply_prune_plan, build_model, is_int
+from .model import ToyModelConfig, apply_prune_plan, build_model
 from .parallel import threaded
 from .planner import DEFAULT_BUDGETS, METHODS, budget_k, make_plan
 from .probes import DEFAULT_COUNTS, check_counts, default_probe_sets
@@ -42,10 +43,6 @@ class FidelityReport:
 @dataclass(frozen=True)
 class RegimeLabel:
     label: str
-
-
-def is_fraction(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,8 @@ class RunConfig:
 
 def classify_regime(p: float) -> RegimeLabel:
     """Fixed budget bands: <=15% ranking-sensitive, <=32% transition, above structure-dominated."""
-    if not (0.0 <= p <= 1.0):
-        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {p}")
+    if not is_fraction(p):
+        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {p!r}")
     if p <= 0.15:
         label = REGIME_RANKING_SENSITIVE
     elif p <= 0.32:
@@ -146,7 +143,7 @@ def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.
     if (cb.vocab_size, cb.max_seq_len, cb.hidden_dim) != (cp.vocab_size, cp.max_seq_len, cp.hidden_dim):
         raise ModelMismatch("base and pruned models disagree on vocab/max_seq_len/hidden_dim")
     if probes.num_samples == 0:
-        raise ModelMismatch("probe set is empty")
+        raise EmptyInput("probe set is empty")
     tokens = probes.token_matrix()
     rep = _reports(base, base.stream(tokens), {0: pruned}, probes, tokens)[0]
     return replace(rep, method=method, budget_fraction=budget_fraction, seed=seed)
@@ -257,7 +254,7 @@ def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed
                                 {"ours-math": 0.0, "ours-nonmath": 1.0}.get(method, alpha))
         return ranking.scores, ranking.order
     if method == "cka":
-        scores = cka_rank(table, pruneable).redundancy
+        scores = cka_rank(table, pruneable)
         return scores, rank_order(scores)
     raise DepthPruneError(f"method {method!r} has no budget-free ranking" if method in METHODS
                           else f"unknown method {method!r}")

@@ -5,13 +5,11 @@ across the pruneable layer set, and an alpha-mixed ranking combining the
 normalized non-math and math scores.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AlphaOutOfRange, EmptyDomain, EmptyInput,
-                     LayerSetMismatch, MissingLayerCoverage)
+from .errors import AlphaOutOfRange, EmptyInput, LayerSetMismatch, is_fraction
 
 EPSILON = 1e-8
 
@@ -45,14 +43,14 @@ def aggregate_domain(table, domain: str, pruneable) -> DomainScoreTable:
     names = [d.domain for d in table.header.domains]
     in_domain = table.domain == (names.index(domain) if domain in names else -1)
     if not in_domain.any():
-        raise EmptyDomain(f"no records for domain {domain!r}")
+        raise EmptyInput(f"no records for domain {domain!r}")
     size = max(pruneable, default=-1) + 1
     # bincount adds each layer's weights in row order, as a per-record loop would
     sums = np.bincount(table.layer[in_domain], weights=table.sim[in_domain], minlength=size)
     counts = np.bincount(table.layer[in_domain], minlength=size)
     for l in pruneable:
         if counts[l] == 0:
-            raise MissingLayerCoverage(f"domain {domain!r} has no samples covering layer {l}")
+            raise LayerSetMismatch(f"domain {domain!r} has no samples covering layer {l}")
     raw = {l: float(sums[l]) / int(counts[l]) for l in pruneable}
     return DomainScoreTable(domain=domain, raw=raw,
                             sample_count=len(set(table.sample_id[in_domain].tolist())))
@@ -75,8 +73,8 @@ def znormalize(table: DomainScoreTable) -> DomainScoreTable:
 def mixed_ranking(math_table: DomainScoreTable, nonmath_table: DomainScoreTable,
                   alpha: float) -> MixedRanking:
     """R_l = alpha * nonmath + (1 - alpha) * math over normalized scores."""
-    if not (0.0 <= alpha <= 1.0):
-        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
+    if not is_fraction(alpha):
+        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha!r}")
     if math_table.normalized is None or nonmath_table.normalized is None:
         raise LayerSetMismatch("both tables must be normalized before mixing")
     if set(math_table.normalized) != set(nonmath_table.normalized):
@@ -117,16 +115,13 @@ def heatmap_matrix(table) -> HeatmapMatrix:
         raise EmptyInput("no records to build a heatmap from")
     codes = list(dict.fromkeys(table.subtask.tolist()))  # in first-appearance order
     layers = np.flatnonzero(np.bincount(table.layer))
-    row_of = np.zeros(max(codes) + 1, dtype=np.int64)
-    row_of[codes] = np.arange(len(codes))
-    col_of = np.zeros(layers[-1] + 1, dtype=np.int64)
-    col_of[layers] = np.arange(layers.size)
-    cell = row_of[table.subtask] * layers.size + col_of[table.layer]
-    shape = (len(codes), layers.size)
-    sums = np.bincount(cell, weights=table.sim, minlength=shape[0] * shape[1]).reshape(shape)
-    counts = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
-    with np.errstate(invalid="ignore"):
-        values = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
+    width = layers[-1] + 1
+    cell = table.subtask * width + table.layer  # bincount adds each cell in record order
+    size = (max(codes) + 1) * width  # the full (subtask code, layer) grid
+    sums = np.bincount(cell, weights=table.sim, minlength=size).reshape(-1, width)
+    counts = np.bincount(cell, minlength=size).reshape(-1, width)
+    with np.errstate(invalid="ignore"):  # a cell with no record is 0 / 0, NaN
+        values = (sums / counts)[np.ix_(codes, layers)]
     tags = table.header.subtask_tags
     return HeatmapMatrix(subtasks=tuple(tags[c] for c in codes),
                          layers=tuple(layers.tolist()), values=values)

@@ -8,8 +8,7 @@ from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
                                   interlace_plan, interlace_solution,
                                   linear_cka, random_plan)
 from depthprune.capture import capture_run
-from depthprune.errors import (BudgetInfeasible, BudgetTooLarge,
-                               DegenerateFeatures, MissingSubtask)
+from depthprune.errors import BudgetInfeasible, DegenerateFeatures, MissingSubtask
 from depthprune.model import ToyModelConfig, build_model
 from depthprune.probes import default_probe_sets
 
@@ -81,11 +80,12 @@ def test_feature_matrices_shape_and_order():
 
 def test_cka_rank_attributes_to_later_layer():
     header, records = make_synthetic_records(num_layers=6)
-    table = cka_rank(records, range(1, 5))
-    assert set(table.redundancy) == {1, 2, 3, 4}
-    for later in table.redundancy:
-        assert table.redundancy[later] == table.adjacency[later - 1]
-        assert -1e-9 <= table.redundancy[later] <= 1 + 1e-9
+    scores = cka_rank(records, range(1, 5))
+    features = feature_matrices(records)
+    assert set(scores) == {1, 2, 3, 4}
+    for later, score in scores.items():
+        assert score == linear_cka(features[later - 1], features[later])
+        assert -1e-9 <= score <= 1 + 1e-9
 
 
 def test_cka_rank_missing_subtask():
@@ -101,9 +101,9 @@ def test_cka_identical_adjacent_layers_score_one():
     pooled = records.pooled_out.copy()
     assert (records.sample_id[records.layer == 3] == records.sample_id[records.layer == 2]).all()
     pooled[records.layer == 3] = pooled[records.layer == 2]
-    table = cka_rank(replace(records, pooled_out=pooled), range(1, 4))
-    assert table.redundancy[3] == pytest.approx(1.0, abs=1e-9)
-    assert max(table.redundancy, key=lambda l: table.redundancy[l]) == 3
+    scores = cka_rank(replace(records, pooled_out=pooled), range(1, 4))
+    assert scores[3] == pytest.approx(1.0, abs=1e-9)
+    assert max(scores, key=lambda l: scores[l]) == 3
 
 
 # ---- Interlace -------------------------------------------------------------
@@ -187,7 +187,7 @@ def test_random_plan_exhaustion():
 
 
 def test_random_plan_budget_too_large():
-    with pytest.raises(BudgetTooLarge):
+    with pytest.raises(BudgetInfeasible):
         random_plan(range(1, 6), 6, seed=0, num_layers=7)
 
 

@@ -283,6 +283,8 @@ def test_unreadable_config_or_plan_exits_two(workdir, tmp_path, capsys, argv, wh
     ("k", True),
     ("alpha", "x"),
     ("scores", {"2": -1.5, "02": 3.0, "1_0": 0.75}),
+    ("alpha", 5.0),
+    ("alpha", -0.1),
 ])
 def test_wrong_plan_types_exit_one(workdir, tmp_path, capsys, key, value):
     plan_path = tmp_path / "plan.json"
@@ -295,6 +297,21 @@ def test_wrong_plan_types_exit_one(workdir, tmp_path, capsys, key, value):
     assert main(["prune-eval", "--config", str(workdir / "config.json"),
                  "--plan", str(plan_path)]) == 1
     assert capsys.readouterr().err.startswith(f"SchemaViolation: plan: {key}: ")
+
+
+@pytest.mark.parametrize("argv,what,target", [
+    (["capture", "--config", "{config}", "--out", "{dir}"], "log", "{dir}"),
+    (["plan", "--log", "{log}", "--method", "cka", "--budget", "0.25", "--out", "{dir}"],
+     "plan", "{dir}"),
+    # a file where the output directory must go
+    (["sweep", "--config", "{config}", "--out", "{log}"], "sweep output", "{log}/sweep.csv"),
+], ids=["capture", "plan", "sweep"])
+def test_unwritable_output_exits_two(workdir, tmp_path, capsys, argv, what, target):
+    paths = {"config": workdir / "config.json", "log": workdir / "activations.log",
+             "dir": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"SinkFailure: cannot write {what} {target.format(**paths)}: ")
 
 
 def test_capture_reports_clamped_sims_on_stderr(workdir, capsys):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from depthprune.baselines import random_plan
 
-from depthprune.errors import (BudgetOutOfRange, RankingCoverageMismatch,
-                               SchemaViolation)
+from depthprune.errors import BudgetOutOfRange, LayerSetMismatch, SchemaViolation
 from depthprune.planner import (PrunePlan, budget_k, default_protected,
                                 make_plan, parse_plan, serialize_plan)
 
@@ -72,7 +71,7 @@ def test_make_plan_endpoint_safety():
 def test_make_plan_coverage_mismatch():
     scores = scores_for(12)
     del scores[5]
-    with pytest.raises(RankingCoverageMismatch):
+    with pytest.raises(LayerSetMismatch):
         make_plan(scores, 0.2, 12, default_protected(12), "cka")
 
 

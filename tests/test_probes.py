@@ -1,6 +1,6 @@
 import pytest
 
-from depthprune.errors import UnknownDomain
+from depthprune.errors import InvalidConfig, UnknownDomain
 from depthprune.model import ToyModelConfig
 from depthprune.probes import (DEFAULT_COUNTS, MATH_SUBTASKS, NONMATH_SUBTASKS,
                                default_probe_sets, generate_probes)
@@ -56,7 +56,7 @@ def test_per_subtask_count_map():
 
 
 def test_subtask_count_rejects_foreign_tag():
-    with pytest.raises(UnknownDomain):
+    with pytest.raises(InvalidConfig, match="unknown subtask 'Captioning'"):
         generate_probes("math", {"Captioning": 2}, seed=0, config=CFG)
 
 

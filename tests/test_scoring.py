@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_synthetic_records, table_from_rows
 from depthprune.actlog import DomainInfo, LogHeader
-from depthprune.errors import (AlphaOutOfRange, EmptyDomain, EmptyInput,
-                               LayerSetMismatch, MissingLayerCoverage)
+from depthprune.errors import AlphaOutOfRange, EmptyInput, LayerSetMismatch
 from depthprune.probes import MATH_SUBTASKS, NONMATH_SUBTASKS
 from depthprune.scoring import (DomainScoreTable, aggregate_domain,
                                 heatmap_matrix, mixed_ranking, rank_order,
@@ -52,12 +51,12 @@ def test_aggregate_merges_subtasks_flat():
 
 
 def test_aggregate_empty_domain():
-    with pytest.raises(EmptyDomain):
+    with pytest.raises(EmptyInput):
         aggregate_domain(records_table(rec(0, 1, 0.5)), "nonmath", [1])
 
 
 def test_aggregate_missing_layer():
-    with pytest.raises(MissingLayerCoverage):
+    with pytest.raises(LayerSetMismatch):
         aggregate_domain(records_table(rec(0, 1, 0.5)), "math", [1, 2])
 
 
