@@ -70,12 +70,6 @@ def cka_rank(table, pruneable) -> dict:
     return redundancy
 
 
-def _adjacent_sims(features: dict, layers) -> dict:
-    """S_l = mean over the 9 subtask rows of cosine(row_l, row_{l+1})."""
-    return {l: token_cosine_mean(features[l], features[l + 1])
-            for l in layers if l + 1 in features}
-
-
 def _inout_redundancy(table) -> dict:
     """Domain-agnostic per-layer mean of stored in/out similarities."""
     sums = np.bincount(table.layer, weights=table.sim)
@@ -102,7 +96,9 @@ def interlace_solution(table, pruneable, k: int):
         raise BudgetInfeasible(f"k = {k} exceeds pruneable count {n_mid}")
     features = feature_matrices(table)
     num_layers = table.header.num_layers
-    sims = _adjacent_sims(features, [l for l in pruneable if l + 1 in features])
+    # S_l = mean over the 9 subtask rows of cosine(row_l, row_{l+1})
+    sims = {l: token_cosine_mean(features[l], features[l + 1])
+            for l in pruneable if l + 1 in features}
     inout = _inout_redundancy(table)
 
     triplets = []

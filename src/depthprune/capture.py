@@ -7,11 +7,6 @@ from .linalg import mean_pool, token_cosine_mean
 from .planner import default_protected
 
 
-def model_id_for(config) -> str:
-    return (f"toy-L{config.num_layers}-d{config.hidden_dim}-h{config.num_heads}"
-            f"-v{config.vocab_size}-s{config.seed}")
-
-
 def layer_stats(states):
     """(sims (B, depth), pooled outputs (B, depth, d) float32) of depth + 1 states (B, T, d).
 
@@ -51,7 +46,8 @@ def capture_run(model, probe_sets, runs=None):
             raise ValueError(f"runs: {len(runs)} runs for {len(probe_sets)} probe sets")
     cfg = model.config
     header = LogHeader(
-        model_id=model_id_for(cfg),
+        model_id=(f"toy-L{cfg.num_layers}-d{cfg.hidden_dim}-h{cfg.num_heads}"
+                  f"-v{cfg.vocab_size}-s{cfg.seed}"),
         num_layers=cfg.num_layers,
         hidden_dim=cfg.hidden_dim,
         protected_layers=default_protected(cfg.num_layers),

@@ -79,9 +79,12 @@ def cmd_score(args):
 
 def _check_flags(args, budget=None):
     """Reject a bad --method, --budget, --alpha or missing --seed before the log is read."""
-    seeds = () if args.seed is None else (args.seed,)
+    if args.method == "interlace" and budget is None:
+        raise InvalidConfig("method interlace ranks only under a budget: use plan --budget")
     RunConfig(methods=(args.method,), budgets=() if budget is None else (budget,),
-              alpha=args.alpha, seeds=seeds).validate(ranked=True)
+              alpha=args.alpha, seeds=() if args.seed is None else (args.seed,)).validate()
+    if args.method == "random" and args.seed is None:
+        raise InvalidConfig("method random requires --seed for reproducibility")
 
 
 def cmd_rank(args):
@@ -103,10 +106,11 @@ def cmd_plan(args):
     plan = plan_for_method(args.method, header, table, args.budget,
                            alpha=args.alpha, seed=args.seed)
     regime = classify_regime(args.budget)
+    if args.out:  # a failed write prints nothing
+        _write_text(args.out, "plan", serialize_plan(plan))
     print(f"method={plan.method} budget={plan.budget_fraction} k={plan.k} regime={regime.label}")
     print("pruned: " + ",".join(str(l) for l in plan.pruned))
     if args.out:
-        _write_text(args.out, "plan", serialize_plan(plan))
         print(f"wrote plan to {args.out}")
     return 0
 
@@ -122,9 +126,8 @@ def cmd_prune_eval(args):
     probe_sets = default_probe_sets(run.model, run.probe_seed, run.probe_counts)
     print("method,budget,domain,top1_agreement,final_hidden_cosine,mean_kl,num_probes")
     for ps in probe_sets:
-        rep = fidelity(model, pruned, ps, method=plan.method,
-                       budget_fraction=plan.budget_fraction)
-        print(",".join([rep.method, repr(float(rep.budget_fraction)), rep.domain,
+        rep = fidelity(model, pruned, ps)
+        print(",".join([plan.method, repr(float(plan.budget_fraction)), rep.domain,
                         repr(rep.top1_agreement), repr(rep.final_hidden_cosine),
                         repr(rep.mean_kl), str(rep.num_probes)]))
     return 0

@@ -25,7 +25,7 @@ class DepthPruneError(Exception):
 
 # core math
 class ZeroNormInput(DepthPruneError):
-    """A vector with norm below the degeneracy threshold was passed to cosine."""
+    """A vector with norm below the degeneracy threshold reached a cosine."""
 
 
 class EmptyInput(DepthPruneError):

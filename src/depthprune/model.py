@@ -51,8 +51,8 @@ class ToyModelConfig:
         if self.hidden_dim % self.num_heads != 0:
             raise InvalidConfig(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}")
-        if self.vocab_size <= 0:
-            raise InvalidConfig(f"vocab_size must be positive (got {self.vocab_size})")
+        if self.vocab_size < 2:  # several probe generators draw from vocab_size - 1 tokens
+            raise InvalidConfig(f"vocab_size must be >= 2 (got {self.vocab_size})")
         if self.max_seq_len <= 0:
             raise InvalidConfig(f"max_seq_len must be positive (got {self.max_seq_len})")
 

@@ -16,7 +16,7 @@ DEFAULT_BUDGETS = (0.10, 0.25, 0.40)
 
 # A plan file's only key list, in file order; each key is the name of a PrunePlan field.
 _PLAN_KINDS = {
-    "method": str, "alpha": lambda v: v is None or is_fraction(v), "budget_fraction": is_number,
+    "method": str, "alpha": lambda v: v is None or is_fraction(v), "budget_fraction": is_fraction,
     "k": int, "num_layers": int, "protected": (list, int), "pruned": (list, int),
     "scores": lambda v: v is None or (type(v) is dict and all(map(is_number, v.values()))),
     "seed": lambda v: v is None or is_int(v),
@@ -24,7 +24,7 @@ _PLAN_KINDS = {
 
 
 def default_protected(num_layers: int) -> frozenset:
-    """The endpoint layers {0, L - 1}, which are never ranked or pruned: the one such rule."""
+    """The endpoint layers {0, L - 1}, which are never scored or pruned: the one such rule."""
     return frozenset({0, num_layers - 1})
 
 

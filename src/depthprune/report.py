@@ -23,10 +23,6 @@ KL_FLOOR = 1e-12
 
 SWEEP_CSV_HEADER = "method,budget,domain,seed,top1_agreement,final_hidden_cosine,mean_kl,num_probes"
 
-REGIME_RANKING_SENSITIVE = "ranking-sensitive"
-REGIME_TRANSITION = "transition"
-REGIME_STRUCTURE_DOMINATED = "structure-dominated"
-
 
 @dataclass(frozen=True)
 class FidelityReport:
@@ -57,11 +53,8 @@ class RunConfig:
     seeds: tuple = (0,)
     out: str = "out"
 
-    def validate(self, ranked=False):
-        """Raise a typed error for the first bad field, before anything is built.
-
-        With ``ranked`` (the methods are ranked now), interlace needs a budget and random a seed.
-        """
+    def validate(self):
+        """Raise a typed error for the first bad field, before anything is built."""
         self.model.validate()
         check_counts(self.probe_counts)
         for key in ("methods", "budgets", "seeds"):
@@ -71,8 +64,6 @@ class RunConfig:
             if method not in METHODS:
                 raise InvalidConfig(
                     f"methods: unknown method {method!r} (expected one of {METHODS})")
-        if ranked and "interlace" in self.methods and not self.budgets:
-            raise InvalidConfig("method interlace ranks only under a budget: use plan --budget")
         if not is_fraction(self.alpha):
             raise AlphaOutOfRange(f"alpha must be in [0, 1], got {self.alpha!r}")
         for p in self.budgets:
@@ -90,8 +81,6 @@ class RunConfig:
             raise InvalidConfig(f"seeds: probe_seed {self.probe_seed!r} is not an integer")
         if not isinstance(self.out, str):
             raise InvalidConfig(f"out: {self.out!r} is not a path")
-        if ranked and "random" in self.methods and not self.seeds:
-            raise InvalidConfig("method random requires --seed for reproducibility")
 
 
 def classify_regime(p: float) -> RegimeLabel:
@@ -99,11 +88,11 @@ def classify_regime(p: float) -> RegimeLabel:
     if not is_fraction(p):
         raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {p!r}")
     if p <= 0.15:
-        label = REGIME_RANKING_SENSITIVE
+        label = "ranking-sensitive"
     elif p <= 0.32:
-        label = REGIME_TRANSITION
+        label = "transition"
     else:
-        label = REGIME_STRUCTURE_DOMINATED
+        label = "structure-dominated"
     return RegimeLabel(label=label)
 
 
@@ -131,13 +120,13 @@ def _shared_prefix(base, pruned):
     return f
 
 
-def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.0,
-             seed: int = 0) -> FidelityReport:
+def fidelity(base, pruned, probes) -> FidelityReport:
     """Position-wise output agreement of pruned vs unpruned model on a probe set.
 
     A one-leaf :func:`_trie_leaves` walk over the streamed base model, which
     keeps only the base's state after the block prefix the two models share
-    and its last state.
+    and its last state.  The report's method, budget and seed are left
+    blank, as :func:`_compare` leaves them.
     """
     cb, cp = base.config, pruned.config
     if (cb.vocab_size, cb.max_seq_len, cb.hidden_dim) != (cp.vocab_size, cp.max_seq_len, cp.hidden_dim):
@@ -145,8 +134,7 @@ def fidelity(base, pruned, probes, method: str = "", budget_fraction: float = 0.
     if probes.num_samples == 0:
         raise EmptyInput("probe set is empty")
     tokens = probes.token_matrix()
-    rep = _reports(base, base.stream(tokens), {0: pruned}, probes, tokens)[0]
-    return replace(rep, method=method, budget_fraction=budget_fraction, seed=seed)
+    return _reports(base, base.stream(tokens), {0: pruned}, probes, tokens)[0]
 
 
 def _compare(probes, hb, base_logits, last, logits) -> FidelityReport:

@@ -202,8 +202,8 @@ def test_random_plan_uniformity_chi_square():
         assert abs(n - expected) < 3 * sigma, f"layer {layer}: {n}"
 
 
-# interlace plans at every budget on bench-shaped models, pinned when
-# _adjacent_sims became one token_cosine_mean per layer pair (its sims moved
+# interlace plans at every budget on bench-shaped models, pinned when its
+# adjacent sims became one token_cosine_mean per layer pair (they moved
 # by ulps from the per-row cosine loop): k removals are the first k of each
 # plan, and one more is infeasible
 PINNED_INTERLACE = [

@@ -79,6 +79,8 @@ def test_plan_then_prune_eval(workdir, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("method,budget,domain")
     assert len(lines) == 3  # header + one row per domain
+    # the labels come from the plan file
+    assert all(line.startswith("ours-mixed,0.25,") for line in lines[1:])
 
 
 def test_sweep_writes_three_files_idempotently(workdir, capsys):
@@ -285,6 +287,8 @@ def test_unreadable_config_or_plan_exits_two(workdir, tmp_path, capsys, argv, wh
     ("scores", {"2": -1.5, "02": 3.0, "1_0": 0.75}),
     ("alpha", 5.0),
     ("alpha", -0.1),
+    ("budget_fraction", 5.0),
+    ("budget_fraction", -0.1),
 ])
 def test_wrong_plan_types_exit_one(workdir, tmp_path, capsys, key, value):
     plan_path = tmp_path / "plan.json"
@@ -310,8 +314,9 @@ def test_unwritable_output_exits_two(workdir, tmp_path, capsys, argv, what, targ
     paths = {"config": workdir / "config.json", "log": workdir / "activations.log",
              "dir": tmp_path}
     assert main([arg.format(**paths) for arg in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"SinkFailure: cannot write {what} {target.format(**paths)}: ")
+    assert out == ""  # nothing is printed before the output is written
 
 
 def test_capture_reports_clamped_sims_on_stderr(workdir, capsys):

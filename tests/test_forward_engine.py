@@ -152,8 +152,8 @@ def test_sweep_rows_equal_uncached_fidelity():
             for seed in seeds:
                 plan = plan_for_method(method, header, records, p, seed=seed)
                 pruned = apply_prune_plan(model, plan)
-                expected.extend(fidelity(model, pruned, ps, method=method, budget_fraction=p,
-                                         seed=seed) for ps in probe_sets)
+                expected.extend(replace(fidelity(model, pruned, ps), method=method,
+                                        budget_fraction=p, seed=seed) for ps in probe_sets)
     assert reports == expected
     # deterministic methods repeat their plan across seeds, so cached rows were checked
     assert len({(r.top1_agreement, r.mean_kl) for r in reports}) < len(reports)
@@ -340,8 +340,6 @@ def test_fidelity_equals_the_loop_it_replaced():
         for pruned in models:
             expected = reference_fidelity(base, pruned, ps)
             assert fidelity(base, pruned, ps) == expected
-            assert fidelity(base, pruned, ps, method="cka", budget_fraction=0.25, seed=9) == \
-                replace(expected, method="cka", budget_fraction=0.25, seed=9)
 
 
 def test_fidelity_holds_at_most_two_base_states(monkeypatch):

@@ -50,6 +50,7 @@ def test_min_depth_pruneable_set():
     dict(num_layers=2),
     dict(hidden_dim=8, num_heads=3),
     dict(vocab_size=0),
+    dict(vocab_size=1),
     dict(num_heads=0),
     dict(max_seq_len=0),
 ])
