@@ -44,7 +44,7 @@ class LogHeader:
     domains: tuple  # of DomainInfo
     schema_version: int = SCHEMA_VERSION
 
-    def validate(self):
+    def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
             raise SchemaViolation(f"schema_version: unsupported value {self.schema_version} "
                                   f"(this reader reads {SCHEMA_VERSION})")
@@ -151,7 +151,6 @@ def _check_rows(header, table):
 
 def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
     """Validate the table, then write header and columns to a text sink; returns record count."""
-    header.validate()
     _check_rows(header, table)
     try:
         destination.write(_header_to_json(header) + "\n")
@@ -199,10 +198,8 @@ def _parse_header(line: str) -> LogHeader:
     if problem is not None:
         raise SchemaViolation(f"line 1: {problem}")
     domains = tuple(DomainInfo(**dict(d, subtasks=tuple(d["subtasks"]))) for d in obj["domains"])
-    header = LogHeader(**dict(obj, protected_layers=frozenset(obj["protected_layers"]),
-                              domains=domains))
-    header.validate()
-    return header
+    return LogHeader(**dict(obj, protected_layers=frozenset(obj["protected_layers"]),
+                            domains=domains))
 
 
 def _read_line(source, lineno):

@@ -148,11 +148,9 @@ def interlace_plan(table, pruneable, k: int, budget_fraction: float = None) -> P
     protected = frozenset(range(num_layers)) - frozenset(pruneable)
     if budget_fraction is None:
         budget_fraction = k / len(pruneable)
-    plan = PrunePlan(method="interlace", budget_fraction=budget_fraction, k=k,
+    return PrunePlan(method="interlace", budget_fraction=budget_fraction, k=k,
                      num_layers=num_layers, protected=protected,
                      pruned=pruned, scores={l: inout[l] for l in pruneable})
-    plan.validate()
-    return plan
 
 
 def random_plan(pruneable, k: int, seed: int, num_layers: int,
@@ -168,8 +166,6 @@ def random_plan(pruneable, k: int, seed: int, num_layers: int,
     protected = frozenset(range(num_layers)) - frozenset(pruneable)
     if budget_fraction is None:
         budget_fraction = k / len(pruneable)
-    plan = PrunePlan(method="random", budget_fraction=budget_fraction, k=k,
+    return PrunePlan(method="random", budget_fraction=budget_fraction, k=k,
                      num_layers=num_layers, protected=protected,
                      pruned=tuple(pruned), seed=seed)
-    plan.validate()
-    return plan

@@ -46,11 +46,9 @@ def _load_config(path):
             unknown = sorted(set(names) - {f.name for f in fields(cls)})
             if unknown:
                 raise InvalidConfig(f"unknown {what} {unknown[0]!r}")
-        run = RunConfig(**{**raw, "model": ToyModelConfig(**model)})
-        run.validate()
+        return RunConfig(**{**raw, "model": ToyModelConfig(**model)})
     except DepthPruneError as exc:  # every config fault is an InvalidConfig
         raise InvalidConfig(f"config {path}: {exc}") from exc
-    return run
 
 
 def cmd_capture(args):
@@ -82,7 +80,7 @@ def _check_flags(args, budget=None):
     if args.method == "interlace" and budget is None:
         raise InvalidConfig("method interlace ranks only under a budget: use plan --budget")
     RunConfig(methods=(args.method,), budgets=() if budget is None else (budget,),
-              alpha=args.alpha, seeds=() if args.seed is None else (args.seed,)).validate()
+              alpha=args.alpha, seeds=() if args.seed is None else (args.seed,))
     if args.method == "random" and args.seed is None:
         raise InvalidConfig("method random requires --seed for reproducibility")
 

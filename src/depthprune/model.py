@@ -36,7 +36,7 @@ class ToyModelConfig:
     max_seq_len: int = 64
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
             if not is_int(value):
@@ -243,7 +243,6 @@ def build_model(config: ToyModelConfig) -> Model:
     evenly (wq, wv, w_up against wk, wo, w_down).  The bits do not depend on
     the split.
     """
-    config.validate()
     d = config.hidden_dim
     proj_std = 1.0 / np.sqrt(d)
     block = [(d, d, proj_std)] * 4 + [(d, 4 * d, proj_std), (4 * d, d, 1.0 / np.sqrt(4 * d))]
@@ -283,10 +282,8 @@ def apply_prune_plan(model: Model, plan) -> Model:
     if plan.num_layers != cfg.num_layers:
         raise PlanModelMismatch(
             f"plan num_layers {plan.num_layers} != model num_layers {cfg.num_layers}")
-    protected = frozenset(plan.protected) | default_protected(cfg.num_layers)
+    protected = default_protected(cfg.num_layers)  # a valid plan need not protect the endpoints
     for layer in plan.pruned:
-        if not (0 <= layer < cfg.num_layers):
-            raise PlanModelMismatch(f"pruned layer {layer} outside [0, {cfg.num_layers})")
         if layer in protected:
             raise PlanModelMismatch(f"pruned layer {layer} is protected")
         if layer not in model.layer_ids:

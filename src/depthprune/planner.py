@@ -49,9 +49,14 @@ class PrunePlan:
     scores: dict = None    # layer -> justifying score
     seed: int = None       # random only
 
-    def validate(self):
+    def __post_init__(self):
         if self.method not in METHODS:
             raise SchemaViolation(f"method: unknown tag {self.method!r}")
+        if self.num_layers <= 0:
+            raise SchemaViolation(f"num_layers: must be positive, got {self.num_layers}")
+        for p in self.protected:
+            if not (0 <= p < self.num_layers):
+                raise SchemaViolation(f"protected: layer {p} outside [0, {self.num_layers})")
         n_mid = self.num_layers - len(self.protected)
         if self.k != budget_k(self.budget_fraction, n_mid):
             raise SchemaViolation(
@@ -65,9 +70,6 @@ class PrunePlan:
                 raise SchemaViolation(f"pruned: layer {layer} outside [0, {self.num_layers})")
             if layer in self.protected:
                 raise SchemaViolation(f"pruned: layer {layer} is protected")
-        for p in self.protected:
-            if not (0 <= p < self.num_layers):
-                raise SchemaViolation(f"protected: layer {p} outside [0, {self.num_layers})")
         for layer in self.scores or ():
             if not (0 <= layer < self.num_layers):
                 raise SchemaViolation(f"scores: layer {layer} outside [0, {self.num_layers})")
@@ -88,14 +90,11 @@ def make_plan(scores, p: float, num_layers: int, protected, method: str,
             f"ranking covers {sorted(scores)}, pruneable set is {sorted(l_mid)}")
     k = budget_k(p, len(l_mid))
     order = rank_order(scores)
-    plan = PrunePlan(method=method, budget_fraction=p, k=k, num_layers=num_layers,
+    return PrunePlan(method=method, budget_fraction=p, k=k, num_layers=num_layers,
                      protected=protected, pruned=order[:k], alpha=alpha, scores=scores)
-    plan.validate()
-    return plan
 
 
 def serialize_plan(plan: PrunePlan) -> str:
-    plan.validate()
     obj = {key: getattr(plan, key) for key in _PLAN_KINDS}
     obj["protected"] = sorted(plan.protected)
     if plan.scores is not None:
@@ -117,7 +116,5 @@ def parse_plan(text) -> PrunePlan:
             if not key.removeprefix("-").isdecimal() or str(int(key)) != key:
                 raise SchemaViolation(f"plan: scores: key {key!r} is not a layer index")
         scores = {int(key): float(s) for key, s in scores.items()}
-    plan = PrunePlan(**dict(obj, protected=frozenset(obj["protected"]),
+    return PrunePlan(**dict(obj, protected=frozenset(obj["protected"]),
                             pruned=tuple(obj["pruned"]), scores=scores))
-    plan.validate()
-    return plan

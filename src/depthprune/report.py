@@ -53,9 +53,8 @@ class RunConfig:
     seeds: tuple = (0,)
     out: str = "out"
 
-    def validate(self):
+    def __post_init__(self):
         """Raise a typed error for the first bad field, before anything is built."""
-        self.model.validate()
         check_counts(self.probe_counts)
         for key in ("methods", "budgets", "seeds"):
             if not isinstance(getattr(self, key), (list, tuple)):
@@ -279,7 +278,7 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
         raise InvalidConfig("a sweep needs at least one method, one budget and one seed")
     RunConfig(model=config, probe_counts=DEFAULT_COUNTS if probe_counts is None else probe_counts,
               probe_seed=probe_seed, methods=methods, budgets=budgets, alpha=alpha,
-              seeds=seeds).validate()
+              seeds=seeds)
     model = build_model(config)
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
     tokens = [ps.token_matrix() for ps in probe_sets]

@@ -276,30 +276,27 @@ def test_empty_file():
 
 
 def test_bad_header_layer_range():
-    header = LogHeader(model_id="x", num_layers=4, hidden_dim=2,
-                       protected_layers=frozenset({7}), domains=())
     with pytest.raises(SchemaViolation, match="protected"):
-        write_log(header, table(), io.StringIO())
+        LogHeader(model_id="x", num_layers=4, hidden_dim=2,
+                  protected_layers=frozenset({7}), domains=())
 
 
 def test_header_needs_a_pruneable_layer():
     # every method ranks the layers left unprotected, so a header must leave one
-    header = replace(header_4x2(), protected_layers=frozenset(range(4)))
     with pytest.raises(SchemaViolation, match="^protected_layers: all 4 layers are protected"):
-        write_log(header, table(), io.StringIO())
+        replace(header_4x2(), protected_layers=frozenset(range(4)))
     lines = log_lines()
     lines[0] = lines[0].replace('"protected_layers":[0,3]', '"protected_layers":[0,1,2,3]')
     with pytest.raises(SchemaViolation, match="^protected_layers: all 4 layers are protected"):
         read_log(io.StringIO(text(lines)))
-    assert replace(header, protected_layers=frozenset({0, 2, 3})).pruneable == (1,)
+    assert replace(header_4x2(), protected_layers=frozenset({0, 2, 3})).pruneable == (1,)
 
 
 def test_header_rejects_repeated_domain():
     # scoring looks a domain up by name, so a second "math" would go unread
-    header = LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
-                       domains=(DomainInfo("math", ("A",), 1), DomainInfo("math", ("B",), 1)))
     with pytest.raises(SchemaViolation, match="domains: a domain name is declared twice"):
-        write_log(header, table(), io.StringIO())
+        LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
+                  domains=(DomainInfo("math", ("A",), 1), DomainInfo("math", ("B",), 1)))
     lines = log_lines()
     lines[0] = lines[0].replace('"nonmath"', '"math"')
     with pytest.raises(SchemaViolation, match="domains: a domain name is declared twice"):
@@ -312,10 +309,9 @@ def test_header_rejects_repeated_domain():
     (DomainInfo("math", ("A", "B"), 1), DomainInfo("nonmath", ("C", "A"), 1)),
 ])
 def test_header_rejects_repeated_subtask_tag(domains):
-    header = LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
-                       domains=domains)
     with pytest.raises(SchemaViolation, match="^domains: subtask tag 'A' is declared twice"):
-        write_log(header, table(), io.StringIO())
+        LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
+                  domains=domains)
 
 
 def test_read_rejects_a_subtask_tag_of_two_domains():

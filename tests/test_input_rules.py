@@ -1,16 +1,20 @@
 """Every entry point applies the one integer, number and fraction rule of ``depthprune.errors``."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
+from depthprune.actlog import LogHeader
 from depthprune.baselines import random_plan
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
-                               DepthPruneError, EmptyInput, InvalidConfig)
+                               DepthPruneError, EmptyInput, InvalidConfig, SchemaViolation)
 from depthprune.model import ToyModelConfig, build_model
-from depthprune.planner import METHODS, budget_k, parse_plan, serialize_plan
+from depthprune.planner import (METHODS, PrunePlan, budget_k, default_protected, parse_plan,
+                                serialize_plan)
 from depthprune.probes import ProbeSet, generate_probes
-from depthprune.report import classify_regime, fidelity, method_scores, plan_for_method
+from depthprune.report import (RunConfig, classify_regime, fidelity, method_scores,
+                               plan_for_method)
 from depthprune.scoring import DomainScoreTable, mixed_ranking, znormalize
 
 
@@ -29,6 +33,22 @@ def _normalized(domain):
 def test_fraction_entry_points_refuse_bools_and_strings(call, error, value):
     with pytest.raises(error, match=re.escape(f"must be in [0, 1], got {value!r}")):
         call(value)
+
+
+@pytest.mark.parametrize("valid,bad,error,message", [
+    (ToyModelConfig(), dict(num_heads=3), InvalidConfig, "not divisible by num_heads 3"),
+    (RunConfig(), dict(alpha=1.5), AlphaOutOfRange, r"^alpha must be in \[0, 1\], got 1.5"),
+    (LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=default_protected(4),
+               domains=()),
+     dict(num_layers=0), SchemaViolation, "^num_layers: must be positive, got 0"),
+    (PrunePlan(method="cka", budget_fraction=0.25, k=2, num_layers=12,
+               protected=default_protected(12), pruned=(10, 2)),
+     dict(pruned=(10, 11)), SchemaViolation, "^pruned: layer 11 is protected"),
+], ids=["ToyModelConfig", "RunConfig", "LogHeader", "PrunePlan"])
+def test_replace_with_a_bad_field_raises_the_type_error(valid, bad, error, message):
+    # each type checks itself when it is built, and replace builds a new object
+    with pytest.raises(error, match=message):
+        replace(valid, **bad)
 
 
 @pytest.mark.parametrize("seed", [True, 1.5, "3"])

@@ -6,7 +6,7 @@ import pytest
 
 from depthprune import model as model_module
 from depthprune.capture import capture_run
-from depthprune.errors import (InvalidConfig, PlanModelMismatch,
+from depthprune.errors import (InvalidConfig, PlanModelMismatch, SchemaViolation,
                                SequenceTooLong)
 from depthprune.model import (ToyModelConfig, apply_prune_plan, build_model,
                               neutralize_block)
@@ -56,7 +56,7 @@ def test_min_depth_pruneable_set():
 ])
 def test_invalid_config(kwargs):
     with pytest.raises(InvalidConfig):
-        ToyModelConfig(**kwargs).validate()
+        ToyModelConfig(**kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -138,12 +138,10 @@ def test_plan_touching_protected_layer_rejected():
 
 
 def test_plan_out_of_range_rejected():
-    cfg = ToyModelConfig()
-    m = build_model(cfg)
-    bad = PrunePlan(method="random", budget_fraction=0.1, k=1, num_layers=12,
-                    protected=frozenset({0, 11}), pruned=(14,), seed=0)
-    with pytest.raises(PlanModelMismatch):
-        apply_prune_plan(m, bad)
+    # a plan checks itself when it is built, so no such plan reaches apply_prune_plan
+    with pytest.raises(SchemaViolation, match=r"^pruned: layer 14 outside \[0, 12\)$"):
+        PrunePlan(method="random", budget_fraction=0.1, k=1, num_layers=12,
+                  protected=frozenset({0, 11}), pruned=(14,), seed=0)
 
 
 def test_plan_depth_mismatch_rejected():

@@ -149,6 +149,20 @@ def test_parse_rejects_protected_overlap():
         parse_plan(text)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ('"num_layers":6,"protected":[0,5,9]', r"^protected: layer 9 outside \[0, 6\)$"),
+    ('"num_layers":6,"protected":[0,1,2,3,4,5,6,7]', r"^protected: layer 6 outside \[0, 6\)$"),
+    ('"num_layers":-3,"protected":[0,5]', "^num_layers: must be positive, got -3$"),
+], ids=["protected-past-the-last-layer", "more-protected-than-layers", "negative-num-layers"])
+def test_parse_blames_protected_and_num_layers_before_k(fields, message):
+    # k is checked against the budget over num_layers - len(protected) layers, so a bad
+    # protected set or num_layers is named first, not blamed on k or on a negative count
+    text = ('{"method":"cka","alpha":null,"budget_fraction":0.25,"k":1,%s,'
+            '"pruned":[3],"scores":null,"seed":null}' % fields)
+    with pytest.raises(SchemaViolation, match=message):
+        parse_plan(text)
+
+
 @pytest.mark.parametrize("scores,message", [
     # "02" would replace "2" and "1_0" read as layer 10
     ('{"2":-1.5,"02":3.0,"1_0":0.75}', "^plan: scores: key '02' is not a layer index"),

@@ -60,6 +60,16 @@ def test_subtask_count_rejects_foreign_tag():
         generate_probes("math", {"Captioning": 2}, seed=0, config=CFG)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(vocab_size=1), "^vocab_size must be >= 2"),
+    (dict(max_seq_len=0), "^max_seq_len must be positive"),
+], ids=["vocab_size-1", "max_seq_len-0"])
+def test_library_probe_generation_refuses_an_invalid_config(kwargs, message):
+    # the config checks itself when it is built, so no probe generator sees it
+    with pytest.raises(InvalidConfig, match=message):
+        default_probe_sets(ToyModelConfig(**kwargs), 0, {"math": 1, "nonmath": 1})
+
+
 def test_respects_small_max_seq_len():
     cfg = ToyModelConfig(max_seq_len=8)
     ps = generate_probes("nonmath", 2, seed=0, config=cfg)

@@ -1,4 +1,4 @@
-"""RunConfig.validate against the three check chains it replaced.
+"""RunConfig's checks against the three check chains it replaced.
 
 Before ``RunConfig``, configs were checked by ``cli._load_config`` (a chain
 of ``_require`` calls), the ``rank``/``plan`` flags by ``cli._check_method``
@@ -57,7 +57,6 @@ def reference_load_config(raw):
     for name in sorted(cfg["model"]):
         _require(name in model_fields, f"model: unknown field {name!r}")
     cfg["model"] = ToyModelConfig(**cfg["model"])
-    cfg["model"].validate()
     _require(is_fraction(cfg["alpha"]), f"alpha: {cfg['alpha']!r} outside [0, 1]")
     for key in ("methods", "budgets", "seeds"):
         _require(isinstance(cfg[key], list), f"{key}: expected a list")
