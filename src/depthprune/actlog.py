@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaViolation, SinkFailure, TruncatedFile
+from .errors import SchemaViolation, SinkFailure, TruncatedFile, is_int
 
 SCHEMA_VERSION = 3
 
 _COLUMNS = (("sample_id", "<i8"), ("layer", "<i8"), ("domain", "<i8"), ("subtask", "<i8"),
             ("sim", "<f4"), ("pooled_out", "<f4"))
+# Bytes of a column encoded at a time.  A multiple of 3, so each piece's base64
+# has no padding and the pieces' base64 joins into the whole column's.
+_PIECE = 3 * 16384
 # The only key lists of a header and a domain, in file order; each key names a field.
 _HEADER_KINDS = {"schema_version": int, "model_id": str, "num_layers": int, "hidden_dim": int,
                  "protected_layers": (list, int), "domains": list}
@@ -45,6 +48,12 @@ class LogHeader:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        for name, values in (("num_layers", [self.num_layers]), ("hidden_dim", [self.hidden_dim]),
+                             ("protected_layers", self.protected_layers),
+                             ("domains: sample_count", [d.sample_count for d in self.domains])):
+            for value in values:  # before any comparison, which a str would fail untyped
+                if not is_int(value):
+                    raise SchemaViolation(f"{name}: {value!r} is not an integer")
         if self.schema_version != SCHEMA_VERSION:
             raise SchemaViolation(f"schema_version: unsupported value {self.schema_version} "
                                   f"(this reader reads {SCHEMA_VERSION})")
@@ -150,14 +159,24 @@ def _check_rows(header, table):
 
 
 def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
-    """Validate the table, then write header and columns to a text sink; returns record count."""
+    """Validate the table, then write header and columns to a text sink; returns record count.
+
+    Each column's bytes are encoded and written ``_PIECE`` bytes at a time,
+    so no whole-column copy of its bytes (for a column already in its file
+    dtype) or of its base64 text is made.  The line equals the compact
+    ``json.dumps`` of ``{name: base64}``: a column name and the base64
+    alphabet need no JSON escape.
+    """
     _check_rows(header, table)
     try:
         destination.write(_header_to_json(header) + "\n")
         for name, dtype in _COLUMNS:
-            data = np.asarray(getattr(table, name), dtype=dtype).tobytes()
-            destination.write(json.dumps({name: base64.b64encode(data).decode("ascii")},
-                                         separators=(",", ":")) + "\n")
+            data = np.ascontiguousarray(getattr(table, name), dtype=dtype)
+            data = data.reshape(-1).view(np.uint8)
+            destination.write(f'{{"{name}":"')
+            for lo in range(0, len(data), _PIECE):
+                destination.write(base64.b64encode(data[lo:lo + _PIECE]).decode("ascii"))
+            destination.write('"}\n')
         destination.flush()
     except OSError as exc:
         raise SinkFailure(f"I/O failure while writing log: {exc}") from exc

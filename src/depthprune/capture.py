@@ -4,7 +4,7 @@ import numpy as np
 
 from .actlog import ActivationTable, DomainInfo, LogHeader
 from .linalg import mean_pool, token_cosine_mean
-from .planner import default_protected
+from .model import CHUNK, default_protected
 
 
 def layer_stats(states):
@@ -30,11 +30,13 @@ def capture_run(model, probe_sets, runs=None):
 
     Samples are numbered sequentially across probe sets in the given order.
     ``runs`` holds one iterable of the model's states per probe set, such as
-    a list of them already computed by the caller; by default each domain's
-    whole token matrix is streamed through the model (:meth:`Model.stream`
-    bounds each block's temporaries by ``depthprune.model.CHUNK`` samples),
-    holding two of its states at a time.  A ``runs`` that is a mapping, or
-    that holds a different number of runs than there are probe sets, raises
+    a list of them already computed by the caller.  By default each domain's
+    token matrix is streamed through the model ``depthprune.model.CHUNK``
+    samples at a time, and each chunk's sims and pooled outputs are reduced
+    as its states pass, so at most two chunk states are held whatever the
+    probe count; rows are independent, so the table is bit-identical to one
+    whole-domain stream.  A ``runs`` that is a mapping, or that holds a
+    different number of runs than there are probe sets, raises
     ``ValueError`` before any block is reduced.  Sims are clamped into
     [-1, 1]; ``table.clamped`` counts how many needed it.
     """
@@ -54,14 +56,16 @@ def capture_run(model, probe_sets, runs=None):
         domains=tuple(DomainInfo(ps.domain, tuple(tag for tag, _ in ps.subtasks), ps.num_samples)
                       for ps in probe_sets),
     )
-    if runs is None:
-        runs = (model.stream(ps.token_matrix()) for ps in probe_sets)
-    tags, stats, domain, subtask = header.subtask_tags, [], [], []
-    for di, (ps, states) in enumerate(zip(probe_sets, runs)):
+    if runs is None:  # an empty domain still reaches stream, which refuses it
+        runs = (model.stream(tokens[lo:lo + CHUNK])
+                for tokens in (ps.token_matrix() for ps in probe_sets)
+                for lo in range(0, max(len(tokens), 1), CHUNK))
+    tags, domain, subtask = header.subtask_tags, [], []
+    for di, ps in enumerate(probe_sets):
         for tag, _ in ps.all_samples():
             domain.append(di)
             subtask.append(tags.index(tag))
-        stats.append(layer_stats(states))
+    stats = [layer_stats(states) for states in runs]
     n, depth = len(domain), model.depth
     sim = np.concatenate([s for s, _ in stats] or [np.empty((0, depth))]).reshape(-1)
     pooled = np.concatenate([p for _, p in stats] or [np.empty((0, depth, cfg.hidden_dim))])

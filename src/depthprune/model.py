@@ -16,15 +16,21 @@ import numpy as np
 
 from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong, is_int
 from .parallel import threaded
-from .planner import default_protected
 from .rng import SeededStream
 
 
 # Samples per block evaluation: a block's scratch buffers (the (B, heads, T, T)
 # attention scores and the (B, T, 4d) MLP activations) are bounded by this
-# many samples at any batch size, which keeps them in cache.  16 raised the
-# CLI capture's peak RSS past the benchmark's bound.
+# many samples at any batch size, which keeps them in cache.  The CLI capture
+# streams each domain in pieces of this many samples, so the states it holds
+# are bounded by it too.  16 raised the CLI capture's peak RSS past the
+# benchmark's bound.
 CHUNK = 8
+
+
+def default_protected(num_layers: int) -> frozenset:
+    """The endpoint layers {0, L - 1}, which are never scored or pruned: the one such rule."""
+    return frozenset({0, num_layers - 1})
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,6 @@ _PLAN_KINDS = {
 }
 
 
-def default_protected(num_layers: int) -> frozenset:
-    """The endpoint layers {0, L - 1}, which are never scored or pruned: the one such rule."""
-    return frozenset({0, num_layers - 1})
-
-
 def budget_k(p: float, n_mid: int) -> int:
     """K = floor(p * n_mid), guarded against float representation of p."""
     if not is_fraction(p):
@@ -50,6 +45,12 @@ class PrunePlan:
     seed: int = None       # random only
 
     def __post_init__(self):
+        for name, values in (("num_layers", [self.num_layers]), ("k", [self.k]),
+                             ("protected", self.protected), ("pruned", self.pruned),
+                             ("scores", self.scores or ())):
+            for value in values:  # before any comparison, which a str would fail untyped
+                if not is_int(value):
+                    raise SchemaViolation(f"{name}: {value!r} is not an integer")
         if self.method not in METHODS:
             raise SchemaViolation(f"method: unknown tag {self.method!r}")
         if self.num_layers <= 0:

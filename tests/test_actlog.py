@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import table_from_rows
-from depthprune.actlog import (_COLUMNS, DomainInfo, LogHeader, log_to_bytes, read_log,
-                               write_log)
+from depthprune.actlog import (_COLUMNS, _PIECE, ActivationTable, DomainInfo, LogHeader,
+                               log_to_bytes, read_log, write_log)
 from depthprune.errors import SchemaViolation, TruncatedFile
 
 
@@ -40,6 +40,35 @@ def test_empty_stream_header_only():
     assert len(got) == 0
     assert got.pooled_out.shape == (0, 2)
     assert header == header_4x2(0)
+
+
+def reference_column_lines(tab):
+    """Each column line as one ``json.dumps`` of the whole column's base64."""
+    lines = []
+    for name, dtype in _COLUMNS:
+        data = np.asarray(getattr(tab, name), dtype=dtype).tobytes()
+        lines.append(json.dumps({name: base64.b64encode(data).decode("ascii")},
+                                separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+def test_column_written_in_pieces_equals_one_json_dumps():
+    # 20-byte pooled rows: the column spans three pieces and ends mid base64 group
+    n = 2 * _PIECE // 20 + 1
+    rng = np.random.default_rng(0)
+    header = LogHeader(model_id="toy", num_layers=4, hidden_dim=5,
+                       protected_layers=frozenset({0, 3}),
+                       domains=(DomainInfo("math", ("Math-CoT",), n),))
+    tab = ActivationTable(header=header, sample_id=np.arange(n), layer=np.ones(n, dtype=np.int64),
+                          domain=np.zeros(n, dtype=np.int64), subtask=np.zeros(n, dtype=np.int64),
+                          sim=rng.uniform(-1, 1, n),
+                          pooled_out=rng.standard_normal((n, 5)).astype(np.float32))
+    assert tab.pooled_out.nbytes > 2 * _PIECE and tab.pooled_out.nbytes % 3 != 0
+    buf = io.StringIO()
+    assert write_log(header, tab, buf) == n
+    assert buf.getvalue().split("\n", 1)[1] == reference_column_lines(tab)
+    _, got = read_log(io.StringIO(buf.getvalue()))
+    np.testing.assert_array_equal(got.pooled_out, tab.pooled_out)
 
 
 def test_round_trip_single_record():

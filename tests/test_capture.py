@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from depthprune import capture
 from depthprune.capture import capture_run, layer_stats
 from depthprune.linalg import token_cosine_mean
 from depthprune.model import ToyModelConfig, build_model, neutralize_block
-from depthprune.probes import default_probe_sets, generate_probes
+from depthprune.probes import ProbeSet, default_probe_sets, generate_probes
 
 
 def test_record_count_is_samples_times_depth(small_capture, small_probes):
@@ -101,3 +103,29 @@ def test_capture_rejects_runs_of_the_wrong_form(monkeypatch):
         with pytest.raises(ValueError, match=f"^runs: {len(runs)} runs for 2 probe sets"):
             capture_run(model, probe_sets, runs)
     assert reduced == []
+
+
+def test_capture_memory_does_not_grow_with_the_probe_count():
+    # the default path holds CHUNK-sample states, not whole-domain ones: five
+    # times the probes add their output columns to the peak, not a domain's state
+    cfg = ToyModelConfig()
+    model = build_model(cfg)
+    peaks = []
+    for n in (10, 50):
+        probe_sets = default_probe_sets(cfg, 0, {"math": n, "nonmath": n})
+        tracemalloc.start()
+        try:
+            capture_run(model, probe_sets)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    state = max(ps.token_matrix().size for ps in probe_sets) * cfg.hidden_dim * 8
+    assert peaks[1] - peaks[0] < state
+
+
+def test_capture_refuses_an_empty_probe_set():
+    # chunking must not skip a domain with no samples, which stream refuses
+    cfg = ToyModelConfig(num_layers=4, hidden_dim=16, num_heads=2)
+    probe_sets = [ProbeSet("math", ()), generate_probes("nonmath", 1, seed=0, config=cfg)]
+    with pytest.raises(ValueError, match="^tokens must be a non-empty"):
+        capture_run(build_model(cfg), probe_sets)

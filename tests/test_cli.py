@@ -6,7 +6,8 @@ import pytest
 from depthprune import cli, report
 from depthprune.actlog import read_log_path
 from depthprune.cli import main
-from depthprune.planner import PrunePlan, default_protected, serialize_plan
+from depthprune.model import default_protected
+from depthprune.planner import PrunePlan, serialize_plan
 
 CONFIG = {
     "model": {"num_layers": 8, "hidden_dim": 32, "num_heads": 4},

@@ -5,13 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from depthprune.actlog import LogHeader
+from depthprune.actlog import DomainInfo, LogHeader
 from depthprune.baselines import random_plan
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
                                DepthPruneError, EmptyInput, InvalidConfig, SchemaViolation)
-from depthprune.model import ToyModelConfig, build_model
-from depthprune.planner import (METHODS, PrunePlan, budget_k, default_protected, parse_plan,
-                                serialize_plan)
+from depthprune.model import ToyModelConfig, build_model, default_protected
+from depthprune.planner import METHODS, PrunePlan, budget_k, parse_plan, serialize_plan
 from depthprune.probes import ProbeSet, generate_probes
 from depthprune.report import (RunConfig, classify_regime, fidelity, method_scores,
                                plan_for_method)
@@ -35,16 +34,27 @@ def test_fraction_entry_points_refuse_bools_and_strings(call, error, value):
         call(value)
 
 
+_HEADER = LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=default_protected(4),
+                    domains=())
+_PLAN = PrunePlan(method="cka", budget_fraction=0.25, k=2, num_layers=12,
+                  protected=default_protected(12), pruned=(10, 2))
+
+
 @pytest.mark.parametrize("valid,bad,error,message", [
     (ToyModelConfig(), dict(num_heads=3), InvalidConfig, "not divisible by num_heads 3"),
     (RunConfig(), dict(alpha=1.5), AlphaOutOfRange, r"^alpha must be in \[0, 1\], got 1.5"),
-    (LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=default_protected(4),
-               domains=()),
-     dict(num_layers=0), SchemaViolation, "^num_layers: must be positive, got 0"),
-    (PrunePlan(method="cka", budget_fraction=0.25, k=2, num_layers=12,
-               protected=default_protected(12), pruned=(10, 2)),
-     dict(pruned=(10, 11)), SchemaViolation, "^pruned: layer 11 is protected"),
-], ids=["ToyModelConfig", "RunConfig", "LogHeader", "PrunePlan"])
+    (_HEADER, dict(num_layers=0), SchemaViolation, "^num_layers: must be positive, got 0"),
+    (_PLAN, dict(pruned=(10, 11)), SchemaViolation, "^pruned: layer 11 is protected"),
+    # a field of the wrong type is named before any comparison could fail untyped
+    (_HEADER, dict(num_layers="4"), SchemaViolation, "^num_layers: '4' is not an integer"),
+    (_HEADER, dict(domains=(DomainInfo("math", ("Math-CoT",), "3"),)), SchemaViolation,
+     "^domains: sample_count: '3' is not an integer"),
+    (_PLAN, dict(num_layers="12"), SchemaViolation, "^num_layers: '12' is not an integer"),
+    (_PLAN, dict(k="2"), SchemaViolation, "^k: '2' is not an integer"),
+    (_PLAN, dict(pruned=("10", 2)), SchemaViolation, "^pruned: '10' is not an integer"),
+], ids=["ToyModelConfig", "RunConfig", "LogHeader", "PrunePlan", "LogHeader-num_layers-str",
+        "LogHeader-sample_count-str", "PrunePlan-num_layers-str", "PrunePlan-k-str",
+        "PrunePlan-pruned-str"])
 def test_replace_with_a_bad_field_raises_the_type_error(valid, bad, error, message):
     # each type checks itself when it is built, and replace builds a new object
     with pytest.raises(error, match=message):

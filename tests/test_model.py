@@ -9,8 +9,8 @@ from depthprune.capture import capture_run
 from depthprune.errors import (InvalidConfig, PlanModelMismatch, SchemaViolation,
                                SequenceTooLong)
 from depthprune.model import (ToyModelConfig, apply_prune_plan, build_model,
-                              neutralize_block)
-from depthprune.planner import PrunePlan, default_protected
+                              default_protected, neutralize_block)
+from depthprune.planner import PrunePlan
 from depthprune.probes import default_probe_sets
 from depthprune.rng import SeededStream
 

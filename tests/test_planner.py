@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from depthprune.baselines import random_plan
 
 from depthprune.errors import BudgetOutOfRange, LayerSetMismatch, SchemaViolation
-from depthprune.planner import (PrunePlan, budget_k, default_protected,
-                                make_plan, parse_plan, serialize_plan)
+from depthprune.model import default_protected
+from depthprune.planner import PrunePlan, budget_k, make_plan, parse_plan, serialize_plan
 
 
 def scores_for(num_layers, seed=0):

@@ -13,9 +13,9 @@ from depthprune.capture import capture_run
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
                                DepthPruneError, InconsistentDepth, InvalidConfig, MissingSubtask,
                                ModelMismatch, ZeroNormInput)
-from depthprune.model import Model, ToyModelConfig, apply_prune_plan, build_model
-from depthprune.planner import (METHODS, PrunePlan, budget_k, default_protected, parse_plan,
-                                serialize_plan)
+from depthprune.model import (Model, ToyModelConfig, apply_prune_plan, build_model,
+                              default_protected)
+from depthprune.planner import METHODS, PrunePlan, budget_k, parse_plan, serialize_plan
 from depthprune.probes import default_probe_sets, generate_probes
 from depthprune.report import (classify_regime, fidelity, method_scores, plan_for_method,
                                removal_pattern_grid, sweep, sweep_csv)
