@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaViolation, SinkFailure, TruncatedFile, is_int
+from .errors import SchemaViolation, SinkFailure, TruncatedFile, check_distinct, check_int
 
 SCHEMA_VERSION = 3
 
@@ -48,34 +48,21 @@ class LogHeader:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        for name, values in (("num_layers", [self.num_layers]), ("hidden_dim", [self.hidden_dim]),
-                             ("protected_layers", self.protected_layers),
-                             ("domains: sample_count", [d.sample_count for d in self.domains])):
-            for value in values:  # before any comparison, which a str would fail untyped
-                if not is_int(value):
-                    raise SchemaViolation(f"{name}: {value!r} is not an integer")
         if self.schema_version != SCHEMA_VERSION:
             raise SchemaViolation(f"schema_version: unsupported value {self.schema_version} "
                                   f"(this reader reads {SCHEMA_VERSION})")
-        if self.num_layers <= 0:
-            raise SchemaViolation(f"num_layers: must be positive, got {self.num_layers}")
-        if self.hidden_dim <= 0:
-            raise SchemaViolation(f"hidden_dim: must be positive, got {self.hidden_dim}")
+        check_int(SchemaViolation, "num_layers", self.num_layers, 1)
+        check_int(SchemaViolation, "hidden_dim", self.hidden_dim, 1)
         for p in self.protected_layers:
-            if not (0 <= p < self.num_layers):
-                raise SchemaViolation(f"protected_layers: index {p} outside [0, {self.num_layers})")
+            check_int(SchemaViolation, "protected_layers", p, 0, self.num_layers)
         if not self.pruneable:
             raise SchemaViolation(f"protected_layers: all {self.num_layers} layers are protected, "
                                   "so no layer is pruneable")
-        if len({d.domain for d in self.domains}) != len(self.domains):
-            raise SchemaViolation("domains: a domain name is declared twice")
+        check_distinct(SchemaViolation, "domains", (d.domain for d in self.domains))
         for d in self.domains:
-            if d.sample_count < 0:
-                raise SchemaViolation(f"domains: negative sample_count for {d.domain}")
-        tags = [tag for d in self.domains for tag in d.subtasks]
-        for i, tag in enumerate(tags):
-            if tag in tags[:i]:
-                raise SchemaViolation(f"domains: subtask tag {tag!r} is declared twice")
+            check_int(SchemaViolation, "domains: sample_count", d.sample_count, 0)
+        check_distinct(SchemaViolation, "domains: subtasks",
+                       (tag for d in self.domains for tag in d.subtasks))
 
     @property
     def pruneable(self) -> tuple:

@@ -7,7 +7,7 @@ endpoint set through the pruneable layer set they are given.
 
 import numpy as np
 
-from .errors import (BudgetInfeasible, DegenerateFeatures, DepthPruneError, MissingSubtask,
+from .errors import (BudgetInfeasible, DegenerateFeatures, InvalidConfig, MissingSubtask,
                      is_int)
 from .linalg import center_rows, token_cosine_mean
 from .planner import PrunePlan
@@ -157,7 +157,7 @@ def random_plan(pruneable, k: int, seed: int, num_layers: int,
                 budget_fraction: float = None) -> PrunePlan:
     """k distinct layers drawn uniformly without replacement, seeded: the first k of one order."""
     if not is_int(seed):
-        raise DepthPruneError(f"method random requires a seed (an integer), got {seed!r}")
+        raise InvalidConfig(f"method random requires a seed (an integer), got {seed!r}")
     pruneable = sorted(pruneable)
     if k > len(pruneable):
         raise BudgetInfeasible(f"k = {k} exceeds pruneable count {len(pruneable)}")

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .actlog import ActivationTable, DomainInfo, LogHeader
+from .errors import EmptyInput
 from .linalg import mean_pool, token_cosine_mean
 from .model import CHUNK, default_protected
 
@@ -38,8 +39,12 @@ def capture_run(model, probe_sets, runs=None):
     whole-domain stream.  A ``runs`` that is a mapping, or that holds a
     different number of runs than there are probe sets, raises
     ``ValueError`` before any block is reduced.  Sims are clamped into
-    [-1, 1]; ``table.clamped`` counts how many needed it.
+    [-1, 1]; ``table.clamped`` counts how many needed it.  A probe set with
+    no samples raises ``EmptyInput`` before any block runs.
     """
+    for ps in probe_sets:
+        if ps.num_samples == 0:
+            raise EmptyInput(f"probe set {ps.domain!r} is empty")
     if runs is not None:
         if hasattr(runs, "keys"):  # a mapping would be iterated as its keys
             raise ValueError("runs: expected one iterable of states per probe set, got a mapping")
@@ -56,10 +61,10 @@ def capture_run(model, probe_sets, runs=None):
         domains=tuple(DomainInfo(ps.domain, tuple(tag for tag, _ in ps.subtasks), ps.num_samples)
                       for ps in probe_sets),
     )
-    if runs is None:  # an empty domain still reaches stream, which refuses it
+    if runs is None:
         runs = (model.stream(tokens[lo:lo + CHUNK])
                 for tokens in (ps.token_matrix() for ps in probe_sets)
-                for lo in range(0, max(len(tokens), 1), CHUNK))
+                for lo in range(0, len(tokens), CHUNK))
     tags, domain, subtask = header.subtask_tags, [], []
     for di, ps in enumerate(probe_sets):
         for tag, _ in ps.all_samples():

@@ -4,6 +4,7 @@ Every error carries an ``exit_code`` used by the CLI: 1 for validation
 problems (bad input, schema, config), 2 for runtime failures (I/O).
 ``is_int``, ``is_number`` and ``is_fraction`` (a number in [0, 1]) are the
 only rules for a valid integer, number and fraction; none takes a ``bool``.
+``check_int`` and ``check_distinct`` word each integer and repeat fault once.
 """
 
 
@@ -17,6 +18,24 @@ def is_number(value) -> bool:
 
 def is_fraction(value) -> bool:
     return is_number(value) and 0 <= value <= 1
+
+
+def check_int(error, name, value, low=None, high=None):
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer in [low, high), type first."""
+    if not is_int(value):
+        raise error(f"{name}: {value!r} is not an integer")
+    if high is not None and not low <= value < high:
+        raise error(f"{name}: {value} outside [{low}, {high})")
+    if low is not None and value < low:
+        raise error(f"{name}: must be >= {low}, got {value}")
+
+
+def check_distinct(error, name, values):
+    """Raise ``error`` naming the first entry of ``values`` that repeats an earlier one."""
+    values = list(values)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise error(f"{name}: {value!r} is listed twice")
 
 
 class DepthPruneError(Exception):

@@ -10,11 +10,11 @@ out in a fixed order (token embedding, positional embedding, per-block
 projections, unembedding), so equal configs give bit-identical models.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong, is_int
+from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong, check_int
 from .parallel import threaded
 from .rng import SeededStream
 
@@ -43,24 +43,17 @@ class ToyModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not is_int(value):
-                raise InvalidConfig(f"{field.name} must be an int (got {value!r})")
-        if self.num_layers < 3:
-            raise InvalidConfig(f"num_layers must be >= 3 (got {self.num_layers}); "
-                                "otherwise no layer is pruneable after endpoint protection")
-        if self.hidden_dim <= 0:
-            raise InvalidConfig(f"hidden_dim must be positive (got {self.hidden_dim})")
-        if self.num_heads <= 0:
-            raise InvalidConfig(f"num_heads must be positive (got {self.num_heads})")
+        # 3 layers leave one pruneable after endpoint protection, and several probe
+        # generators draw from vocab_size - 1 tokens
+        check_int(InvalidConfig, "num_layers", self.num_layers, 3)
+        check_int(InvalidConfig, "hidden_dim", self.hidden_dim, 1)
+        check_int(InvalidConfig, "num_heads", self.num_heads, 1)
+        check_int(InvalidConfig, "vocab_size", self.vocab_size, 2)
+        check_int(InvalidConfig, "max_seq_len", self.max_seq_len, 1)
+        check_int(InvalidConfig, "seed", self.seed)
         if self.hidden_dim % self.num_heads != 0:
             raise InvalidConfig(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}")
-        if self.vocab_size < 2:  # several probe generators draw from vocab_size - 1 tokens
-            raise InvalidConfig(f"vocab_size must be >= 2 (got {self.vocab_size})")
-        if self.max_seq_len <= 0:
-            raise InvalidConfig(f"max_seq_len must be positive (got {self.max_seq_len})")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ import math
 from dataclasses import dataclass
 
 from .actlog import object_problem
-from .errors import (BudgetOutOfRange, LayerSetMismatch, SchemaViolation, is_fraction,
-                     is_int, is_number)
+from .errors import (BudgetOutOfRange, LayerSetMismatch, SchemaViolation, check_distinct,
+                     check_int, is_fraction, is_int, is_number)
 from .scoring import rank_order
 
 METHODS = ("ours-math", "ours-nonmath", "ours-mixed", "cka", "interlace", "random")
@@ -45,35 +45,25 @@ class PrunePlan:
     seed: int = None       # random only
 
     def __post_init__(self):
-        for name, values in (("num_layers", [self.num_layers]), ("k", [self.k]),
-                             ("protected", self.protected), ("pruned", self.pruned),
-                             ("scores", self.scores or ())):
-            for value in values:  # before any comparison, which a str would fail untyped
-                if not is_int(value):
-                    raise SchemaViolation(f"{name}: {value!r} is not an integer")
         if self.method not in METHODS:
             raise SchemaViolation(f"method: unknown tag {self.method!r}")
-        if self.num_layers <= 0:
-            raise SchemaViolation(f"num_layers: must be positive, got {self.num_layers}")
+        check_int(SchemaViolation, "num_layers", self.num_layers, 1)
         for p in self.protected:
-            if not (0 <= p < self.num_layers):
-                raise SchemaViolation(f"protected: layer {p} outside [0, {self.num_layers})")
+            check_int(SchemaViolation, "protected", p, 0, self.num_layers)
+        check_int(SchemaViolation, "k", self.k)
         n_mid = self.num_layers - len(self.protected)
         if self.k != budget_k(self.budget_fraction, n_mid):
             raise SchemaViolation(
                 f"k: {self.k} != floor({self.budget_fraction} * {n_mid})")
         if len(self.pruned) != self.k:
             raise SchemaViolation(f"pruned: has {len(self.pruned)} layers but k = {self.k}")
-        if len(set(self.pruned)) != len(self.pruned):
-            raise SchemaViolation("pruned: duplicate layer index")
         for layer in self.pruned:
-            if not (0 <= layer < self.num_layers):
-                raise SchemaViolation(f"pruned: layer {layer} outside [0, {self.num_layers})")
+            check_int(SchemaViolation, "pruned", layer, 0, self.num_layers)
             if layer in self.protected:
                 raise SchemaViolation(f"pruned: layer {layer} is protected")
+        check_distinct(SchemaViolation, "pruned", self.pruned)
         for layer in self.scores or ():
-            if not (0 <= layer < self.num_layers):
-                raise SchemaViolation(f"scores: layer {layer} outside [0, {self.num_layers})")
+            check_int(SchemaViolation, "scores", layer, 0, self.num_layers)
 
 
 def make_plan(scores, p: float, num_layers: int, protected, method: str,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, UnknownDomain, is_int
+from .errors import InvalidConfig, UnknownDomain, check_int
 from .model import ToyModelConfig
 from .rng import SeededStream, mix_seed
 
@@ -157,21 +157,21 @@ def subtasks_for(domain: str) -> tuple:
 
 
 def subtask_counts(domain: str, count) -> dict:
-    """{subtask: count} of one domain's positive count per subtask or non-empty {tag: count}."""
+    """{subtask: count} of one domain's positive count per subtask or complete {tag: count}."""
     tags = subtasks_for(domain)
     per_subtask = count if isinstance(count, dict) else dict.fromkeys(tags, count)
-    if not per_subtask:
-        raise InvalidConfig(f"probe_counts {domain}: empty subtask map")
     for tag, n in per_subtask.items():
         if tag not in tags:
             raise InvalidConfig(f"probe_counts {domain}: unknown subtask {tag!r}")
-        if not is_int(n) or n <= 0:
-            raise InvalidConfig(f"probe_counts {domain}: {n!r} is not a positive integer")
+        check_int(InvalidConfig, f"probe_counts {domain}", n, 1)
+    for tag in tags:
+        if tag not in per_subtask:
+            raise InvalidConfig(f"probe_counts {domain}: missing subtask {tag!r}")
     return per_subtask
 
 
 def check_counts(counts):
-    """Raise InvalidConfig unless each domain has a positive count or a non-empty {tag: count}."""
+    """Raise InvalidConfig unless each domain has a positive count or a complete {tag: count}."""
     if not (isinstance(counts, dict) and set(counts) == set(DOMAINS)):
         raise InvalidConfig(f"probe_counts: expected one entry for each of {DOMAINS}")
     for d in DOMAINS:
@@ -181,16 +181,15 @@ def check_counts(counts):
 def generate_probes(domain: str, counts, seed: int, config: ToyModelConfig) -> ProbeSet:
     """Generate a deterministic probe suite for one domain.
 
-    counts may be a single per-subtask count or a {subtask: count} map.
+    counts may be a single per-subtask count or a {subtask: count} map of every subtask.
     """
     counts = subtask_counts(domain, counts)
     length = min(PROBE_LEN, config.max_seq_len)
     vocab = config.vocab_size
     subtasks = []
     for si, tag in enumerate(subtasks_for(domain)):
-        n = counts.get(tag, 0)
         samples = []
-        for i in range(n):
+        for i in range(counts[tag]):
             stream = SeededStream(mix_seed(seed, si, i))
             samples.append(tuple(_GENERATORS[tag](stream, length, vocab)))
         subtasks.append((tag, tuple(samples)))

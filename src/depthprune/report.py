@@ -8,9 +8,9 @@ import numpy as np
 
 from .baselines import cka_rank, interlace_plan, random_plan
 from .capture import capture_run
-from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, DepthPruneError,
-                     EmptyInput, InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput,
-                     is_fraction, is_int)
+from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, EmptyInput,
+                     InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput,
+                     check_distinct, check_int, is_fraction)
 from .linalg import ZERO_NORM_THRESHOLD
 from .model import ToyModelConfig, apply_prune_plan, build_model
 from .parallel import threaded
@@ -69,15 +69,10 @@ class RunConfig:
             if not is_fraction(p):
                 raise BudgetOutOfRange(f"budgets: budget fraction must be in [0, 1], got {p!r}")
         for seed in self.seeds:
-            if not is_int(seed):
-                raise InvalidConfig(f"seeds: seed {seed!r} is not an integer")
+            check_int(InvalidConfig, "seeds", seed)
         for key in ("methods", "budgets", "seeds"):
-            values = getattr(self, key)
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise InvalidConfig(f"{key}: {value!r} is listed twice")
-        if not is_int(self.probe_seed):
-            raise InvalidConfig(f"seeds: probe_seed {self.probe_seed!r} is not an integer")
+            check_distinct(InvalidConfig, key, getattr(self, key))
+        check_int(InvalidConfig, "probe_seed", self.probe_seed)
         if not isinstance(self.out, str):
             raise InvalidConfig(f"out: {self.out!r} is not a path")
 
@@ -243,8 +238,8 @@ def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed
     if method == "cka":
         scores = cka_rank(table, pruneable)
         return scores, rank_order(scores)
-    raise DepthPruneError(f"method {method!r} has no budget-free ranking" if method in METHODS
-                          else f"unknown method {method!r}")
+    raise InvalidConfig(f"method {method!r} has no budget-free ranking" if method in METHODS
+                        else f"unknown method {method!r}")
 
 
 def plan_for_method(method: str, header, table, p: float, alpha: float = DEFAULT_ALPHA,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import table_from_rows
 from depthprune.actlog import (_COLUMNS, _PIECE, ActivationTable, DomainInfo, LogHeader,
                                log_to_bytes, read_log, write_log)
-from depthprune.errors import SchemaViolation, TruncatedFile
+from depthprune.errors import SchemaViolation, SinkFailure, TruncatedFile
 
 
 def header_4x2(math_samples=1):
@@ -147,6 +147,16 @@ def test_write_validates_before_writing():
     assert buf.getvalue() == ""
 
 
+def test_write_turns_a_sink_failure_into_sink_failure():
+    class FullSink:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    with pytest.raises(SinkFailure, match=r"^I/O failure while writing log: "
+                                          r"\[Errno 28\] No space left on device$"):
+        write_log(header_4x2(), table(row()), FullSink())
+
+
 def log_lines(tab=None):
     tab = table(row()) if tab is None else tab
     return log_to_bytes(tab.header, tab).decode().splitlines()
@@ -242,6 +252,15 @@ def test_read_rejects_wrong_types_with_line_number(key, value, message):
         read_log(io.StringIO(text(lines)))
 
 
+def test_read_rejects_a_header_that_is_not_json():
+    lines = log_lines()
+    for header, reason in (
+            ("{'model_id': 'toy'}", "Expecting property name enclosed in double quotes"),
+            (lines[0] + "}", "Extra data")):
+        with pytest.raises(SchemaViolation, match=rf"^line 1: invalid header \({reason}\)$"):
+            read_log(io.StringIO(text([header] + lines[1:])))
+
+
 def test_read_rejects_unequal_columns():
     lines = log_lines(table(row(0), row(1), row(2)))
     with pytest.raises(SchemaViolation, match="^line 4: domain: 2 values, expected 3"):
@@ -305,7 +324,7 @@ def test_empty_file():
 
 
 def test_bad_header_layer_range():
-    with pytest.raises(SchemaViolation, match="protected"):
+    with pytest.raises(SchemaViolation, match=r"^protected_layers: 7 outside \[0, 4\)$"):
         LogHeader(model_id="x", num_layers=4, hidden_dim=2,
                   protected_layers=frozenset({7}), domains=())
 
@@ -323,12 +342,12 @@ def test_header_needs_a_pruneable_layer():
 
 def test_header_rejects_repeated_domain():
     # scoring looks a domain up by name, so a second "math" would go unread
-    with pytest.raises(SchemaViolation, match="domains: a domain name is declared twice"):
+    with pytest.raises(SchemaViolation, match="^domains: 'math' is listed twice$"):
         LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
                   domains=(DomainInfo("math", ("A",), 1), DomainInfo("math", ("B",), 1)))
     lines = log_lines()
     lines[0] = lines[0].replace('"nonmath"', '"math"')
-    with pytest.raises(SchemaViolation, match="domains: a domain name is declared twice"):
+    with pytest.raises(SchemaViolation, match="^domains: 'math' is listed twice$"):
         read_log(io.StringIO(text(lines)))
 
 
@@ -338,7 +357,7 @@ def test_header_rejects_repeated_domain():
     (DomainInfo("math", ("A", "B"), 1), DomainInfo("nonmath", ("C", "A"), 1)),
 ])
 def test_header_rejects_repeated_subtask_tag(domains):
-    with pytest.raises(SchemaViolation, match="^domains: subtask tag 'A' is declared twice"):
+    with pytest.raises(SchemaViolation, match="^domains: subtasks: 'A' is listed twice$"):
         LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
                   domains=domains)
 
@@ -346,7 +365,7 @@ def test_header_rejects_repeated_subtask_tag(domains):
 def test_read_rejects_a_subtask_tag_of_two_domains():
     lines = log_lines()
     lines[0] = lines[0].replace('"Captioning"', '"Math-CoT"')
-    with pytest.raises(SchemaViolation, match="^domains: subtask tag 'Math-CoT' is declared twice"):
+    with pytest.raises(SchemaViolation, match="^domains: subtasks: 'Math-CoT' is listed twice$"):
         read_log(io.StringIO(text(lines)))
 
 

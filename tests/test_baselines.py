@@ -106,6 +106,16 @@ def test_cka_identical_adjacent_layers_score_one():
     assert max(scores, key=lambda l: scores[l]) == 3
 
 
+def test_cka_rank_scores_a_degenerate_pair_zero():
+    header, records = make_synthetic_records(num_layers=5, seed=9)
+    # every record of layer 2 pools to one vector, so layer 2's features have no spread
+    pooled = records.pooled_out.copy()
+    pooled[records.layer == 2] = 1.0
+    scores = cka_rank(replace(records, pooled_out=pooled), range(1, 4))
+    assert scores[2] == scores[3] == 0.0
+    assert scores[1] == cka_rank(records, range(1, 4))[1] > 0.0
+
+
 # ---- Interlace -------------------------------------------------------------
 
 def test_interlace_k1_single_triplet():
@@ -146,6 +156,12 @@ def test_interlace_budget_infeasible():
     # 4 pruneable layers can never yield 4 removals with pairwise gaps >= 2
     with pytest.raises(BudgetInfeasible):
         interlace_plan(records, range(1, 5), 4)
+
+
+def test_interlace_refuses_more_removals_than_pruneable_layers():
+    header, records = make_synthetic_records(num_layers=6)
+    with pytest.raises(BudgetInfeasible, match="^k = 5 exceeds pruneable count 4$"):
+        interlace_solution(records, range(1, 5), 5)
 
 
 def test_interlace_takes_depth_from_the_header():

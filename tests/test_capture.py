@@ -5,6 +5,7 @@ import pytest
 
 from depthprune import capture
 from depthprune.capture import capture_run, layer_stats
+from depthprune.errors import EmptyInput
 from depthprune.linalg import token_cosine_mean
 from depthprune.model import ToyModelConfig, build_model, neutralize_block
 from depthprune.probes import ProbeSet, default_probe_sets, generate_probes
@@ -124,8 +125,10 @@ def test_capture_memory_does_not_grow_with_the_probe_count():
 
 
 def test_capture_refuses_an_empty_probe_set():
-    # chunking must not skip a domain with no samples, which stream refuses
+    # refused before any block runs, on the chunked path and on given runs alike
     cfg = ToyModelConfig(num_layers=4, hidden_dim=16, num_heads=2)
     probe_sets = [ProbeSet("math", ()), generate_probes("nonmath", 1, seed=0, config=cfg)]
-    with pytest.raises(ValueError, match="^tokens must be a non-empty"):
-        capture_run(build_model(cfg), probe_sets)
+    model = build_model(cfg)
+    for runs in (None, [[], []]):
+        with pytest.raises(EmptyInput, match="^probe set 'math' is empty$"):
+            capture_run(model, probe_sets, runs)

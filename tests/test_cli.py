@@ -152,7 +152,7 @@ def test_version_flag(capsys):
 @pytest.mark.parametrize("bad,field", [
     ({"seeds": ["x"]}, "seeds"),
     ({"seeds": [1.5]}, "seeds"),
-    ({"probe_seed": "0"}, "seeds"),
+    ({"probe_seed": "0"}, "probe_seed: '0' is not an integer"),
     ({"methods": ["ours-mixed", "bogus"]}, "bogus"),
     ({"budgets": [1.5]}, "budgets"),
     ({"budgets": [-0.1]}, "budgets"),
@@ -166,6 +166,9 @@ def test_version_flag(capsys):
     ({"model": {"num_layers": "12"}}, "num_layers"),
     ({"probe_counts": {"math": {}, "nonmath": 2}}, "probe_counts"),
     ({"model": {"num_heads": True}}, "num_heads"),
+    # a map that names only some subtasks would capture a header of empty subtasks
+    ({"probe_counts": {"math": {"Math-CoT": 1}, "nonmath": 1}},
+     "probe_counts math: missing subtask 'Math-Direct'"),
 ])
 @pytest.mark.parametrize("command", ["capture", "sweep"])
 def test_invalid_config_fails_before_building_a_model(tmp_path, capsys, monkeypatch,
@@ -180,6 +183,16 @@ def test_invalid_config_fails_before_building_a_model(tmp_path, capsys, monkeypa
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("InvalidConfig:") and field in err
+
+
+@pytest.mark.parametrize("command", ["capture", "sweep"])
+def test_a_config_that_is_not_json_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{"model": {}')
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"InvalidConfig: config {path}: invalid JSON (Expecting ',' delimiter)\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["methods", "budgets", "seeds"])

@@ -159,14 +159,25 @@ def test_sweep_rows_equal_uncached_fidelity():
     assert len({(r.top1_agreement, r.mean_kl) for r in reports}) < len(reports)
 
 
+def sparse_probe_sets(cfg, seed, counts):
+    """The default probe sets with ``counts[domain][tag]`` samples per subtask, 0 if unnamed.
+
+    A config count map must name every subtask, so the sets are cut from full ones; a
+    sample depends only on its seed, subtask and position, so each is the one it would be.
+    """
+    full = default_probe_sets(cfg, seed, {d: max(c.values()) for d, c in counts.items()})
+    return [ProbeSet(ps.domain, tuple((tag, samples[:counts[ps.domain].get(tag, 0)])
+                                      for tag, samples in ps.subtasks)) for ps in full]
+
+
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 def test_per_sample_capture_matches_batched_capture(n):
     # the default path streams CHUNK samples at a time; runs of whole-domain
     # states must give the same bits, with n samples per subtask either side of a chunk
     cfg = ToyModelConfig()
     model = build_model(cfg)
-    probe_sets = default_probe_sets(cfg, 0, {"math": {MATH_SUBTASKS[0]: n, MATH_SUBTASKS[3]: n},
-                                             "nonmath": {NONMATH_SUBTASKS[1]: n}})
+    probe_sets = sparse_probe_sets(cfg, 0, {"math": {MATH_SUBTASKS[0]: n, MATH_SUBTASKS[3]: n},
+                                            "nonmath": {NONMATH_SUBTASKS[1]: n}})
     runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
     header, records = capture_run(model, probe_sets)
     batched_header, batched = capture_run(model, probe_sets, runs)
@@ -181,8 +192,8 @@ def test_chunked_capture_matches_per_sample_reference(n):
     # n samples per domain, either side of a chunk boundary
     cfg = ToyModelConfig(seed=4)
     model = build_model(cfg)
-    probe_sets = default_probe_sets(cfg, 6, {"math": {MATH_SUBTASKS[1]: n},
-                                             "nonmath": {NONMATH_SUBTASKS[2]: n}})
+    probe_sets = sparse_probe_sets(cfg, 6, {"math": {MATH_SUBTASKS[1]: n},
+                                            "nonmath": {NONMATH_SUBTASKS[2]: n}})
     _, table = capture_run(model, probe_sets)
     sims, pooled = [], []
     for ps in probe_sets:

@@ -43,18 +43,23 @@ _PLAN = PrunePlan(method="cka", budget_fraction=0.25, k=2, num_layers=12,
 @pytest.mark.parametrize("valid,bad,error,message", [
     (ToyModelConfig(), dict(num_heads=3), InvalidConfig, "not divisible by num_heads 3"),
     (RunConfig(), dict(alpha=1.5), AlphaOutOfRange, r"^alpha must be in \[0, 1\], got 1.5"),
-    (_HEADER, dict(num_layers=0), SchemaViolation, "^num_layers: must be positive, got 0"),
+    (_HEADER, dict(num_layers=0), SchemaViolation, "^num_layers: must be >= 1, got 0$"),
     (_PLAN, dict(pruned=(10, 11)), SchemaViolation, "^pruned: layer 11 is protected"),
     # a field of the wrong type is named before any comparison could fail untyped
-    (_HEADER, dict(num_layers="4"), SchemaViolation, "^num_layers: '4' is not an integer"),
+    (_HEADER, dict(num_layers="4"), SchemaViolation, "^num_layers: '4' is not an integer$"),
     (_HEADER, dict(domains=(DomainInfo("math", ("Math-CoT",), "3"),)), SchemaViolation,
-     "^domains: sample_count: '3' is not an integer"),
-    (_PLAN, dict(num_layers="12"), SchemaViolation, "^num_layers: '12' is not an integer"),
-    (_PLAN, dict(k="2"), SchemaViolation, "^k: '2' is not an integer"),
-    (_PLAN, dict(pruned=("10", 2)), SchemaViolation, "^pruned: '10' is not an integer"),
+     "^domains: sample_count: '3' is not an integer$"),
+    (_PLAN, dict(num_layers="12"), SchemaViolation, "^num_layers: '12' is not an integer$"),
+    (_PLAN, dict(k="2"), SchemaViolation, "^k: '2' is not an integer$"),
+    (_PLAN, dict(pruned=("10", 2)), SchemaViolation, "^pruned: '10' is not an integer$"),
+    (_HEADER, dict(hidden_dim=0), SchemaViolation, "^hidden_dim: must be >= 1, got 0$"),
+    (_HEADER, dict(domains=(DomainInfo("math", ("Math-CoT",), -1),)), SchemaViolation,
+     "^domains: sample_count: must be >= 0, got -1$"),
+    (RunConfig(), dict(out=3), InvalidConfig, "^out: 3 is not a path$"),
 ], ids=["ToyModelConfig", "RunConfig", "LogHeader", "PrunePlan", "LogHeader-num_layers-str",
         "LogHeader-sample_count-str", "PrunePlan-num_layers-str", "PrunePlan-k-str",
-        "PrunePlan-pruned-str"])
+        "PrunePlan-pruned-str", "LogHeader-hidden_dim-0", "LogHeader-sample_count-negative",
+        "RunConfig-out-int"])
 def test_replace_with_a_bad_field_raises_the_type_error(valid, bad, error, message):
     # each type checks itself when it is built, and replace builds a new object
     with pytest.raises(error, match=message):
@@ -71,6 +76,22 @@ def test_replace_with_a_bad_field_raises_the_type_error(valid, bad, error, messa
 def test_random_entry_points_refuse_a_seed_that_is_not_an_integer(small_capture, call, seed):
     with pytest.raises(DepthPruneError, match="requires a seed"):
         call(*small_capture, seed)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda header, table: method_scores("interlace", header, table),
+     "^method 'interlace' has no budget-free ranking$"),
+    (lambda header, table: method_scores("bogus", header, table), "^unknown method 'bogus'$"),
+    (lambda header, table: plan_for_method("bogus", header, table, 0.25),
+     "^unknown method 'bogus'$"),
+    (lambda header, table: random_plan(header.pruneable, 2, None, num_layers=header.num_layers),
+     r"^method random requires a seed \(an integer\), got None$"),
+], ids=["method_scores-interlace", "method_scores-unknown", "plan_for_method-unknown",
+        "random_plan-no-seed"])
+def test_library_method_rules_raise_the_config_error_of_the_cli(small_capture, call, message):
+    # the CLI refuses the same faults with InvalidConfig, before the log is read
+    with pytest.raises(InvalidConfig, match=message):
+        call(*small_capture)
 
 
 @pytest.mark.parametrize("counts", [True, 2.5, {}, {"Math-CoT": True}],

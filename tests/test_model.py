@@ -1,4 +1,5 @@
 import hashlib
+import re
 import threading
 
 import numpy as np
@@ -68,7 +69,9 @@ def test_invalid_config(kwargs):
 ])
 def test_config_rejects_a_field_that_is_not_a_plain_int(kwargs):
     # checked before any weight is drawn; a bool would build a 1-head model
-    with pytest.raises(InvalidConfig, match="must be an int"):
+    [(name, value)] = kwargs.items()
+    message = f"^{name}: {re.escape(repr(value))} is not an integer$"
+    with pytest.raises(InvalidConfig, match=message):
         build_model(ToyModelConfig(**kwargs))
 
 
@@ -139,9 +142,17 @@ def test_plan_touching_protected_layer_rejected():
 
 def test_plan_out_of_range_rejected():
     # a plan checks itself when it is built, so no such plan reaches apply_prune_plan
-    with pytest.raises(SchemaViolation, match=r"^pruned: layer 14 outside \[0, 12\)$"):
+    with pytest.raises(SchemaViolation, match=r"^pruned: 14 outside \[0, 12\)$"):
         PrunePlan(method="random", budget_fraction=0.1, k=1, num_layers=12,
                   protected=frozenset({0, 11}), pruned=(14,), seed=0)
+
+
+def test_pruning_an_already_pruned_layer_rejected():
+    cfg = ToyModelConfig()
+    plan = plan_for(cfg, [4])
+    once = apply_prune_plan(build_model(cfg), plan)
+    with pytest.raises(PlanModelMismatch, match="^pruned layer 4 not present in model$"):
+        apply_prune_plan(once, plan)
 
 
 def test_plan_depth_mismatch_rejected():

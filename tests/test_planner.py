@@ -150,9 +150,9 @@ def test_parse_rejects_protected_overlap():
 
 
 @pytest.mark.parametrize("fields,message", [
-    ('"num_layers":6,"protected":[0,5,9]', r"^protected: layer 9 outside \[0, 6\)$"),
-    ('"num_layers":6,"protected":[0,1,2,3,4,5,6,7]', r"^protected: layer 6 outside \[0, 6\)$"),
-    ('"num_layers":-3,"protected":[0,5]', "^num_layers: must be positive, got -3$"),
+    ('"num_layers":6,"protected":[0,5,9]', r"^protected: 9 outside \[0, 6\)$"),
+    ('"num_layers":6,"protected":[0,1,2,3,4,5,6,7]', r"^protected: 6 outside \[0, 6\)$"),
+    ('"num_layers":-3,"protected":[0,5]', "^num_layers: must be >= 1, got -3$"),
 ], ids=["protected-past-the-last-layer", "more-protected-than-layers", "negative-num-layers"])
 def test_parse_blames_protected_and_num_layers_before_k(fields, message):
     # k is checked against the budget over num_layers - len(protected) layers, so a bad
@@ -163,14 +163,26 @@ def test_parse_blames_protected_and_num_layers_before_k(fields, message):
         parse_plan(text)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ('"method":"bogus","k":2,"pruned":[10,2]', "^method: unknown tag 'bogus'$"),
+    ('"method":"cka","k":2,"pruned":[10]', "^pruned: has 1 layers but k = 2$"),
+    ('"method":"cka","k":2,"pruned":[3,3]', "^pruned: 3 is listed twice$"),
+], ids=["unknown-method", "fewer-pruned-than-k", "repeated-pruned-layer"])
+def test_parse_rejects_a_bad_method_or_pruned_list(fields, message):
+    text = ('{"alpha":null,"budget_fraction":0.25,"num_layers":12,"protected":[0,11],%s,'
+            '"scores":null,"seed":null}' % fields)
+    with pytest.raises(SchemaViolation, match=message):
+        parse_plan(text)
+
+
 @pytest.mark.parametrize("scores,message", [
     # "02" would replace "2" and "1_0" read as layer 10
     ('{"2":-1.5,"02":3.0,"1_0":0.75}', "^plan: scores: key '02' is not a layer index"),
     ('{"2":-1.5," 10":0.75}', "^plan: scores: key ' 10' is not a layer index"),
     ('{"2":-1.5,"x":0.75}', "^plan: scores: key 'x' is not a layer index"),
-    ('{"99":1.0}', r"^scores: layer 99 outside \[0, 12\)"),
-    ('{"2":-1.5,"12":0.75}', r"^scores: layer 12 outside \[0, 12\)"),
-    ('{"-1":1.0}', r"^scores: layer -1 outside \[0, 12\)"),
+    ('{"99":1.0}', r"^scores: 99 outside \[0, 12\)$"),
+    ('{"2":-1.5,"12":0.75}', r"^scores: 12 outside \[0, 12\)$"),
+    ('{"-1":1.0}', r"^scores: -1 outside \[0, 12\)$"),
 ], ids=["leading-zero", "space", "word", "far-past-the-last-layer", "past-the-last-layer",
         "negative"])
 def test_parse_rejects_score_keys_that_are_not_layers(scores, message):

@@ -50,9 +50,10 @@ def test_default_ratio_five_to_four():
 
 
 def test_per_subtask_count_map():
-    ps = generate_probes("math", {"Math-CoT": 3, "Math-Direct": 1}, seed=0, config=CFG)
-    got = {tag: len(samples) for tag, samples in ps.subtasks}
-    assert got["Math-CoT"] == 3 and got["Math-Direct"] == 1 and got["Math-Verify"] == 0
+    counts = {"Math-CoT": 3, "Math-Direct": 1, "Math-Rephrase": 2, "Math-Formalize": 1,
+              "Math-Verify": 4}
+    ps = generate_probes("math", counts, seed=0, config=CFG)
+    assert {tag: len(samples) for tag, samples in ps.subtasks} == counts
 
 
 def test_subtask_count_rejects_foreign_tag():
@@ -61,9 +62,10 @@ def test_subtask_count_rejects_foreign_tag():
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    (dict(vocab_size=1), "^vocab_size must be >= 2"),
-    (dict(max_seq_len=0), "^max_seq_len must be positive"),
-], ids=["vocab_size-1", "max_seq_len-0"])
+    (dict(vocab_size=1), "^vocab_size: must be >= 2, got 1$"),
+    (dict(max_seq_len=0), "^max_seq_len: must be >= 1, got 0$"),
+    (dict(hidden_dim=0), "^hidden_dim: must be >= 1, got 0$"),
+], ids=["vocab_size-1", "max_seq_len-0", "hidden_dim-0"])
 def test_library_probe_generation_refuses_an_invalid_config(kwargs, message):
     # the config checks itself when it is built, so no probe generator sees it
     with pytest.raises(InvalidConfig, match=message):

@@ -145,16 +145,19 @@ def test_sweep_deterministic_bytes():
     (dict(budgets=[0.25, 1.5]), BudgetOutOfRange, "got 1.5"),
     (dict(budgets=["0.25"]), BudgetOutOfRange, "got '0.25'"),
     (dict(alpha=2.0), AlphaOutOfRange, r"alpha must be in \[0, 1\], got 2.0"),
-    (dict(seeds=[0, 1.5]), InvalidConfig, "seed 1.5"),
-    (dict(seeds=[True]), InvalidConfig, "seed True"),
-    (dict(probe_counts={"math": 0, "nonmath": 2}), InvalidConfig, "probe_counts math: 0"),
+    (dict(seeds=[0, 1.5]), InvalidConfig, "seeds: 1.5 is not an integer"),
+    (dict(seeds=[True]), InvalidConfig, "seeds: True is not an integer"),
+    (dict(probe_counts={"math": 0, "nonmath": 2}), InvalidConfig,
+     "probe_counts math: must be >= 1, got 0"),
     (dict(probe_counts={"math": 2}), InvalidConfig, "probe_counts: expected one entry"),
-    (dict(probe_counts={"math": 2.5, "nonmath": 2}), InvalidConfig, "probe_counts math: 2.5"),
-    (dict(probe_counts={"math": {}, "nonmath": 2}), InvalidConfig, "probe_counts math: empty"),
-    (dict(probe_seed="x"), InvalidConfig, "probe_seed 'x' is not an integer"),
-    (dict(probe_seed=1.5), InvalidConfig, "probe_seed 1.5 is not an integer"),
-    (dict(probe_seed=None), InvalidConfig, "probe_seed None is not an integer"),
-    (dict(probe_seed=True), InvalidConfig, "probe_seed True is not an integer"),
+    (dict(probe_counts={"math": 2.5, "nonmath": 2}), InvalidConfig,
+     "probe_counts math: 2.5 is not an integer"),
+    (dict(probe_counts={"math": {}, "nonmath": 2}), InvalidConfig,
+     "probe_counts math: missing subtask 'Math-CoT'"),
+    (dict(probe_seed="x"), InvalidConfig, "probe_seed: 'x' is not an integer"),
+    (dict(probe_seed=1.5), InvalidConfig, "probe_seed: 1.5 is not an integer"),
+    (dict(probe_seed=None), InvalidConfig, "probe_seed: None is not an integer"),
+    (dict(probe_seed=True), InvalidConfig, "probe_seed: True is not an integer"),
     (dict(probe_counts={}), InvalidConfig, "probe_counts: expected one entry"),
     # a repeated entry would write its rows twice
     (dict(methods=["random", "random"]), InvalidConfig, "methods: 'random' is listed twice"),
@@ -268,6 +271,11 @@ def test_grid_empty_plan_all_zeros():
     text = removal_pattern_grid(grid_plans())
     random_row = [l for l in text.strip().split("\n") if l.startswith("random")][0]
     assert set(random_row.split(",")[2:]) == {"0"}
+
+
+def test_grid_refuses_no_plans():
+    with pytest.raises(InconsistentDepth, match="^no plans given$"):
+        removal_pattern_grid([])
 
 
 def test_grid_inconsistent_depth():

@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 
 from depthprune import cli, report
 from depthprune.errors import (AlphaOutOfRange, BudgetOutOfRange, DepthPruneError,
-                               InvalidConfig)
-from depthprune.model import ToyModelConfig, is_int
+                               InvalidConfig, is_int)
+from depthprune.model import ToyModelConfig
 from depthprune.planner import DEFAULT_BUDGETS, METHODS
 from depthprune.probes import DEFAULT_COUNTS, check_counts
 from depthprune.report import is_fraction
@@ -147,9 +147,12 @@ CONFIG_VALUES = {
     "model": ([{}, {"num_layers": 6, "hidden_dim": 16, "num_heads": 2}, {"seed": 3}],
               [[], {"bogus": 1}, {"num_layers": 2}, {"num_layers": "12"},
                {"hidden_dim": 30, "num_heads": 4}, {"num_heads": True}]),
-    "probe_counts": ([{"math": 1, "nonmath": 1}, {"math": {"Math-CoT": 1}, "nonmath": 2}],
+    "probe_counts": ([{"math": 1, "nonmath": 1},
+                      {"math": {"Math-CoT": 1, "Math-Direct": 2, "Math-Rephrase": 1,
+                                "Math-Formalize": 1, "Math-Verify": 1}, "nonmath": 2}],
                      [{"math": 0, "nonmath": 1}, {"math": 1}, [], {"math": 1.5, "nonmath": 1},
-                      {"math": {}, "nonmath": 1}, {"math": {"Bogus": 1}, "nonmath": 1}]),
+                      {"math": {}, "nonmath": 1}, {"math": {"Bogus": 1}, "nonmath": 1},
+                      {"math": {"Math-CoT": 1}, "nonmath": 1}]),
     "probe_seed": ([0, 7, -3], ["0", 1.5, None, True]),
     "methods": ([[], ["random"], ["interlace"], list(METHODS), ["cka", "cka"]],
                 [["bogus"], "cka", [1], None, ["ours-mixed", None]]),
