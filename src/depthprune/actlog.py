@@ -48,6 +48,9 @@ class LogHeader:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        check_kinds(_HEADER_KINDS, model_id=self.model_id)
+        for d in self.domains:
+            check_kinds(_DOMAIN_KINDS, domain=d.domain, subtasks=d.subtasks)
         if self.schema_version != SCHEMA_VERSION:
             raise SchemaViolation(f"schema_version: unsupported value {self.schema_version} "
                                   f"(this reader reads {SCHEMA_VERSION})")
@@ -170,11 +173,32 @@ def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
     return len(table)
 
 
-def object_problem(obj, kinds, what):
-    """Why JSON ``obj`` is not an object with exactly the keys of ``kinds``, each of its kind.
+def kind_problem(kinds, values, sequence=list):
+    """Why the first of ``values`` (key -> value) is not of its kind in ``kinds``, or None.
 
-    A kind is an exact type (a JSON true is no int), ``(list, t)`` or a predicate.
+    A kind is an exact type (a JSON true is no int), ``(list, t)`` or a
+    predicate.  A JSON list is a ``list``; a record holds it as a ``tuple``.
     """
+    for key, value in values.items():
+        kind = kinds[key]
+        if isinstance(kind, tuple):
+            ok = type(value) is sequence and all(type(v) is kind[1] for v in value)
+        else:
+            ok = type(value) is kind if isinstance(kind, type) else kind(value)
+        if not ok:
+            return f"{key}: unexpected value {value!r:.60}"
+    return None
+
+
+def check_kinds(kinds, **values):
+    """Raise SchemaViolation, in the reader's words, for a record field not of its kind."""
+    problem = kind_problem(kinds, values, tuple)
+    if problem is not None:
+        raise SchemaViolation(problem)
+
+
+def object_problem(obj, kinds, what):
+    """Why JSON ``obj`` is not an object with exactly the keys of ``kinds``, each of its kind."""
     if not isinstance(obj, dict):
         return f"{what} is not an object"
     unknown, missing = set(obj) - kinds.keys(), kinds.keys() - set(obj)
@@ -182,15 +206,7 @@ def object_problem(obj, kinds, what):
         return f"unknown {what} key {sorted(unknown)[0]!r}"
     if missing:
         return f"missing {what} key {sorted(missing)[0]!r}"
-    for key, kind in kinds.items():
-        value = obj[key]
-        if isinstance(kind, tuple):
-            ok = type(value) is list and all(type(v) is kind[1] for v in value)
-        else:
-            ok = type(value) is kind if isinstance(kind, type) else kind(value)
-        if not ok:
-            return f"{key}: unexpected value {value!r:.60}"
-    return None
+    return kind_problem(kinds, {key: obj[key] for key in kinds})
 
 
 def _parse_header(line: str) -> LogHeader:

@@ -6,6 +6,7 @@ error, 2 runtime error.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -155,7 +156,13 @@ def cmd_heatmap(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process from constants and shared by every ``main``.
+
+    Parsing leaves it unchanged, so no call's flags carry into the next; a
+    caller must not add to it.
+    """
     parser = _Parser(prog="depthprune",
                      description="Layer-redundancy analysis and structured depth pruning")
     parser.add_argument("--version", action="version", version=__version__)
@@ -192,8 +199,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except DepthPruneError as exc:

@@ -4,7 +4,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .actlog import object_problem
+from .actlog import check_kinds, object_problem
 from .errors import (BudgetOutOfRange, LayerSetMismatch, SchemaViolation, check_distinct,
                      check_int, is_fraction, is_int, is_number)
 from .scoring import rank_order
@@ -45,6 +45,7 @@ class PrunePlan:
     seed: int = None       # random only
 
     def __post_init__(self):
+        check_kinds(_PLAN_KINDS, alpha=self.alpha, scores=self.scores, seed=self.seed)
         if self.method not in METHODS:
             raise SchemaViolation(f"method: unknown tag {self.method!r}")
         check_int(SchemaViolation, "num_layers", self.num_layers, 1)
@@ -106,6 +107,6 @@ def parse_plan(text) -> PrunePlan:
         for key in scores:  # only the form serialize_plan writes, str(layer)
             if not key.removeprefix("-").isdecimal() or str(int(key)) != key:
                 raise SchemaViolation(f"plan: scores: key {key!r} is not a layer index")
-        scores = {int(key): float(s) for key, s in scores.items()}
+        scores = {int(key): s for key, s in scores.items()}
     return PrunePlan(**dict(obj, protected=frozenset(obj["protected"]),
                             pruned=tuple(obj["pruned"]), scores=scores))

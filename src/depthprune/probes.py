@@ -124,9 +124,8 @@ def _counting_vqa(stream, length, vocab):
 
 def _grounding(stream, length, vocab):
     # marker + target, filler, then the target echoed at a fixed stride
-    marker = vocab - 2 if vocab >= 2 else 0
     target = stream.randint_below(vocab)
-    seq = [marker, target]
+    seq = [vocab - 2, target]
     while len(seq) < length:
         if len(seq) % 5 == 0:
             seq.append(target)

@@ -411,3 +411,66 @@ def test_prune_eval_checks_plan_depth_before_building_a_model(workdir, tmp_path,
     assert capsys.readouterr().err == (
         "PlanModelMismatch: plan num_layers 14 != model num_layers 8\n")
     assert built == []
+
+
+def outcome(call, capsys):
+    """(result or exit status, stdout, stderr) of ``call()``, a parser's exit included."""
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+# every subcommand with its defaults left out, a negative flag value in exponent form, a
+# missing required flag, an unknown flag and --version; capture and sweep write ./out
+SHARED_PARSER_ARGVS = [
+    ["capture", "--config", "config.json"],
+    ["score", "--log", "out/activations.log"],
+    ["rank", "--log", "out/activations.log", "--method", "ours-mixed"],
+    ["plan", "--log", "out/activations.log", "--method", "cka", "--budget", "0.25",
+     "--out", "plan.json"],
+    ["plan", "--log", "out/activations.log", "--method", "cka", "--budget", "0.25"],
+    ["prune-eval", "--config", "config.json", "--plan", "plan.json"],
+    ["sweep", "--config", "config.json"],
+    ["heatmap", "--log", "out/activations.log"],
+    ["rank", "--log", "out/activations.log", "--method", "ours-mixed", "--alpha", "-1e-05"],
+    ["rank", "--log", "out/activations.log"],
+    ["score", "--log", "out/activations.log", "--bogus"],
+    ["--version"],
+]
+
+
+def test_one_parser_serves_every_call_alike(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    assert cli.build_parser() is cli.build_parser()
+    outcomes = []
+    for argv in SHARED_PARSER_ARGVS * 2:  # so each call follows calls of the other commands
+        outcomes.append(outcome(lambda: main(argv), capsys))
+        fresh = cli.build_parser.__wrapped__()
+        assert (outcome(lambda: cli.build_parser().parse_args(argv), capsys)
+                == outcome(lambda: fresh.parse_args(argv), capsys))
+    first = outcomes[:len(SHARED_PARSER_ARGVS)]
+    assert outcomes[len(first):] == first
+    assert [status for status, _, _ in first] == [0] * 8 + [1, 1, 1, 0]
+    assert first[8][2].startswith("AlphaOutOfRange: ")
+    assert "the following arguments are required: --method" in first[9][2]
+    assert "unrecognized arguments: --bogus" in first[10][2]
+
+
+def test_a_flag_of_one_call_does_not_carry_into_the_next(workdir, tmp_path, capsys):
+    log = str(workdir / "activations.log")
+    plan_path = tmp_path / "p.json"
+    plan = ["plan", "--log", log, "--method", "cka", "--budget", "0.25"]
+    assert main(plan + ["--out", str(plan_path)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote plan to {plan_path}\n")
+    plan_path.unlink()
+    assert main(plan) == 0
+    assert "wrote plan" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    rank = ["rank", "--log", log, "--method", "random"]
+    assert main(rank + ["--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(rank) == 1
+    assert capsys.readouterr().err.startswith("InvalidConfig: method random requires --seed")

@@ -4,11 +4,13 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from depthprune.actlog import DomainInfo, LogHeader
+from depthprune.actlog import DomainInfo, LogHeader, _header_to_json, _parse_header
 from depthprune.baselines import random_plan
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
-                               DepthPruneError, EmptyInput, InvalidConfig, SchemaViolation)
+                               DepthPruneError, EmptyInput, InvalidConfig, SchemaViolation,
+                               is_fraction)
 from depthprune.model import ToyModelConfig, build_model, default_protected
 from depthprune.planner import METHODS, PrunePlan, budget_k, parse_plan, serialize_plan
 from depthprune.probes import ProbeSet, generate_probes
@@ -56,10 +58,26 @@ _PLAN = PrunePlan(method="cka", budget_fraction=0.25, k=2, num_layers=12,
     (_HEADER, dict(domains=(DomainInfo("math", ("Math-CoT",), -1),)), SchemaViolation,
      "^domains: sample_count: must be >= 0, got -1$"),
     (RunConfig(), dict(out=3), InvalidConfig, "^out: 3 is not a path$"),
+    # a field its reader would refuse is refused when built, in the reader's words
+    (_HEADER, dict(model_id=5), SchemaViolation, "^model_id: unexpected value 5$"),
+    (_HEADER, dict(model_id=None), SchemaViolation, "^model_id: unexpected value None$"),
+    (_HEADER, dict(domains=(DomainInfo(7, ("Math-CoT",), 1),)), SchemaViolation,
+     "^domain: unexpected value 7$"),
+    (_HEADER, dict(domains=(DomainInfo("math", ("Math-CoT", 5), 1),)), SchemaViolation,
+     r"^subtasks: unexpected value \('Math-CoT', 5\)$"),
+    (_PLAN, dict(alpha=5.0), SchemaViolation, "^alpha: unexpected value 5.0$"),
+    (_PLAN, dict(alpha=True), SchemaViolation, "^alpha: unexpected value True$"),
+    (_PLAN, dict(seed="x"), SchemaViolation, "^seed: unexpected value 'x'$"),
+    (_PLAN, dict(scores={2: "x", 10: 0.5}), SchemaViolation,
+     "^scores: unexpected value {2: 'x', 10: 0.5}$"),
+    (_PLAN, dict(scores={2: True, 10: 0.5}), SchemaViolation,
+     "^scores: unexpected value {2: True, 10: 0.5}$"),
 ], ids=["ToyModelConfig", "RunConfig", "LogHeader", "PrunePlan", "LogHeader-num_layers-str",
         "LogHeader-sample_count-str", "PrunePlan-num_layers-str", "PrunePlan-k-str",
         "PrunePlan-pruned-str", "LogHeader-hidden_dim-0", "LogHeader-sample_count-negative",
-        "RunConfig-out-int"])
+        "RunConfig-out-int", "LogHeader-model_id-int", "LogHeader-model_id-None",
+        "LogHeader-domain-int", "LogHeader-subtask-int", "PrunePlan-alpha-5", "PrunePlan-alpha-True",
+        "PrunePlan-seed-str", "PrunePlan-score-str", "PrunePlan-score-True"])
 def test_replace_with_a_bad_field_raises_the_type_error(valid, bad, error, message):
     # each type checks itself when it is built, and replace builds a new object
     with pytest.raises(error, match=message):
@@ -117,3 +135,76 @@ def test_every_plan_round_trips_through_its_file(small_capture):
             except BudgetInfeasible:
                 continue
             assert parse_plan(serialize_plan(plan)) == plan, (method, p)
+
+
+# Any value a field could be given by mistake.  No NaN: a NaN score builds and is written, but
+# reads back unequal to itself.
+JUNK = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3)
+
+
+def field_drawer(data, fields):
+    """``draw(field, strategy)``: a draw of ``strategy``, or of JUNK for one field drawn at random.
+
+    At most one field of a record is drawn wrong, so about as many records build as not.
+    """
+    wrong = data.draw(st.sampled_from((None,) + fields), label="wrong field")
+    return lambda field, strategy: data.draw(JUNK if field == wrong else strategy, label=field)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_every_header_that_builds_reads_back_equal(data):
+    draw = field_drawer(data, ("model_id", "hidden_dim", "protected_layers", "domain",
+                               "subtasks", "sample_count"))
+    num_layers = data.draw(st.integers(1, 6), label="num_layers")
+    protected = frozenset(draw("protected_layers", st.integers(0, num_layers - 1))
+                          for _ in range(data.draw(st.integers(0, num_layers - 1))))
+    domains = tuple(
+        DomainInfo(draw("domain", st.text(max_size=4)),
+                   tuple(draw("subtasks", st.text(max_size=4))
+                         for _ in range(data.draw(st.integers(0, 2)))),
+                   draw("sample_count", st.integers(0, 300)))
+        for _ in range(data.draw(st.integers(0, 3))))
+    try:
+        header = LogHeader(model_id=draw("model_id", st.text(max_size=8)), num_layers=num_layers,
+                           hidden_dim=draw("hidden_dim", st.integers(1, 64)),
+                           protected_layers=protected, domains=domains)
+    except SchemaViolation:
+        return  # nothing was built, so nothing can be written
+    assert _parse_header(_header_to_json(header)) == header
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_every_plan_that_builds_reads_back_equal(data):
+    draw = field_drawer(data, ("method", "budget_fraction", "protected", "pruned", "alpha",
+                               "scores", "seed"))
+    num_layers = data.draw(st.integers(1, 10), label="num_layers")
+    protected = frozenset(draw("protected", st.integers(0, num_layers - 1))
+                          for _ in range(data.draw(st.integers(0, num_layers))))
+    pruneable = sorted(set(range(num_layers)) - protected)
+    p = draw("budget_fraction", st.floats(0.0, 1.0))
+    k = budget_k(p, len(pruneable)) if is_fraction(p) else 0
+    pruned = tuple(data.draw(st.permutations(pruneable), label="order")[:k])
+    if pruned:
+        pruned = (draw("pruned", st.just(pruned[0])),) + pruned[1:]
+    scores = None
+    if data.draw(st.booleans(), label="with scores"):
+        scores = {layer: draw("scores", st.floats(allow_nan=False) | st.integers())
+                  for layer in pruneable}
+    try:
+        plan = PrunePlan(method=draw("method", st.sampled_from(METHODS)), budget_fraction=p, k=k,
+                         num_layers=num_layers, protected=protected, pruned=pruned,
+                         alpha=draw("alpha", st.none() | st.floats(0.0, 1.0)), scores=scores,
+                         seed=draw("seed", st.none() | st.integers()))
+    except (SchemaViolation, BudgetOutOfRange):
+        return  # nothing was built, so nothing can be written
+    assert parse_plan(serialize_plan(plan)) == plan
+
+
+@pytest.mark.parametrize("score", [2 ** 53 + 1, 10 ** 400], ids=["past-float-precision",
+                                                                 "past-float-range"])
+def test_an_integer_score_reads_back_as_written(score):
+    # a score is kept as the JSON number it was written as, not rounded or overflowed to a float
+    plan = replace(_PLAN, scores={2: score, 10: 0.5})
+    assert parse_plan(serialize_plan(plan)).scores == {2: score, 10: 0.5}
