@@ -9,14 +9,13 @@ outputs are stored as float32, so a log round-trips bit for bit.
 """
 
 import base64
-import io
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaViolation, SinkFailure, TruncatedFile, check_distinct, check_int
+from .errors import (SchemaViolation, SinkFailure, TruncatedFile, check_distinct, check_int,
+                     check_kinds, dump_json, load_json, object_problem)
 
 SCHEMA_VERSION = 3
 
@@ -48,7 +47,10 @@ class LogHeader:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        check_kinds(_HEADER_KINDS, model_id=self.model_id)
+        # a record holds a JSON list as a tuple, and the protected layers as a frozenset
+        check_kinds(dict(_HEADER_KINDS, protected_layers=frozenset, domains=(list, DomainInfo)),
+                    model_id=self.model_id, protected_layers=self.protected_layers,
+                    domains=self.domains)
         for d in self.domains:
             check_kinds(_DOMAIN_KINDS, domain=d.domain, subtasks=d.subtasks)
         if self.schema_version != SCHEMA_VERSION:
@@ -58,7 +60,7 @@ class LogHeader:
         check_int(SchemaViolation, "hidden_dim", self.hidden_dim, 1)
         for p in self.protected_layers:
             check_int(SchemaViolation, "protected_layers", p, 0, self.num_layers)
-        if not self.pruneable:
+        if len(self.protected_layers) >= self.num_layers:  # distinct and in range, so all
             raise SchemaViolation(f"protected_layers: all {self.num_layers} layers are protected, "
                                   "so no layer is pruneable")
         check_distinct(SchemaViolation, "domains", (d.domain for d in self.domains))
@@ -101,7 +103,7 @@ def _header_to_json(header: LogHeader) -> str:
     obj = {key: getattr(header, key) for key in _HEADER_KINDS}
     obj["protected_layers"] = sorted(header.protected_layers)
     obj["domains"] = [{key: getattr(d, key) for key in _DOMAIN_KINDS} for d in header.domains]
-    return json.dumps(obj, separators=(",", ":"))
+    return dump_json(obj, "log header")
 
 
 def _check_rows(header, table):
@@ -173,47 +175,8 @@ def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
     return len(table)
 
 
-def kind_problem(kinds, values, sequence=list):
-    """Why the first of ``values`` (key -> value) is not of its kind in ``kinds``, or None.
-
-    A kind is an exact type (a JSON true is no int), ``(list, t)`` or a
-    predicate.  A JSON list is a ``list``; a record holds it as a ``tuple``.
-    """
-    for key, value in values.items():
-        kind = kinds[key]
-        if isinstance(kind, tuple):
-            ok = type(value) is sequence and all(type(v) is kind[1] for v in value)
-        else:
-            ok = type(value) is kind if isinstance(kind, type) else kind(value)
-        if not ok:
-            return f"{key}: unexpected value {value!r:.60}"
-    return None
-
-
-def check_kinds(kinds, **values):
-    """Raise SchemaViolation, in the reader's words, for a record field not of its kind."""
-    problem = kind_problem(kinds, values, tuple)
-    if problem is not None:
-        raise SchemaViolation(problem)
-
-
-def object_problem(obj, kinds, what):
-    """Why JSON ``obj`` is not an object with exactly the keys of ``kinds``, each of its kind."""
-    if not isinstance(obj, dict):
-        return f"{what} is not an object"
-    unknown, missing = set(obj) - kinds.keys(), kinds.keys() - set(obj)
-    if unknown:
-        return f"unknown {what} key {sorted(unknown)[0]!r}"
-    if missing:
-        return f"missing {what} key {sorted(missing)[0]!r}"
-    return kind_problem(kinds, {key: obj[key] for key in kinds})
-
-
 def _parse_header(line: str) -> LogHeader:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"line 1: invalid header ({exc.msg})") from exc
+    obj = load_json(line, SchemaViolation, "line 1: invalid header")
     problem = object_problem(obj, _HEADER_KINDS, "header")
     for d in obj["domains"] if problem is None else ():
         problem = problem or object_problem(d, _DOMAIN_KINDS, "domain")
@@ -233,10 +196,7 @@ def _read_line(source, lineno):
 
 def _parse_column(line, lineno, name, dtype):
     """The values of column ``name`` from its log line, as a writable array."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"line {lineno}: invalid column ({exc.msg})") from exc
+    obj = load_json(line, SchemaViolation, f"line {lineno}: invalid column")
     problem = object_problem(obj, {name: str}, "column")
     if problem is None:
         try:
@@ -303,9 +263,3 @@ def read_path(path, what, malformed, parse):
 
 def read_log_path(path):
     return read_path(path, "log", SchemaViolation, read_log)
-
-
-def log_to_bytes(header: LogHeader, table: ActivationTable) -> bytes:
-    buf = io.StringIO()
-    write_log(header, table, buf)
-    return buf.getvalue().encode("utf-8")

@@ -7,7 +7,6 @@ error, 2 runtime error.
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -17,7 +16,7 @@ from . import __version__
 from .actlog import read_log_path, read_path, write_log_path, write_path
 from .baselines import cka_rank  # noqa: F401  (bench/tracer.py wraps it in this module)
 from .capture import capture_run
-from .errors import DepthPruneError, InvalidConfig, PlanModelMismatch, SchemaViolation
+from .errors import DepthPruneError, InvalidConfig, PlanModelMismatch, SchemaViolation, load_json
 from .model import ToyModelConfig, apply_prune_plan, build_model
 from .planner import parse_plan, serialize_plan
 from .probes import DOMAINS, default_probe_sets
@@ -33,10 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(path):
     """Read and fully validate a run config, before anything is built or computed."""
-    try:
-        raw = read_path(path, "config", InvalidConfig, json.load)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config {path}: invalid JSON ({exc.msg})") from exc
+    text = read_path(path, "config", InvalidConfig, lambda fh: fh.read())
+    raw = load_json(text, InvalidConfig, f"config {path}: invalid JSON")
     try:
         if not isinstance(raw, dict):
             raise InvalidConfig("is not a JSON object")

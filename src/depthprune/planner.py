@@ -1,12 +1,11 @@
 """Budgeted prune-plan construction and serialization."""
 
-import json
 import math
 from dataclasses import dataclass
 
-from .actlog import check_kinds, object_problem
 from .errors import (BudgetOutOfRange, LayerSetMismatch, SchemaViolation, check_distinct,
-                     check_int, is_fraction, is_int, is_number)
+                     check_int, check_kinds, dump_json, is_fraction, is_int, is_number, load_json,
+                     object_problem)
 from .scoring import rank_order
 
 METHODS = ("ours-math", "ours-nonmath", "ours-mixed", "cka", "interlace", "random")
@@ -45,7 +44,9 @@ class PrunePlan:
     seed: int = None       # random only
 
     def __post_init__(self):
-        check_kinds(_PLAN_KINDS, alpha=self.alpha, scores=self.scores, seed=self.seed)
+        check_kinds(dict(_PLAN_KINDS, protected=frozenset, pruned=tuple), alpha=self.alpha,
+                    scores=self.scores, seed=self.seed, protected=self.protected,
+                    pruned=self.pruned)
         if self.method not in METHODS:
             raise SchemaViolation(f"method: unknown tag {self.method!r}")
         check_int(SchemaViolation, "num_layers", self.num_layers, 1)
@@ -91,14 +92,11 @@ def serialize_plan(plan: PrunePlan) -> str:
     obj["protected"] = sorted(plan.protected)
     if plan.scores is not None:
         obj["scores"] = {str(l): plan.scores[l] for l in sorted(plan.scores)}
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return dump_json(obj, "plan") + "\n"
 
 
 def parse_plan(text) -> PrunePlan:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"plan: invalid JSON ({exc.msg})") from exc
+    obj = load_json(text, SchemaViolation, "plan: invalid JSON")
     problem = object_problem(obj, _PLAN_KINDS, "plan")
     if problem is not None:
         raise SchemaViolation(f"plan: {problem}")

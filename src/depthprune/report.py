@@ -12,8 +12,7 @@ from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, EmptyI
                      InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput,
                      check_distinct, check_int, is_fraction)
 from .linalg import ZERO_NORM_THRESHOLD
-from .model import ToyModelConfig, apply_prune_plan, build_model
-from .parallel import threaded
+from .model import ToyModelConfig, apply_prune_plan, build_model, threaded
 from .planner import DEFAULT_BUDGETS, METHODS, budget_k, make_plan
 from .probes import DEFAULT_COUNTS, check_counts, default_probe_sets
 from .scoring import (DEFAULT_ALPHA, aggregate_domain, heatmap_matrix, mixed_ranking,

@@ -1,10 +1,11 @@
+import io
 import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from depthprune.actlog import ActivationTable, DomainInfo, LogHeader
+from depthprune.actlog import ActivationTable, DomainInfo, LogHeader, write_log
 from depthprune.capture import capture_run
 from depthprune.model import ToyModelConfig, build_model
 from depthprune.probes import (MATH_SUBTASKS, NONMATH_SUBTASKS,
@@ -67,6 +68,13 @@ def table_from_rows(header, rows):
         sim=np.array([r[4] for r in rows], dtype=np.float64),
         pooled_out=pooled.reshape(len(rows), -1 if rows else header.hidden_dim),
     )
+
+
+def log_bytes(header, table):
+    """The UTF-8 bytes of the activation log that ``write_log`` writes for ``table``."""
+    buf = io.StringIO()
+    write_log(header, table, buf)
+    return buf.getvalue().encode("utf-8")
 
 
 def select_rows(table, mask):

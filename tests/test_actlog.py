@@ -1,15 +1,16 @@
 import base64
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import table_from_rows
+from conftest import log_bytes, table_from_rows
 from depthprune.actlog import (_COLUMNS, _PIECE, ActivationTable, DomainInfo, LogHeader,
-                               log_to_bytes, read_log, write_log)
+                               _parse_header, read_log, write_log)
 from depthprune.errors import SchemaViolation, SinkFailure, TruncatedFile
 
 
@@ -72,7 +73,7 @@ def test_column_written_in_pieces_equals_one_json_dumps():
 
 
 def test_round_trip_single_record():
-    data = log_to_bytes(header_4x2(), table(row(sim=0.123456789)))
+    data = log_bytes(header_4x2(), table(row(sim=0.123456789)))
     header, got = read_log(io.StringIO(data.decode()))
     assert header == header_4x2()
     assert got.header == header
@@ -88,7 +89,7 @@ def test_header_line_bytes_are_pinned():
     header = replace(header_4x2(), protected_layers=frozenset({3, 1, 0}),
                      domains=(DomainInfo("math", ("Math-CoT", "Arithmetic"), 1),
                               DomainInfo("nonmath", ("Captioning",), 0)))
-    data = log_to_bytes(header, table_from_rows(header, [row()]))
+    data = log_bytes(header, table_from_rows(header, [row()]))
     assert data.split(b"\n")[0] == (
         b'{"schema_version":3,"model_id":"toy","num_layers":4,"hidden_dim":2,'
         b'"protected_layers":[0,1,3],"domains":[{"domain":"math","subtasks":'
@@ -102,7 +103,7 @@ def test_round_trip_preserves_float32_bits():
     rows = [(i, 1, "math", "Math-CoT", float(rng.uniform(-1, 1)),
              rng.standard_normal(2).astype(np.float32)) for i in range(20)]
     tab = table(*rows)
-    data = log_to_bytes(tab.header, tab)
+    data = log_bytes(tab.header, tab)
     _, got = read_log(io.StringIO(data.decode()))
     for i, r in enumerate(rows):
         np.testing.assert_array_equal(got.pooled_out[i], r[5])
@@ -110,7 +111,7 @@ def test_round_trip_preserves_float32_bits():
 
 
 def test_records_carry_no_pooled_in():
-    data = log_to_bytes(header_4x2(), table(row()))
+    data = log_bytes(header_4x2(), table(row()))
     header, *columns = (json.loads(line) for line in data.decode().splitlines())
     assert header["schema_version"] == 3
     assert [list(obj) for obj in columns] == [
@@ -159,7 +160,7 @@ def test_write_turns_a_sink_failure_into_sink_failure():
 
 def log_lines(tab=None):
     tab = table(row()) if tab is None else tab
-    return log_to_bytes(tab.header, tab).decode().splitlines()
+    return log_bytes(tab.header, tab).decode().splitlines()
 
 
 def text(lines):
@@ -303,13 +304,13 @@ def test_read_streams_lines():
             return self._buf.readline()
 
     tab = table(row(0), row(1))
-    data = log_to_bytes(tab.header, tab).decode()
+    data = log_bytes(tab.header, tab).decode()
     _, got = read_log(LinesOnly(data))
     assert got.sample_id.tolist() == [0, 1]
 
 
 def test_truncated_last_line():
-    data = log_to_bytes(header_4x2(), table(row())).decode()
+    data = log_bytes(header_4x2(), table(row())).decode()
     with pytest.raises(TruncatedFile, match="^line 7: unterminated"):
         read_log(io.StringIO(data[:-10]))
     # a log cut at a line boundary has all its lines whole, but too few of them
@@ -338,6 +339,20 @@ def test_header_needs_a_pruneable_layer():
     with pytest.raises(SchemaViolation, match="^protected_layers: all 4 layers are protected"):
         read_log(io.StringIO(text(lines)))
     assert replace(header_4x2(), protected_layers=frozenset({0, 2, 3})).pruneable == (1,)
+
+
+def test_parsing_a_header_costs_no_more_than_its_line():
+    # one edited num_layers must not make the reader allocate a set of that many layers
+    line = ('{"schema_version":3,"model_id":"x","num_layers":1000000,"hidden_dim":2,'
+            '"protected_layers":[0,999999],"domains":[]}')
+    tracemalloc.start()
+    try:
+        header = _parse_header(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert header.num_layers == 10 ** 6
+    assert peak < 2 ** 20
 
 
 def test_header_rejects_repeated_domain():
@@ -427,7 +442,7 @@ def headers_and_tables(draw, min_rows=0):
 @settings(max_examples=150, deadline=None)
 def test_property_round_trip_is_bit_exact(case):
     header, tab = case
-    got_header, got = read_log(io.StringIO(log_to_bytes(header, tab).decode()))
+    got_header, got = read_log(io.StringIO(log_bytes(header, tab).decode()))
     assert got_header == header
     for name in ("sample_id", "layer", "domain", "subtask"):
         np.testing.assert_array_equal(getattr(got, name), getattr(tab, name))
@@ -464,7 +479,7 @@ LINE_CORRUPTIONS = {
 @settings(max_examples=200, deadline=None)
 def test_property_corrupt_line_is_reported(case, data):
     header, tab = case
-    lines = log_to_bytes(header, tab).decode().splitlines()
+    lines = log_bytes(header, tab).decode().splitlines()
     kind = data.draw(st.sampled_from(sorted(LINE_CORRUPTIONS) + ["extra line"]), label="kind")
     if kind == "extra line":
         lines.append(data.draw(st.sampled_from(["", "{}", lines[-1]])))
@@ -495,7 +510,7 @@ def bad_value(header, tab, name, i, rng):
 @settings(max_examples=200, deadline=None)
 def test_property_bad_record_value_is_reported(case, data):
     header, tab = case
-    lines = log_to_bytes(header, tab).decode().splitlines()
+    lines = log_bytes(header, tab).decode().splitlines()
     rng = data.draw(st.randoms(use_true_random=False))
     i = data.draw(st.integers(0, len(tab) - 1), label="record")
     kinds = ["layer", "domain", "subtask", "sim", "pooled_out"] + (["duplicate"] if i else [])
@@ -524,7 +539,7 @@ def test_property_bad_record_value_is_reported(case, data):
 def test_property_truncated_last_line(case, data):
     """A log cut anywhere, at a line boundary too, raises TruncatedFile."""
     header, tab = case
-    log = log_to_bytes(header, tab).decode()
+    log = log_bytes(header, tab).decode()
     boundaries = [i + 1 for i, char in enumerate(log[:-1]) if char == "\n"]
     cut = data.draw(st.sampled_from(boundaries) | st.integers(1, len(log) - 1), label="cut")
     with pytest.raises(TruncatedFile):

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 
@@ -192,6 +193,20 @@ def test_a_config_that_is_not_json_exits_one(tmp_path, capsys, command):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         f"InvalidConfig: config {path}: invalid JSON (Expecting ',' delimiter)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no limit on integer digits")
+@pytest.mark.parametrize("command", ["capture", "sweep"])
+def test_a_config_with_an_over_long_integer_exits_one(tmp_path, capsys, command):
+    # json refuses an integer literal past Python's digit limit with a plain ValueError
+    path = tmp_path / "long.json"
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text(json.dumps(CONFIG).replace('"probe_seed": 0', f'"probe_seed": {digits}'))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert re.match(rf"InvalidConfig: config {re.escape(str(path))}: invalid JSON \(.*limit",
+                    capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

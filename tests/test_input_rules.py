@@ -1,16 +1,20 @@
 """Every entry point applies the one integer, number and fraction rule of ``depthprune.errors``."""
 
+import io
 import re
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthprune.actlog import DomainInfo, LogHeader, _header_to_json, _parse_header
+from depthprune.actlog import (ActivationTable, DomainInfo, LogHeader, _header_to_json,
+                               _parse_header, read_log, write_log)
 from depthprune.baselines import random_plan
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
                                DepthPruneError, EmptyInput, InvalidConfig, SchemaViolation,
-                               is_fraction)
+                               SinkFailure, is_fraction)
 from depthprune.model import ToyModelConfig, build_model, default_protected
 from depthprune.planner import METHODS, PrunePlan, budget_k, parse_plan, serialize_plan
 from depthprune.probes import ProbeSet, generate_probes
@@ -72,12 +76,23 @@ _PLAN = PrunePlan(method="cka", budget_fraction=0.25, k=2, num_layers=12,
      "^scores: unexpected value {2: 'x', 10: 0.5}$"),
     (_PLAN, dict(scores={2: True, 10: 0.5}), SchemaViolation,
      "^scores: unexpected value {2: True, 10: 0.5}$"),
+    # a container of another type than the reader builds would not read back equal
+    (_HEADER, dict(protected_layers=[0, 3]), SchemaViolation,
+     r"^protected_layers: unexpected value \[0, 3\]$"),
+    (_HEADER, dict(protected_layers=5), SchemaViolation, "^protected_layers: unexpected value 5$"),
+    (_HEADER, dict(domains=[DomainInfo("math", ("Math-CoT",), 1)]), SchemaViolation,
+     r"^domains: unexpected value \[DomainInfo\("),
+    (_PLAN, dict(protected=[0, 11]), SchemaViolation, r"^protected: unexpected value \[0, 11\]$"),
+    (_PLAN, dict(protected=5), SchemaViolation, "^protected: unexpected value 5$"),
+    (_PLAN, dict(pruned=[10, 2]), SchemaViolation, r"^pruned: unexpected value \[10, 2\]$"),
 ], ids=["ToyModelConfig", "RunConfig", "LogHeader", "PrunePlan", "LogHeader-num_layers-str",
         "LogHeader-sample_count-str", "PrunePlan-num_layers-str", "PrunePlan-k-str",
         "PrunePlan-pruned-str", "LogHeader-hidden_dim-0", "LogHeader-sample_count-negative",
         "RunConfig-out-int", "LogHeader-model_id-int", "LogHeader-model_id-None",
         "LogHeader-domain-int", "LogHeader-subtask-int", "PrunePlan-alpha-5", "PrunePlan-alpha-True",
-        "PrunePlan-seed-str", "PrunePlan-score-str", "PrunePlan-score-True"])
+        "PrunePlan-seed-str", "PrunePlan-score-str", "PrunePlan-score-True",
+        "LogHeader-protected-list", "LogHeader-protected-int", "LogHeader-domains-list",
+        "PrunePlan-protected-list", "PrunePlan-protected-int", "PrunePlan-pruned-list"])
 def test_replace_with_a_bad_field_raises_the_type_error(valid, bad, error, message):
     # each type checks itself when it is built, and replace builds a new object
     with pytest.raises(error, match=message):
@@ -208,3 +223,44 @@ def test_an_integer_score_reads_back_as_written(score):
     # a score is kept as the JSON number it was written as, not rounded or overflowed to a float
     plan = replace(_PLAN, scores={2: score, 10: 0.5})
     assert parse_plan(serialize_plan(plan)).scores == {2: score, 10: 0.5}
+
+
+# json refuses an integer literal of more digits than this (0: no limit)
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "9" * (_DIGITS + 1)
+over_long = pytest.mark.skipif(_DIGITS == 0, reason="no limit on integer digits")
+
+
+@over_long
+@pytest.mark.parametrize("read,text,message", [
+    (parse_plan, serialize_plan(_PLAN).replace('"seed":null', f'"seed":{_LONG}'),
+     r"^plan: invalid JSON \(.*limit"),
+    (lambda text: read_log(io.StringIO(text)),
+     _header_to_json(_HEADER).replace('"schema_version":3', f'"schema_version":{_LONG}') + "\n",
+     r"^line 1: invalid header \(.*limit"),
+    (lambda text: read_log(io.StringIO(text)),
+     _header_to_json(_HEADER) + f'\n{{"sample_id":{_LONG}}}\n',
+     r"^line 2: invalid column \(.*limit"),
+], ids=["plan", "log-header", "log-column"])
+def test_an_over_long_integer_literal_is_a_schema_violation(read, text, message):
+    with pytest.raises(SchemaViolation, match=message):
+        read(text)
+
+
+@over_long
+def test_a_plan_with_an_over_long_seed_is_a_sink_failure():
+    with pytest.raises(SinkFailure, match="^cannot write plan: .*limit"):
+        serialize_plan(replace(_PLAN, seed=10 ** _DIGITS))
+
+
+@over_long
+def test_a_header_with_an_over_long_field_is_a_sink_failure():
+    header = replace(_HEADER, hidden_dim=10 ** _DIGITS)  # no row of an empty table checks it
+    empty = np.empty(0, dtype=np.int64)
+    table = ActivationTable(header=header, sample_id=empty, layer=empty, domain=empty,
+                            subtask=empty, sim=np.empty(0),
+                            pooled_out=np.empty((0, 0), dtype=np.float32))
+    buf = io.StringIO()
+    with pytest.raises(SinkFailure, match="^cannot write log header: .*limit"):
+        write_log(header, table, buf)
+    assert buf.getvalue() == ""

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from depthprune.capture import capture_run
 from depthprune.errors import (InvalidConfig, PlanModelMismatch, SchemaViolation,
                                SequenceTooLong)
 from depthprune.model import (ToyModelConfig, apply_prune_plan, build_model,
-                              default_protected, neutralize_block)
+                              default_protected, neutralize_block, threaded)
 from depthprune.planner import PrunePlan
 from depthprune.probes import default_probe_sets
 from depthprune.rng import SeededStream
@@ -252,3 +253,28 @@ def test_build_model_reraises_a_worker_threads_error_with_its_type(monkeypatch):
     monkeypatch.setattr(model_module, "SeededStream", FailsOffTheCallingThread)
     with pytest.raises(WorkerFailure, match="drawn off the calling thread"):
         build_model(ToyModelConfig())
+
+
+def test_threaded_returns_results_in_item_order_and_runs_the_first_item_here():
+    def fn(item):  # later items finish first
+        time.sleep(0.01 * item)
+        return item * item, threading.get_ident()
+
+    results = threaded(fn, [3, 2, 1, 0])
+    assert [square for square, _ in results] == [9, 4, 1, 0]
+    idents = [ident for _, ident in results]
+    assert idents[0] == threading.get_ident()
+    assert threading.get_ident() not in idents[1:]
+
+
+def test_threaded_re_raises_a_worker_exception_with_its_own_type():
+    class WorkerError(Exception):
+        pass
+
+    def fn(item):
+        if item == "bad":
+            raise WorkerError(item)
+        return item
+
+    with pytest.raises(WorkerError, match="^bad$"):
+        threaded(fn, ["good", "bad"])

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import depthprune.baselines as baselines
-from conftest import make_synthetic_records, select_rows
-from depthprune.actlog import log_to_bytes, read_log
+from conftest import log_bytes, make_synthetic_records, select_rows
+from depthprune.actlog import read_log
 from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
                                   interlace_plan)
 from depthprune.capture import capture_run
@@ -108,7 +108,7 @@ def captured_tables():
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 4, {"math": 3, "nonmath": 3})
     header, table = capture_run(model, probe_sets)
-    _, logged = read_log(io.StringIO(log_to_bytes(header, table).decode()))
+    _, logged = read_log(io.StringIO(log_bytes(header, table).decode()))
     return [("captured", table), ("captured-log", logged),
             ("captured-shuffled", shuffled(table, 9))]
 
