@@ -3,24 +3,24 @@
 UTF-8 text of ``\n``-terminated JSON lines.  Line 1 is the header object.
 Then come exactly one line per table column, in ``_COLUMNS`` order: an
 object whose one key is the column name and whose value is the base64 of
-the column's little-endian bytes.  ``domain`` and ``subtask`` are indices
-into ``header.domains`` and ``header.subtask_tags``; sims and pooled
-outputs are stored as float32, so a log round-trips bit for bit.
+the column's little-endian bytes.  ``subtask`` holds one index into
+``header.subtask_tags`` per sample; ``sim`` and ``pooled_out`` hold one row
+per (sample, layer), sample-major over every layer, stored as float32, so
+a log round-trips bit for bit.
 """
 
 import base64
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (SchemaViolation, SinkFailure, TruncatedFile, check_distinct, check_int,
                      check_kinds, dump_json, load_json, object_problem)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
-_COLUMNS = (("sample_id", "<i8"), ("layer", "<i8"), ("domain", "<i8"), ("subtask", "<i8"),
-            ("sim", "<f4"), ("pooled_out", "<f4"))
+_COLUMNS = (("subtask", "<i8"), ("sim", "<f4"), ("pooled_out", "<f4"))
 # Bytes of a column encoded at a time.  A multiple of 3, so each piece's base64
 # has no padding and the pieces' base64 joins into the whole column's.
 _PIECE = 3 * 16384
@@ -82,21 +82,39 @@ class LogHeader:
 
 @dataclass(frozen=True, eq=False)
 class ActivationTable:
-    """Records as columns, one row per (sample, layer), in record order.
+    """A samples × layers grid: one row per (sample, layer), sample-major over every layer.
 
     ``clamped`` counts the sims a capture clamped into [-1, 1] (0 when read).
     """
     header: LogHeader
-    sample_id: np.ndarray   # int64 (N,)
-    layer: np.ndarray       # int64 (N,)
-    domain: np.ndarray      # int64 (N,), index into header.domains
-    subtask: np.ndarray     # int64 (N,), index into header.subtask_tags
-    sim: np.ndarray         # float64 (N,)
-    pooled_out: np.ndarray  # float32 (N, hidden_dim)
+    subtask: np.ndarray     # int64 (n,), index into header.subtask_tags
+    sim: np.ndarray         # float64 (n * num_layers,)
+    pooled_out: np.ndarray  # float32 (n * num_layers, hidden_dim)
     clamped: int = 0
 
     def __len__(self) -> int:
         return self.sim.shape[0]
+
+    @property
+    def sim_grid(self) -> np.ndarray:  # (n, num_layers) view of sim
+        return self.sim.reshape(len(self.subtask), self.header.num_layers)
+
+    @property
+    def pooled_grid(self) -> np.ndarray:  # (n, num_layers, hidden_dim) view of pooled_out
+        return self.pooled_out.reshape(self.sim_grid.shape + self.pooled_out.shape[1:])
+
+    @property
+    def domain(self) -> np.ndarray:  # int64 (n,), the domain declaring each sample's subtask
+        sizes = [len(d.subtasks) for d in self.header.domains]
+        return np.repeat(np.arange(len(sizes)), sizes)[self.subtask]
+
+    @property
+    def sample_id(self) -> np.ndarray:  # int64 (n * num_layers,)
+        return np.repeat(np.arange(len(self.subtask)), self.header.num_layers)
+
+    @property
+    def layer(self) -> np.ndarray:  # int64 (n * num_layers,)
+        return np.tile(np.arange(self.header.num_layers), len(self.subtask))
 
 
 def _header_to_json(header: LogHeader) -> str:
@@ -106,48 +124,33 @@ def _header_to_json(header: LogHeader) -> str:
     return dump_json(obj, "log header")
 
 
-def _check_rows(header, table):
-    """Raise SchemaViolation for the earliest invalid record, then for a miscounted domain.
+def _check_rows(table):
+    """Raise SchemaViolation for a misshapen column, a bad value, then a miscounted domain.
 
-    Checks are listed in the order one record is checked, so a record with
-    several faults reports the first.  Each domain's records must hold as
-    many distinct samples as its header ``sample_count`` declares.
+    Values are checked in column order, and the earliest bad one is named
+    by its sample (a subtask) or record (a sim or pooled output).  Each
+    domain must hold as many samples as its header ``sample_count`` declares.
     """
-    tags, n, d, pooled = header.subtask_tags, len(table), header.hidden_dim, table.pooled_out
-    allowed = np.zeros((len(header.domains) + 1, len(tags) + 1), dtype=bool)  # last: unknown
-    for i, info in enumerate(header.domains):
-        allowed[i, [tags.index(tag) for tag in info.subtasks]] = True
-    known = (table.domain >= 0) & (table.domain < len(header.domains))
-    subtask = np.where((table.subtask >= 0) & (table.subtask < len(tags)), table.subtask, -1)
-    dim_ok = pooled.shape[1:] == (d,)
-    repeat, seen = np.zeros(n, dtype=bool), set()
-    for i, pair in enumerate(zip(table.sample_id.tolist(), table.layer.tolist())):
-        repeat[i] = pair in seen
-        seen.add(pair)
-    checks = [
-        ((table.layer < 0) | (table.layer >= header.num_layers),
-         lambda i: f"layer: {table.layer[i]} outside [0, {header.num_layers})"),
-        (~known, lambda i: f"domain: unknown tag {table.domain[i]}"),
-        (known & ~allowed[np.where(known, table.domain, -1), subtask],
-         lambda i: f"subtask: {tags[subtask[i]] if subtask[i] >= 0 else int(table.subtask[i])!r} "
-                   f"not declared for domain {header.domains[table.domain[i]].domain!r}"),
-        (~((table.sim >= -1.0) & (table.sim <= 1.0)),
-         lambda i: f"sim: {float(table.sim[i])} outside [-1, 1]"),
-        (np.full(n, not dim_ok), lambda i: f"pooled_out: dim {pooled.shape[1:]} != hidden_dim {d}"),
-        (~np.isfinite(pooled).all(axis=1) if dim_ok else np.zeros(n, dtype=bool),
-         lambda i: "pooled_out: non-finite entry"),
-        (repeat, lambda i: "duplicate (sample_id, layer) pair "
-                           f"{(int(table.sample_id[i]), int(table.layer[i]))}"),
-    ]
-    bad = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if mask.any()]
-    if bad:
-        i, k = min(bad)
-        raise SchemaViolation(f"record {i}: {checks[k][1](i)}")
-    for i, info in enumerate(header.domains):
-        held = len(set(table.sample_id[table.domain == i].tolist()))
-        if held != info.sample_count:
+    header, n = table.header, len(table.subtask)
+    rows = n * header.num_layers
+    if table.sim.shape != (rows,) or table.pooled_out.shape != (rows, header.hidden_dim):
+        raise SchemaViolation(f"sim {table.sim.shape} and pooled_out {table.pooled_out.shape}: "
+                              f"not the shapes of {n} samples")
+    faults = (("sample", (table.subtask < 0) | (table.subtask >= len(header.subtask_tags)),
+               lambda i: f"subtask: unknown tag {table.subtask[i]}"),
+              ("record", ~((table.sim >= -1.0) & (table.sim <= 1.0)),
+               lambda i: f"sim: {float(table.sim[i])} outside [-1, 1]"),
+              ("record", ~np.isfinite(table.pooled_out).all(axis=1),
+               lambda i: "pooled_out: non-finite entry"))
+    for unit, mask, message in faults:
+        if mask.any():
+            i = int(np.argmax(mask))
+            raise SchemaViolation(f"{unit} {i}: {message(i)}")
+    held = np.bincount(table.domain, minlength=len(header.domains))
+    for info, count in zip(header.domains, held.tolist()):
+        if count != info.sample_count:
             raise SchemaViolation(f"domains: {info.domain!r} declares sample_count "
-                                  f"{info.sample_count}, but its records hold {held} samples")
+                                  f"{info.sample_count}, but its records hold {count} samples")
 
 
 def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
@@ -159,7 +162,7 @@ def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
     ``json.dumps`` of ``{name: base64}``: a column name and the base64
     alphabet need no JSON escape.
     """
-    _check_rows(header, table)
+    _check_rows(replace(table, header=header))  # the table as the log will hold it
     try:
         destination.write(_header_to_json(header) + "\n")
         for name, dtype in _COLUMNS:
@@ -213,8 +216,9 @@ def _parse_column(line, lineno, name, dtype):
 def read_log(source):
     """Read and validate an activation log; returns (header, table).
 
-    A fault in a line's form names the line (``line N: ...``), an invalid
-    value names its record (``record i: ...``), and a missing or
+    A fault in a line's form names the line (``line N: ...``), such as a
+    column length the header's sizes do not give; an invalid value names its
+    sample or record (``sample i: ...``, ``record i: ...``); and a missing or
     unterminated line raises ``TruncatedFile``.
     """
     header = _parse_header(_read_line(source, 1))
@@ -222,16 +226,16 @@ def read_log(source):
                for lineno, (name, dtype) in enumerate(_COLUMNS, start=2)}
     if source.readline():
         raise SchemaViolation(f"line {len(_COLUMNS) + 2}: content after the last column")
-    n, d = len(columns["sample_id"]), header.hidden_dim
-    for lineno, (name, _) in enumerate(_COLUMNS, start=2):
-        expected = n * d if name == "pooled_out" else n
+    n, d = len(columns["subtask"]), header.hidden_dim
+    rows = n * header.num_layers
+    for lineno, name, expected in ((3, "sim", rows), (4, "pooled_out", rows * d)):
         if len(columns[name]) != expected:
             raise SchemaViolation(f"line {lineno}: {name}: {len(columns[name])} values, "
-                                  f"expected {expected} for {n} records")
+                                  f"expected {expected} for {n} samples")
     columns["sim"] = columns["sim"].astype(np.float64)
-    columns["pooled_out"] = columns["pooled_out"].reshape(n, d)
+    columns["pooled_out"] = columns["pooled_out"].reshape(rows, d)
     table = ActivationTable(header=header, **columns)
-    _check_rows(header, table)
+    _check_rows(table)
     return header, table
 
 

@@ -19,24 +19,14 @@ ALL_SUBTASKS = MATH_SUBTASKS + NONMATH_SUBTASKS  # 9 pseudo-samples
 
 def feature_matrices(table) -> dict:
     """Per-layer (9, d) matrices: one row per subtask, mean pooled_out."""
-    tags, d = table.header.subtask_tags, table.pooled_out.shape[1]
-    shape = (int(table.layer.max(initial=-1)) + 1, len(tags))
-    cell = table.layer * len(tags) + table.subtask  # (layer, subtask) of each row
-    # bincount adds each entry's values in row order, as a per-record loop would
-    sums = np.bincount((cell[:, None] * d + np.arange(d)).ravel(),
-                       weights=table.pooled_out.ravel(), minlength=shape[0] * shape[1] * d)
-    sums = sums.reshape(shape + (d,))
-    counts = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
-    features = {}
-    for layer in np.flatnonzero(counts.sum(axis=1)).tolist():
-        rows = []
-        for tag in ALL_SUBTASKS:
-            j = tags.index(tag) if tag in tags else None
-            if j is None or counts[layer, j] == 0:
-                raise MissingSubtask(f"layer {layer} has no records for subtask {tag!r}")
-            rows.append(sums[layer, j] / counts[layer, j])
-        features[layer] = np.vstack(rows)
-    return features
+    tags, means = table.header.subtask_tags, []
+    for tag in ALL_SUBTASKS:
+        rows = table.subtask == (tags.index(tag) if tag in tags else -1)
+        if not rows.any():
+            raise MissingSubtask(f"no records for subtask {tag!r}")
+        # a float64 mean over the rows adds each entry in sample order, as a per-record loop would
+        means.append(table.pooled_grid[rows].mean(axis=0, dtype=np.float64))
+    return dict(enumerate(np.stack(means, axis=1)))  # layer -> (9, d)
 
 
 def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
@@ -72,9 +62,7 @@ def cka_rank(table, pruneable) -> dict:
 
 def _inout_redundancy(table) -> dict:
     """Domain-agnostic per-layer mean of stored in/out similarities."""
-    sums = np.bincount(table.layer, weights=table.sim)
-    counts = np.bincount(table.layer)
-    return {l: float(sums[l]) / int(counts[l]) for l in np.flatnonzero(counts).tolist()}
+    return dict(enumerate(table.sim_grid.mean(axis=0).tolist()))
 
 
 def interlace_solution(table, pruneable, k: int):
@@ -121,14 +109,14 @@ def interlace_solution(table, pruneable, k: int):
         used |= members
         anchors.add(l + 2)
         # remove the more redundant of l / l+1; ties remove l+1
-        if inout.get(l, -2.0) > inout.get(l + 1, -2.0):
+        if inout[l] > inout[l + 1]:
             pruned.append(l)
         else:
             pruned.append(l + 1)
 
     if len(pruned) < k:
         candidates = sorted((l for l in pruneable if l not in pruned and l not in anchors),
-                            key=lambda l: (-inout.get(l, -2.0), -l))
+                            key=lambda l: (-inout[l], -l))
         for l in candidates:
             if len(pruned) >= k:
                 break

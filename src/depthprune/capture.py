@@ -3,7 +3,7 @@
 import numpy as np
 
 from .actlog import ActivationTable, DomainInfo, LogHeader
-from .errors import EmptyInput
+from .errors import EmptyInput, PlanModelMismatch
 from .linalg import mean_pool, token_cosine_mean
 from .model import CHUNK, default_protected
 
@@ -27,7 +27,7 @@ def layer_stats(states):
 
 
 def capture_run(model, probe_sets, runs=None):
-    """One table row per (sample, retained layer); returns (header, table).
+    """One table row per (sample, layer), over every layer; returns (header, table).
 
     Samples are numbered sequentially across probe sets in the given order.
     ``runs`` holds one iterable of the model's states per probe set, such as
@@ -40,8 +40,12 @@ def capture_run(model, probe_sets, runs=None):
     different number of runs than there are probe sets, raises
     ``ValueError`` before any block is reduced.  Sims are clamped into
     [-1, 1]; ``table.clamped`` counts how many needed it.  A probe set with
-    no samples raises ``EmptyInput`` before any block runs.
+    no samples raises ``EmptyInput``, and a pruned model ``PlanModelMismatch``,
+    before any block runs.
     """
+    cfg = model.config
+    if model.depth != cfg.num_layers:
+        raise PlanModelMismatch(f"capture needs all {cfg.num_layers} layers, not {model.depth}")
     for ps in probe_sets:
         if ps.num_samples == 0:
             raise EmptyInput(f"probe set {ps.domain!r} is empty")
@@ -51,7 +55,6 @@ def capture_run(model, probe_sets, runs=None):
         runs = list(runs)
         if len(runs) != len(probe_sets):
             raise ValueError(f"runs: {len(runs)} runs for {len(probe_sets)} probe sets")
-    cfg = model.config
     header = LogHeader(
         model_id=(f"toy-L{cfg.num_layers}-d{cfg.hidden_dim}-h{cfg.num_heads}"
                   f"-v{cfg.vocab_size}-s{cfg.seed}"),
@@ -65,22 +68,15 @@ def capture_run(model, probe_sets, runs=None):
         runs = (model.stream(tokens[lo:lo + CHUNK])
                 for tokens in (ps.token_matrix() for ps in probe_sets)
                 for lo in range(0, len(tokens), CHUNK))
-    tags, domain, subtask = header.subtask_tags, [], []
-    for di, ps in enumerate(probe_sets):
-        for tag, _ in ps.all_samples():
-            domain.append(di)
-            subtask.append(tags.index(tag))
+    tags = header.subtask_tags
+    subtask = [tags.index(tag) for ps in probe_sets for tag, _ in ps.all_samples()]
     stats = [layer_stats(states) for states in runs]
-    n, depth = len(domain), model.depth
-    sim = np.concatenate([s for s, _ in stats] or [np.empty((0, depth))]).reshape(-1)
-    pooled = np.concatenate([p for _, p in stats] or [np.empty((0, depth, cfg.hidden_dim))])
+    sim = np.concatenate([s for s, _ in stats] or [np.empty(0)]).reshape(-1)
+    pooled = np.concatenate([p for _, p in stats] or [np.empty((0, cfg.hidden_dim))])
     return header, ActivationTable(
         header=header,
-        sample_id=np.repeat(np.arange(n, dtype=np.int64), depth),
-        layer=np.tile(np.asarray(model.layer_ids, dtype=np.int64), n),
-        domain=np.repeat(np.asarray(domain, dtype=np.int64), depth),
-        subtask=np.repeat(np.asarray(subtask, dtype=np.int64), depth),
+        subtask=np.asarray(subtask, dtype=np.int64),
         sim=np.clip(sim, -1.0, 1.0),
-        pooled_out=pooled.reshape(n * depth, cfg.hidden_dim).astype(np.float32, copy=False),
+        pooled_out=pooled.reshape(-1, cfg.hidden_dim).astype(np.float32, copy=False),
         clamped=int(np.count_nonzero(np.abs(sim) > 1.0)),
     )

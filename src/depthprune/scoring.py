@@ -44,16 +44,13 @@ def aggregate_domain(table, domain: str, pruneable) -> DomainScoreTable:
     in_domain = table.domain == (names.index(domain) if domain in names else -1)
     if not in_domain.any():
         raise EmptyInput(f"no records for domain {domain!r}")
-    size = max(pruneable, default=-1) + 1
-    # bincount adds each layer's weights in row order, as a per-record loop would
-    sums = np.bincount(table.layer[in_domain], weights=table.sim[in_domain], minlength=size)
-    counts = np.bincount(table.layer[in_domain], minlength=size)
     for l in pruneable:
-        if counts[l] == 0:
+        if not 0 <= l < table.header.num_layers:
             raise LayerSetMismatch(f"domain {domain!r} has no samples covering layer {l}")
-    raw = {l: float(sums[l]) / int(counts[l]) for l in pruneable}
-    return DomainScoreTable(domain=domain, raw=raw,
-                            sample_count=len(set(table.sample_id[in_domain].tolist())))
+    # a mean over the rows adds each layer's sims in sample order, as a per-record loop would
+    means = table.sim_grid[in_domain].mean(axis=0)
+    return DomainScoreTable(domain=domain, raw={l: float(means[l]) for l in pruneable},
+                            sample_count=int(np.count_nonzero(in_domain)))
 
 
 def znormalize(table: DomainScoreTable) -> DomainScoreTable:
@@ -109,19 +106,12 @@ def heatmap_matrix(table) -> HeatmapMatrix:
     """Mean in/out similarity per (subtask, layer) over all samples.
 
     Rows follow each subtask's first appearance in the table, columns the
-    sorted layers present.
+    layers in order.
     """
     if len(table) == 0:
         raise EmptyInput("no records to build a heatmap from")
     codes = list(dict.fromkeys(table.subtask.tolist()))  # in first-appearance order
-    layers = np.flatnonzero(np.bincount(table.layer))
-    width = layers[-1] + 1
-    cell = table.subtask * width + table.layer  # bincount adds each cell in record order
-    size = (max(codes) + 1) * width  # the full (subtask code, layer) grid
-    sums = np.bincount(cell, weights=table.sim, minlength=size).reshape(-1, width)
-    counts = np.bincount(cell, minlength=size).reshape(-1, width)
-    with np.errstate(invalid="ignore"):  # a cell with no record is 0 / 0, NaN
-        values = (sums / counts)[np.ix_(codes, layers)]
-    tags = table.header.subtask_tags
-    return HeatmapMatrix(subtasks=tuple(tags[c] for c in codes),
-                         layers=tuple(layers.tolist()), values=values)
+    # a mean over a subtask's rows adds each cell in sample order, as a per-record loop would
+    values = np.array([table.sim_grid[table.subtask == c].mean(axis=0) for c in codes])
+    return HeatmapMatrix(subtasks=tuple(table.header.subtask_tags[c] for c in codes),
+                         layers=tuple(range(table.header.num_layers)), values=values)

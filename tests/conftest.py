@@ -54,19 +54,16 @@ def small_capture(small_model, small_probes):
     return capture_run(small_model, small_probes)
 
 
-def table_from_rows(header, rows):
-    """An ActivationTable of (sample_id, layer, domain, subtask, sim, pooled_out) rows."""
-    names = [d.domain for d in header.domains]
-    tags = header.subtask_tags
-    pooled = np.array([r[5] for r in rows], dtype=np.float32)
+def grid_table(header, subtasks, sims, pooled=None):
+    """The ActivationTable of samples of ``subtasks`` (one tag each), sims (n, num_layers)
+    and pooled outputs (n, num_layers, hidden_dim), zeros by default."""
+    n, shape = len(subtasks), (len(subtasks), header.num_layers, header.hidden_dim)
+    pooled = np.zeros(shape) if pooled is None else np.asarray(pooled)
     return ActivationTable(
         header=header,
-        sample_id=np.array([r[0] for r in rows], dtype=np.int64),
-        layer=np.array([r[1] for r in rows], dtype=np.int64),
-        domain=np.array([names.index(r[2]) for r in rows], dtype=np.int64),
-        subtask=np.array([tags.index(r[3]) for r in rows], dtype=np.int64),
-        sim=np.array([r[4] for r in rows], dtype=np.float64),
-        pooled_out=pooled.reshape(len(rows), -1 if rows else header.hidden_dim),
+        subtask=np.array([header.subtask_tags.index(tag) for tag in subtasks], dtype=np.int64),
+        sim=np.asarray(sims, dtype=np.float64).reshape(n * header.num_layers),
+        pooled_out=pooled.astype(np.float32).reshape(n * header.num_layers, header.hidden_dim),
     )
 
 
@@ -77,11 +74,10 @@ def log_bytes(header, table):
     return buf.getvalue().encode("utf-8")
 
 
-def select_rows(table, mask):
-    """The rows of ``table`` where ``mask`` holds, in order."""
-    return replace(table, sample_id=table.sample_id[mask], layer=table.layer[mask],
-                   domain=table.domain[mask], subtask=table.subtask[mask],
-                   sim=table.sim[mask], pooled_out=table.pooled_out[mask])
+def select_samples(table, index):
+    """The samples of ``table`` that ``index`` (a mask or an order) picks, in that order."""
+    return replace(table, subtask=table.subtask[index], sim=table.sim_grid[index].reshape(-1),
+                   pooled_out=table.pooled_grid[index].reshape(-1, table.header.hidden_dim))
 
 
 def make_synthetic_records(num_layers, hidden_dim=8, samples_per_subtask=2,
@@ -100,20 +96,19 @@ def make_synthetic_records(num_layers, hidden_dim=8, samples_per_subtask=2,
                        hidden_dim=hidden_dim,
                        protected_layers=frozenset({0, num_layers - 1}),
                        domains=domains)
-    rows = []
-    sample_id = 0
-    for domain, subtasks in (("math", MATH_SUBTASKS), ("nonmath", NONMATH_SUBTASKS)):
-        for subtask in subtasks:
-            for _ in range(samples_per_subtask):
-                for layer in range(num_layers):
-                    if sims is not None:
-                        sim = float(sims[layer])
-                    else:
-                        sim = float(rng.uniform(0.0, 1.0))
-                    # the unused draw keeps pooled_out on the random stream the
-                    # expectations of the tests using this fixture were set with
-                    rng.standard_normal(hidden_dim)
-                    pooled_out = rng.standard_normal(hidden_dim).astype(np.float32)
-                    rows.append((sample_id, layer, domain, subtask, sim, pooled_out))
-                sample_id += 1
-    return header, table_from_rows(header, rows)
+    subtasks, sim_rows, pooled = [], [], []
+    for subtask in MATH_SUBTASKS + NONMATH_SUBTASKS:
+        for _ in range(samples_per_subtask):
+            subtasks.append(subtask)
+            for layer in range(num_layers):
+                if sims is not None:
+                    sim_rows.append(float(sims[layer]))
+                else:
+                    sim_rows.append(float(rng.uniform(0.0, 1.0)))
+                # the unused draw keeps pooled_out on the random stream the
+                # expectations of the tests using this fixture were set with
+                rng.standard_normal(hidden_dim)
+                pooled.append(rng.standard_normal(hidden_dim).astype(np.float32))
+    n = len(subtasks)
+    return header, grid_table(header, subtasks, np.reshape(sim_rows, (n, num_layers)),
+                              np.reshape(pooled, (n, num_layers, hidden_dim)))

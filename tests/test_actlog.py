@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import log_bytes, table_from_rows
-from depthprune.actlog import (_COLUMNS, _PIECE, ActivationTable, DomainInfo, LogHeader,
-                               _parse_header, read_log, write_log)
+from conftest import grid_table, log_bytes
+from depthprune.actlog import (_COLUMNS, _PIECE, SCHEMA_VERSION, ActivationTable, DomainInfo,
+                               LogHeader, _parse_header, read_log, write_log)
 from depthprune.errors import SchemaViolation, SinkFailure, TruncatedFile
 
 
@@ -23,13 +23,15 @@ def header_4x2(math_samples=1):
     )
 
 
-def row(sample_id=0, layer=1, dim=2, sim=0.5, domain="math", subtask="Math-CoT"):
-    return (sample_id, layer, domain, subtask, sim, np.arange(dim, dtype=np.float32) + 0.25)
+SIMS = (0.5, 0.25, -0.5, 1.0)  # one sample's sims at layers 0-3
+POOLED = np.arange(2, dtype=np.float32) + 0.25  # every record's pooled output
 
 
-def table(*rows):
-    """A table of math ``rows`` under a header that counts their samples."""
-    return table_from_rows(header_4x2(len({r[0] for r in rows})), list(rows))
+def table(*sims):
+    """A table of one Math-CoT sample per row of ``sims``, under a header that counts them."""
+    n = len(sims)
+    return grid_table(header_4x2(n), ["Math-CoT"] * n, np.reshape(sims, (n, 4)),
+                      np.broadcast_to(POOLED, (n, 4, 2)))
 
 
 def test_empty_stream_header_only():
@@ -54,44 +56,43 @@ def reference_column_lines(tab):
 
 
 def test_column_written_in_pieces_equals_one_json_dumps():
-    # 20-byte pooled rows: the column spans three pieces and ends mid base64 group
-    n = 2 * _PIECE // 20 + 1
+    # 20-byte pooled rows, 4 per sample: the column spans three pieces and ends mid base64 group
+    n = 2 * _PIECE // 80 + 1
     rng = np.random.default_rng(0)
     header = LogHeader(model_id="toy", num_layers=4, hidden_dim=5,
                        protected_layers=frozenset({0, 3}),
                        domains=(DomainInfo("math", ("Math-CoT",), n),))
-    tab = ActivationTable(header=header, sample_id=np.arange(n), layer=np.ones(n, dtype=np.int64),
-                          domain=np.zeros(n, dtype=np.int64), subtask=np.zeros(n, dtype=np.int64),
-                          sim=rng.uniform(-1, 1, n),
-                          pooled_out=rng.standard_normal((n, 5)).astype(np.float32))
+    tab = ActivationTable(header=header, subtask=np.zeros(n, dtype=np.int64),
+                          sim=rng.uniform(-1, 1, 4 * n),
+                          pooled_out=rng.standard_normal((4 * n, 5)).astype(np.float32))
     assert tab.pooled_out.nbytes > 2 * _PIECE and tab.pooled_out.nbytes % 3 != 0
     buf = io.StringIO()
-    assert write_log(header, tab, buf) == n
+    assert write_log(header, tab, buf) == 4 * n
     assert buf.getvalue().split("\n", 1)[1] == reference_column_lines(tab)
     _, got = read_log(io.StringIO(buf.getvalue()))
     np.testing.assert_array_equal(got.pooled_out, tab.pooled_out)
 
 
 def test_round_trip_single_record():
-    data = log_bytes(header_4x2(), table(row(sim=0.123456789)))
+    data = log_bytes(header_4x2(), table((0.5, 0.123456789, -0.5, 1.0)))
     header, got = read_log(io.StringIO(data.decode()))
     assert header == header_4x2()
     assert got.header == header
-    assert len(got) == 1
-    assert (got.sample_id[0], got.layer[0]) == (0, 1)
+    assert len(got) == 4
+    assert (got.sample_id[1], got.layer[1]) == (0, 1)
     assert header.domains[got.domain[0]].domain == "math"
     assert header.subtask_tags[got.subtask[0]] == "Math-CoT"
-    assert got.sim[0] == float(np.float32(0.123456789))
-    np.testing.assert_array_equal(got.pooled_out[0], row()[5])
+    assert got.sim[1] == float(np.float32(0.123456789))
+    np.testing.assert_array_equal(got.pooled_out[1], POOLED)
 
 
 def test_header_line_bytes_are_pinned():
     header = replace(header_4x2(), protected_layers=frozenset({3, 1, 0}),
                      domains=(DomainInfo("math", ("Math-CoT", "Arithmetic"), 1),
                               DomainInfo("nonmath", ("Captioning",), 0)))
-    data = log_bytes(header, table_from_rows(header, [row()]))
+    data = log_bytes(header, grid_table(header, ["Arithmetic"], [SIMS]))
     assert data.split(b"\n")[0] == (
-        b'{"schema_version":3,"model_id":"toy","num_layers":4,"hidden_dim":2,'
+        b'{"schema_version":4,"model_id":"toy","num_layers":4,"hidden_dim":2,'
         b'"protected_layers":[0,1,3],"domains":[{"domain":"math","subtasks":'
         b'["Math-CoT","Arithmetic"],"sample_count":1},{"domain":"nonmath",'
         b'"subtasks":["Captioning"],"sample_count":0}]}')
@@ -100,51 +101,62 @@ def test_header_line_bytes_are_pinned():
 
 def test_round_trip_preserves_float32_bits():
     rng = np.random.default_rng(0)
-    rows = [(i, 1, "math", "Math-CoT", float(rng.uniform(-1, 1)),
-             rng.standard_normal(2).astype(np.float32)) for i in range(20)]
-    tab = table(*rows)
+    sims = rng.uniform(-1, 1, (20, 4))
+    pooled = rng.standard_normal((20, 4, 2)).astype(np.float32)
+    tab = grid_table(header_4x2(20), ["Math-CoT"] * 20, sims, pooled)
     data = log_bytes(tab.header, tab)
     _, got = read_log(io.StringIO(data.decode()))
-    for i, r in enumerate(rows):
-        np.testing.assert_array_equal(got.pooled_out[i], r[5])
-        assert got.sim[i] == float(np.float32(r[4]))
+    np.testing.assert_array_equal(got.pooled_grid, pooled)
+    np.testing.assert_array_equal(got.sim_grid, sims.astype(np.float32).astype(np.float64))
 
 
 def test_records_carry_no_pooled_in():
-    data = log_bytes(header_4x2(), table(row()))
+    # nor sample_id, layer or domain: a record's place in the grid gives its sample and layer,
+    # and a sample's subtask its domain
+    data = log_bytes(header_4x2(), table(SIMS))
     header, *columns = (json.loads(line) for line in data.decode().splitlines())
-    assert header["schema_version"] == 3
-    assert [list(obj) for obj in columns] == [
-        ["sample_id"], ["layer"], ["domain"], ["subtask"], ["sim"], ["pooled_out"]]
+    assert header["schema_version"] == 4
+    assert [list(obj) for obj in columns] == [["subtask"], ["sim"], ["pooled_out"]]
 
 
 def test_write_rejects_wrong_dim():
-    with pytest.raises(SchemaViolation, match="pooled_out"):
-        write_log(header_4x2(), table(row(dim=3)), io.StringIO())
+    header = header_4x2()
+    bad = ActivationTable(header=header, subtask=np.zeros(1, dtype=np.int64), sim=np.zeros(4),
+                          pooled_out=np.zeros((4, 3), dtype=np.float32))
+    with pytest.raises(SchemaViolation, match=r"pooled_out \(4, 3\): not the shapes of 1 samples"):
+        write_log(header, bad, io.StringIO())
 
 
 def test_write_rejects_duplicate_pair():
-    with pytest.raises(SchemaViolation, match="duplicate"):
-        write_log(header_4x2(), table(row(), row()), io.StringIO())
+    # a grid holds each (sample, layer) pair once: a sample's records given twice are
+    # more records than its samples have
+    tab = table(SIMS)
+    twice = replace(tab, sim=np.tile(tab.sim, 2), pooled_out=np.tile(tab.pooled_out, (2, 1)))
+    with pytest.raises(SchemaViolation, match=r"^sim \(8,\) and pooled_out \(8, 2\): "
+                                              r"not the shapes of 1 samples$"):
+        write_log(header_4x2(), twice, io.StringIO())
 
 
 def test_write_rejects_unknown_subtask():
-    # Captioning is declared, but for nonmath only
-    with pytest.raises(SchemaViolation, match="subtask"):
-        write_log(header_4x2(), table(row(subtask="Captioning")), io.StringIO())
+    bad = table(SIMS, SIMS)
+    bad.subtask[1] = -1
+    with pytest.raises(SchemaViolation, match="^sample 1: subtask: unknown tag -1$"):
+        write_log(header_4x2(2), bad, io.StringIO())
 
 
 def test_write_rejects_undeclared_domain_index():
-    bad = table(row())
-    bad.domain[0] = 5
-    with pytest.raises(SchemaViolation, match="record 0: domain: unknown tag 5"):
+    # a sample's domain is the one that declares its subtask, so a subtask index past every
+    # domain's tags is the only way to name no domain
+    bad = table(SIMS)
+    bad.subtask[0] = 5
+    with pytest.raises(SchemaViolation, match="^sample 0: subtask: unknown tag 5$"):
         write_log(header_4x2(), bad, io.StringIO())
 
 
 def test_write_validates_before_writing():
     buf = io.StringIO()
-    with pytest.raises(SchemaViolation, match="record 1: sim"):
-        write_log(header_4x2(), table(row(0), row(1, sim=2.0)), buf)
+    with pytest.raises(SchemaViolation, match="record 5: sim"):
+        write_log(header_4x2(2), table(SIMS, (0.5, 2.0, 0.5, 0.5)), buf)
     assert buf.getvalue() == ""
 
 
@@ -155,11 +167,11 @@ def test_write_turns_a_sink_failure_into_sink_failure():
 
     with pytest.raises(SinkFailure, match=r"^I/O failure while writing log: "
                                           r"\[Errno 28\] No space left on device$"):
-        write_log(header_4x2(), table(row()), FullSink())
+        write_log(header_4x2(), table(SIMS), FullSink())
 
 
 def log_lines(tab=None):
-    tab = table(row()) if tab is None else tab
+    tab = table(SIMS) if tab is None else tab
     return log_bytes(tab.header, tab).decode().splitlines()
 
 
@@ -187,7 +199,7 @@ def with_column(lines, name, values):
 
 def test_read_rejects_sim_out_of_range():
     with pytest.raises(SchemaViolation, match=r"^record 0: sim: 1.5 outside \[-1, 1\]"):
-        read_log(io.StringIO(with_column(log_lines(), "sim", [1.5])))
+        read_log(io.StringIO(with_column(log_lines(), "sim", [1.5, 0.5, 0.5, 0.5])))
 
 
 def test_read_rejects_unknown_key():
@@ -199,8 +211,8 @@ def test_read_rejects_unknown_key():
 
 def test_read_rejects_v1_record_key():
     lines = log_lines()
-    lines[6] = lines[6].replace('"pooled_out"', '"pooled_in"')
-    with pytest.raises(SchemaViolation, match="^line 7: unknown column key 'pooled_in'"):
+    lines[3] = lines[3].replace('"pooled_out"', '"pooled_in"')
+    with pytest.raises(SchemaViolation, match="^line 4: unknown column key 'pooled_in'"):
         read_log(io.StringIO(text(lines)))
 
 
@@ -215,39 +227,49 @@ def test_read_rejects_v1_log():
                                                    if version == 1 else record)])
         with pytest.raises(SchemaViolation, match=f"^schema_version: unsupported value {version}"):
             read_log(io.StringIO(old))
+    # v3: one column line per record field, sample_id, layer and domain among them
+    header = json.loads(log_lines()[0])
+    header["schema_version"] = 3
+    old = text([json.dumps(header)] + [json.dumps({name: ""}) for name in (
+        "sample_id", "layer", "domain", "subtask", "sim", "pooled_out")])
+    with pytest.raises(SchemaViolation, match="^schema_version: unsupported value 3"):
+        read_log(io.StringIO(old))
 
 
 def test_read_rejects_duplicate_pair():
-    lines = log_lines(table(row(0), row(1)))
-    with pytest.raises(SchemaViolation, match=r"^record 1: duplicate \(sample_id, layer\) pair"):
-        read_log(io.StringIO(with_column(lines, "sample_id", [0, 0])))
+    # a grid holds each (sample, layer) pair once: records given twice over are more than
+    # the samples' layers, whichever column holds them
+    lines = log_lines(table(SIMS))
+    with pytest.raises(SchemaViolation, match="^line 3: sim: 8 values, expected 4 for 1 samples$"):
+        read_log(io.StringIO(with_column(lines, "sim", SIMS * 2)))
+    with pytest.raises(SchemaViolation,
+                       match="^line 4: pooled_out: 16 values, expected 8 for 1 samples$"):
+        read_log(io.StringIO(with_column(lines, "pooled_out", np.tile(POOLED, 8))))
 
 
 def test_read_rejects_undeclared_subtask():
-    # Captioning is declared, but for nonmath only
-    captioning = header_4x2().subtask_tags.index("Captioning")
-    lines = log_lines(table(row(0), row(1)))
-    with pytest.raises(SchemaViolation,
-                       match="^record 1: subtask: 'Captioning' not declared for domain 'math'"):
-        read_log(io.StringIO(with_column(lines, "subtask", [0, captioning])))
+    lines = log_lines(table(SIMS, SIMS))
+    for index in (-1, len(header_4x2().subtask_tags)):
+        with pytest.raises(SchemaViolation, match=f"^sample 1: subtask: unknown tag {index}$"):
+            read_log(io.StringIO(with_column(lines, "subtask", [0, index])))
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("sample_id", "0", "sample_id: unexpected value '0'"),
-    ("layer", 1.0, "layer: unexpected value 1.0"),
-    ("layer", 2 ** 70, f"layer: unexpected value {2 ** 70}"),
+    ("subtask", "0", "subtask: unexpected value '0'"),
+    ("subtask", 1.0, "subtask: unexpected value 1.0"),
+    ("subtask", 2 ** 70, f"subtask: unexpected value {2 ** 70}"),
     ("sim", None, "sim: unexpected value None"),
     ("pooled_out", [0.5, "x"], r"pooled_out: unexpected value \[0.5, 'x'\]"),
     ("pooled_out", [0.5], r"pooled_out: unexpected value \[0.5\]"),
     ("pooled_out", [[0.5, 1.0], [0.5]], r"pooled_out: unexpected value \[\[0.5, 1.0\], \[0.5\]\]"),
-    ("domain", ["math"], r"domain: unexpected value \['math'\]"),
-    ("domain", 7, "domain: unexpected value 7"),
+    ("subtask", ["math"], r"subtask: unexpected value \['math'\]"),
+    ("subtask", 7, "subtask: unexpected value 7"),
     ("sim", True, "sim: unexpected value True"),
     ("pooled_out", [0.5, None], r"pooled_out: unexpected value \[0.5, None\]"),
 ])
 def test_read_rejects_wrong_types_with_line_number(key, value, message):
     # a column is only ever a base64 string: no JSON value can pose as its numbers
-    lines = log_lines(table(row(0), row(1), row(2)))
+    lines = log_lines(table(SIMS, SIMS, SIMS))
     lines[lineno(key) - 1] = json.dumps({key: value})
     with pytest.raises(SchemaViolation, match=f"^line {lineno(key)}: {message}"):
         read_log(io.StringIO(text(lines)))
@@ -263,33 +285,56 @@ def test_read_rejects_a_header_that_is_not_json():
 
 
 def test_read_rejects_unequal_columns():
-    lines = log_lines(table(row(0), row(1), row(2)))
-    with pytest.raises(SchemaViolation, match="^line 4: domain: 2 values, expected 3"):
-        read_log(io.StringIO(with_column(lines, "domain", [0, 0])))
-    with pytest.raises(SchemaViolation, match="^line 7: pooled_out: 5 values, expected 6"):
-        read_log(io.StringIO(with_column(lines, "pooled_out", np.zeros(5))))
-    # lengths are counted against sample_id, so a short sample_id shows on the next line
-    with pytest.raises(SchemaViolation, match="^line 3: layer: 3 values, expected 2"):
-        read_log(io.StringIO(with_column(lines, "sample_id", [0, 1])))
+    lines = log_lines(table(SIMS, SIMS, SIMS))
+    with pytest.raises(SchemaViolation, match="^line 3: sim: 11 values, expected 12 for 3 samples"):
+        read_log(io.StringIO(with_column(lines, "sim", np.zeros(11))))
+    with pytest.raises(SchemaViolation,
+                       match="^line 4: pooled_out: 23 values, expected 24 for 3 samples"):
+        read_log(io.StringIO(with_column(lines, "pooled_out", np.zeros(23))))
+    # lengths are counted against subtask, so a short subtask shows on the next line
+    with pytest.raises(SchemaViolation, match="^line 3: sim: 12 values, expected 8 for 2 samples"):
+        read_log(io.StringIO(with_column(lines, "subtask", [0, 0])))
+
+
+def test_read_refuses_a_header_that_declares_more_layers_than_its_columns_hold():
+    # the expected lengths are integers, so an edited num_layers costs no grid of that many layers
+    lines = log_lines(table(SIMS, SIMS))
+    lines[0] = lines[0].replace('"num_layers":4', '"num_layers":2000000')
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaViolation,
+                           match="^line 3: sim: 8 values, expected 4000000 for 2 samples$"):
+            read_log(io.StringIO(text(lines)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_read_reports_earliest_bad_line():
-    lines = log_lines(table(row(0), row(1), row(2)))
-    lines[2] = json.dumps({"layer": 1})
-    lines[5] = json.dumps({"sim": "*"})
-    with pytest.raises(SchemaViolation, match="^line 3: layer"):
+    lines = log_lines(table(SIMS, SIMS, SIMS))
+    lines[2] = json.dumps({"sim": 1})
+    lines[3] = json.dumps({"pooled_out": "*"})
+    with pytest.raises(SchemaViolation, match="^line 3: sim"):
         read_log(io.StringIO(text(lines)))
     # a bad line before a truncated one still wins
-    with pytest.raises(SchemaViolation, match="^line 3: layer"):
-        read_log(io.StringIO(text(lines[:4])[:-5]))
-    # and among bad values, the earliest record wins
-    lines = with_column(log_lines(table(row(0), row(1), row(2))), "layer", [1, 9, 1])
-    with pytest.raises(SchemaViolation, match="^record 0: sim"):
-        read_log(io.StringIO(with_column(lines.splitlines(), "sim", [3.0, 0.5, 0.5])))
+    with pytest.raises(SchemaViolation, match="^line 3: sim"):
+        read_log(io.StringIO(text(lines)[:-5]))
+    # among bad values, the earliest column's earliest bad value wins
+    lines = with_column(log_lines(table(SIMS, SIMS, SIMS)), "subtask", [0, 0, 9])
+    sims = np.tile(SIMS, 3)
+    sims[[5, 2]] = 3.0
+    with pytest.raises(SchemaViolation, match="^sample 2: subtask"):
+        read_log(io.StringIO(with_column(lines.splitlines(), "sim", sims)))
+    lines = with_column(log_lines(table(SIMS, SIMS, SIMS)), "sim", sims)
+    pooled = np.tile(POOLED, 12)
+    pooled[0] = np.nan
+    with pytest.raises(SchemaViolation, match="^record 2: sim: 3.0"):
+        read_log(io.StringIO(with_column(lines.splitlines(), "pooled_out", pooled)))
 
 
 def test_read_rejects_content_after_the_last_column():
-    with pytest.raises(SchemaViolation, match="^line 8: content after the last column"):
+    with pytest.raises(SchemaViolation, match="^line 5: content after the last column"):
         read_log(io.StringIO(text(log_lines() + ["{}"])))
 
 
@@ -303,18 +348,19 @@ def test_read_streams_lines():
         def readline(self):
             return self._buf.readline()
 
-    tab = table(row(0), row(1))
+    tab = table(SIMS, SIMS)
     data = log_bytes(tab.header, tab).decode()
     _, got = read_log(LinesOnly(data))
-    assert got.sample_id.tolist() == [0, 1]
+    assert got.sample_id.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert got.layer.tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 def test_truncated_last_line():
-    data = log_bytes(header_4x2(), table(row())).decode()
-    with pytest.raises(TruncatedFile, match="^line 7: unterminated"):
+    data = log_bytes(header_4x2(), table(SIMS)).decode()
+    with pytest.raises(TruncatedFile, match="^line 4: unterminated"):
         read_log(io.StringIO(data[:-10]))
     # a log cut at a line boundary has all its lines whole, but too few of them
-    for cut in range(1, 7):
+    for cut in range(1, 4):
         with pytest.raises(TruncatedFile, match=f"^line {cut + 1}: missing"):
             read_log(io.StringIO(text(data.splitlines()[:cut])))
 
@@ -343,8 +389,8 @@ def test_header_needs_a_pruneable_layer():
 
 def test_parsing_a_header_costs_no_more_than_its_line():
     # one edited num_layers must not make the reader allocate a set of that many layers
-    line = ('{"schema_version":3,"model_id":"x","num_layers":1000000,"hidden_dim":2,'
-            '"protected_layers":[0,999999],"domains":[]}')
+    line = (f'{{"schema_version":{SCHEMA_VERSION},"model_id":"x","num_layers":1000000,'
+            '"hidden_dim":2,"protected_layers":[0,999999],"domains":[]}')
     tracemalloc.start()
     try:
         header = _parse_header(line)
@@ -368,7 +414,7 @@ def test_header_rejects_repeated_domain():
 
 @pytest.mark.parametrize("domains", [
     (DomainInfo("math", ("A", "B", "A"), 1), DomainInfo("nonmath", ("C",), 1)),
-    # one tag under two domains would merge both domains' records in one heatmap row
+    # one tag under two domains would leave its samples' domain unknown
     (DomainInfo("math", ("A", "B"), 1), DomainInfo("nonmath", ("C", "A"), 1)),
 ])
 def test_header_rejects_repeated_subtask_tag(domains):
@@ -385,9 +431,9 @@ def test_read_rejects_a_subtask_tag_of_two_domains():
 
 
 def test_header_sample_counts_must_match_the_records():
-    # scoring reports each domain's n from its records, so a header that
+    # scoring reports each domain's n from its samples, so a header that
     # declares 250 math samples over records of 5 would go unnoticed
-    tab = table(*(row(i) for i in range(5)))
+    tab = table(*[SIMS] * 5)
     for domain, count, held in [(0, 250, 5), (0, 4, 5), (1, 3, 0)]:
         lines = log_lines(tab)
         header = json.loads(lines[0])
@@ -399,6 +445,10 @@ def test_header_sample_counts_must_match_the_records():
             read_log(io.StringIO(text(lines)))
     with pytest.raises(SchemaViolation, match="^domains: 'math' declares sample_count 250"):
         write_log(header_4x2(250), tab, io.StringIO())
+    # a Captioning sample is a nonmath sample, whatever header the table was built under
+    with pytest.raises(SchemaViolation, match="^domains: 'math' declares sample_count 1, "
+                                              "but its records hold 0 samples"):
+        write_log(header_4x2(), grid_table(header_4x2(), ["Captioning"], [SIMS]), io.StringIO())
 
 
 # ---- property tests over random headers and tables --------------------------
@@ -408,7 +458,7 @@ finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def headers_and_tables(draw, min_rows=0):
+def headers_and_tables(draw, min_samples=0):
     num_layers = draw(st.integers(1, 6))
     hidden_dim = draw(st.integers(1, 4))
     names = draw(st.lists(st.sampled_from(("math", "nonmath", "other")),
@@ -418,24 +468,21 @@ def headers_and_tables(draw, min_rows=0):
     cuts = sorted(draw(st.permutations(range(1, len(tags))))[:len(names) - 1])
     subtasks = {name: tuple(tags[a:b])
                 for name, a, b in zip(names, [0, *cuts], [*cuts, len(tags)])}
-    pairs = draw(st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(0, num_layers - 1)),
-                          min_size=min_rows, max_size=12, unique=True))
-    rows = []
-    for sample_id, layer in pairs:
-        name = draw(st.sampled_from(sorted(subtasks)))
-        rows.append((sample_id, layer, name, draw(st.sampled_from(subtasks[name])),
-                     draw(st.floats(-1.0, 1.0)),
-                     np.array(draw(st.lists(finite32, min_size=hidden_dim, max_size=hidden_dim)),
-                              dtype=np.float32)))
-    # each domain declares as many samples as its records hold
-    domains = tuple(DomainInfo(name, tags, len({r[0] for r in rows if r[2] == name}))
-                    for name, tags in subtasks.items())
+    samples = draw(st.lists(st.sampled_from(tags), min_size=min_samples, max_size=4))
+    n = len(samples)
+    sims = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * num_layers, max_size=n * num_layers))
+    pooled = draw(st.lists(finite32, min_size=n * num_layers * hidden_dim,
+                           max_size=n * num_layers * hidden_dim))
+    # each domain declares as many samples as it holds
+    domains = tuple(DomainInfo(name, declared, sum(tag in declared for tag in samples))
+                    for name, declared in subtasks.items())
     header = LogHeader(model_id=draw(st.text(max_size=8)), num_layers=num_layers,
                        hidden_dim=hidden_dim,
                        protected_layers=frozenset(draw(st.sets(st.integers(0, num_layers - 1),
                                                                max_size=num_layers - 1))),
                        domains=domains)
-    return header, table_from_rows(header, rows)
+    return header, grid_table(header, samples, np.reshape(sims, (n, num_layers)),
+                              np.reshape(pooled, (n, num_layers, hidden_dim)))
 
 
 @given(headers_and_tables())
@@ -444,15 +491,13 @@ def test_property_round_trip_is_bit_exact(case):
     header, tab = case
     got_header, got = read_log(io.StringIO(log_bytes(header, tab).decode()))
     assert got_header == header
-    for name in ("sample_id", "layer", "domain", "subtask"):
+    for name in ("subtask", "domain", "sample_id", "layer"):
         np.testing.assert_array_equal(getattr(got, name), getattr(tab, name))
     assert got.sim.dtype == np.float64 and got.pooled_out.dtype == np.float32
     assert (got.sim.view(np.uint64) == tab.sim.astype(np.float32).astype(np.float64)
             .view(np.uint64)).all()
     assert got.pooled_out.shape == tab.pooled_out.shape
     assert (got.pooled_out.view(np.uint32) == tab.pooled_out.view(np.uint32)).all()
-
-
 
 
 def reencode(value, rng):
@@ -475,7 +520,7 @@ LINE_CORRUPTIONS = {
 }
 
 
-@given(headers_and_tables(min_rows=1), st.data())
+@given(headers_and_tables(min_samples=1), st.data())
 @settings(max_examples=200, deadline=None)
 def test_property_corrupt_line_is_reported(case, data):
     header, tab = case
@@ -493,44 +538,28 @@ def test_property_corrupt_line_is_reported(case, data):
         read_log(io.StringIO(text(lines)))
 
 
-def bad_value(header, tab, name, i, rng):
-    """A value of column ``name`` (not pooled_out) for record ``i`` that the reader rejects."""
-    if name == "layer":
-        return rng.choice([-1, header.num_layers, 2 ** 40])
-    if name == "domain":
-        return rng.choice([-1, len(header.domains)])
-    if name == "subtask":
-        declared = header.domains[tab.domain[i]].subtasks
-        return rng.choice([-1, len(header.subtask_tags)] + [
-            t for t, tag in enumerate(header.subtask_tags) if tag not in declared])
-    return rng.choice([1.5, -2.0, float("nan"), float("inf")])  # sim
-
-
-@given(headers_and_tables(min_rows=1), st.data())
+@given(headers_and_tables(min_samples=1), st.data())
 @settings(max_examples=200, deadline=None)
 def test_property_bad_record_value_is_reported(case, data):
     header, tab = case
     lines = log_bytes(header, tab).decode().splitlines()
     rng = data.draw(st.randoms(use_true_random=False))
-    i = data.draw(st.integers(0, len(tab) - 1), label="record")
-    kinds = ["layer", "domain", "subtask", "sim", "pooled_out"] + (["duplicate"] if i else [])
-    kind = data.draw(st.sampled_from(kinds), label="kind")
-    if kind == "duplicate":  # record i takes the (sample_id, layer) pair of an earlier record
-        j = data.draw(st.integers(0, i - 1), label="earlier")
-        columns = {"sample_id": tab.sample_id.copy(), "layer": tab.layer.copy()}
-        for values in columns.values():
-            values[i] = values[j]
-    elif kind == "pooled_out":
-        pooled = tab.pooled_out.copy()
-        pooled[i, rng.randrange(header.hidden_dim)] = rng.choice([np.inf, -np.inf, np.nan])
-        columns = {"pooled_out": pooled}
+    kind = data.draw(st.sampled_from(["subtask", "sim", "pooled_out"]), label="kind")
+    if kind == "subtask":  # a sample's tag index that no domain declares
+        i = data.draw(st.integers(0, len(tab.subtask) - 1), label="sample")
+        values = tab.subtask.copy()
+        values[i] = rng.choice([-1, len(header.subtask_tags), 2 ** 40])
+        where = f"sample {i}"
     else:
-        values = getattr(tab, kind).astype(dict(_COLUMNS)[kind])
-        values[i] = bad_value(header, tab, kind, i, rng)
-        columns = {kind: values}
-    for name, values in columns.items():
-        lines[lineno(name) - 1] = encode(name, values)
-    with pytest.raises(SchemaViolation, match=f"^record {i}: "):
+        i = data.draw(st.integers(0, len(tab) - 1), label="record")
+        values = getattr(tab, kind).astype(np.float32)
+        if kind == "sim":
+            values[i] = rng.choice([1.5, -2.0, float("nan"), float("inf")])
+        else:
+            values[i, rng.randrange(header.hidden_dim)] = rng.choice([np.inf, -np.inf, np.nan])
+        where = f"record {i}"
+    lines[lineno(kind) - 1] = encode(kind, values)
+    with pytest.raises(SchemaViolation, match=f"^{where}: "):
         read_log(io.StringIO(text(lines)))
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_records, select_rows
+from conftest import make_synthetic_records, select_samples
 from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
                                   interlace_plan, interlace_solution,
                                   linear_cka, random_plan)
@@ -90,28 +90,29 @@ def test_cka_rank_attributes_to_later_layer():
 
 def test_cka_rank_missing_subtask():
     header, records = make_synthetic_records(num_layers=4)
-    records = select_rows(records, records.subtask != header.subtask_tags.index("Grounding"))
-    with pytest.raises(MissingSubtask):
+    records = select_samples(records, records.subtask != header.subtask_tags.index("Grounding"))
+    with pytest.raises(MissingSubtask, match="^no records for subtask 'Grounding'$"):
         cka_rank(records, range(1, 3))
 
 
 def test_cka_identical_adjacent_layers_score_one():
     header, records = make_synthetic_records(num_layers=5, seed=9)
-    # make layer 3 carry layer 2's pooled outputs for every record
-    pooled = records.pooled_out.copy()
-    assert (records.sample_id[records.layer == 3] == records.sample_id[records.layer == 2]).all()
-    pooled[records.layer == 3] = pooled[records.layer == 2]
-    scores = cka_rank(replace(records, pooled_out=pooled), range(1, 4))
+    # make layer 3 carry layer 2's pooled outputs for every sample
+    pooled = records.pooled_grid.copy()
+    pooled[:, 3] = pooled[:, 2]
+    scores = cka_rank(replace(records, pooled_out=pooled.reshape(records.pooled_out.shape)),
+                      range(1, 4))
     assert scores[3] == pytest.approx(1.0, abs=1e-9)
     assert max(scores, key=lambda l: scores[l]) == 3
 
 
 def test_cka_rank_scores_a_degenerate_pair_zero():
     header, records = make_synthetic_records(num_layers=5, seed=9)
-    # every record of layer 2 pools to one vector, so layer 2's features have no spread
-    pooled = records.pooled_out.copy()
-    pooled[records.layer == 2] = 1.0
-    scores = cka_rank(replace(records, pooled_out=pooled), range(1, 4))
+    # every sample pools to one vector at layer 2, so layer 2's features have no spread
+    pooled = records.pooled_grid.copy()
+    pooled[:, 2] = 1.0
+    scores = cka_rank(replace(records, pooled_out=pooled.reshape(records.pooled_out.shape)),
+                      range(1, 4))
     assert scores[2] == scores[3] == 0.0
     assert scores[1] == cka_rank(records, range(1, 4))[1] > 0.0
 
@@ -165,9 +166,8 @@ def test_interlace_refuses_more_removals_than_pruneable_layers():
 
 
 def test_interlace_takes_depth_from_the_header():
-    # records of layers 0-8 only: the depth is the header's 12, not 8 + 1
+    # pruneable layers 1-7 only: the depth is the header's 12, not 7 + 2
     header, records = make_synthetic_records(num_layers=12)
-    records = select_rows(records, records.layer < 9)
     pruned, _, _, num_layers = interlace_solution(records, range(1, 8), 2)
     assert num_layers == 12
     plan = interlace_plan(records, range(1, 8), 2)

@@ -5,9 +5,10 @@ import pytest
 
 from depthprune import capture
 from depthprune.capture import capture_run, layer_stats
-from depthprune.errors import EmptyInput
+from depthprune.errors import EmptyInput, PlanModelMismatch
 from depthprune.linalg import token_cosine_mean
-from depthprune.model import ToyModelConfig, build_model, neutralize_block
+from depthprune.model import ToyModelConfig, apply_prune_plan, build_model, neutralize_block
+from depthprune.planner import PrunePlan
 from depthprune.probes import ProbeSet, default_probe_sets, generate_probes
 
 
@@ -16,9 +17,13 @@ def test_record_count_is_samples_times_depth(small_capture, small_probes):
     total = sum(ps.num_samples for ps in small_probes)
     assert len(table) == total * header.num_layers
     assert table.header is header
-    for column in (table.sample_id, table.layer, table.domain, table.subtask, table.sim):
+    for column in (table.sample_id, table.layer, table.sim):
         assert column.shape == (len(table),)
+    for column in (table.domain, table.subtask):
+        assert column.shape == (total,)
+    assert table.sim_grid.shape == (total, header.num_layers)
     assert table.pooled_out.shape == (len(table), header.hidden_dim)
+    assert table.pooled_grid.shape == (total, header.num_layers, header.hidden_dim)
     assert table.pooled_out.dtype == np.float32
 
 
@@ -132,3 +137,16 @@ def test_capture_refuses_an_empty_probe_set():
     for runs in (None, [[], []]):
         with pytest.raises(EmptyInput, match="^probe set 'math' is empty$"):
             capture_run(model, probe_sets, runs)
+
+
+def test_capture_refuses_a_pruned_model(monkeypatch):
+    # a table holds every layer of its header, so a model that lacks one cannot fill it
+    cfg = ToyModelConfig(num_layers=4, hidden_dim=16, num_heads=2)
+    pruned = apply_prune_plan(build_model(cfg), PrunePlan(
+        method="cka", budget_fraction=0.5, k=1, num_layers=4, protected=frozenset({0, 3}),
+        pruned=(2,)))
+    reduced = []
+    monkeypatch.setattr(capture, "layer_stats", reduced.append)
+    with pytest.raises(PlanModelMismatch, match="^capture needs all 4 layers, not 3$"):
+        capture_run(pruned, default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1}))
+    assert reduced == []

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthprune.actlog import (ActivationTable, DomainInfo, LogHeader, _header_to_json,
-                               _parse_header, read_log, write_log)
+from depthprune.actlog import (SCHEMA_VERSION, ActivationTable, DomainInfo, LogHeader,
+                               _header_to_json, _parse_header, read_log, write_log)
 from depthprune.baselines import random_plan
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
                                DepthPruneError, EmptyInput, InvalidConfig, SchemaViolation,
@@ -236,10 +236,11 @@ over_long = pytest.mark.skipif(_DIGITS == 0, reason="no limit on integer digits"
     (parse_plan, serialize_plan(_PLAN).replace('"seed":null', f'"seed":{_LONG}'),
      r"^plan: invalid JSON \(.*limit"),
     (lambda text: read_log(io.StringIO(text)),
-     _header_to_json(_HEADER).replace('"schema_version":3', f'"schema_version":{_LONG}') + "\n",
+     _header_to_json(_HEADER).replace(f'"schema_version":{SCHEMA_VERSION}',
+                                      f'"schema_version":{_LONG}') + "\n",
      r"^line 1: invalid header \(.*limit"),
     (lambda text: read_log(io.StringIO(text)),
-     _header_to_json(_HEADER) + f'\n{{"sample_id":{_LONG}}}\n',
+     _header_to_json(_HEADER) + f'\n{{"subtask":{_LONG}}}\n',
      r"^line 2: invalid column \(.*limit"),
 ], ids=["plan", "log-header", "log-column"])
 def test_an_over_long_integer_literal_is_a_schema_violation(read, text, message):
@@ -255,11 +256,9 @@ def test_a_plan_with_an_over_long_seed_is_a_sink_failure():
 
 @over_long
 def test_a_header_with_an_over_long_field_is_a_sink_failure():
-    header = replace(_HEADER, hidden_dim=10 ** _DIGITS)  # no row of an empty table checks it
-    empty = np.empty(0, dtype=np.int64)
-    table = ActivationTable(header=header, sample_id=empty, layer=empty, domain=empty,
-                            subtask=empty, sim=np.empty(0),
-                            pooled_out=np.empty((0, 0), dtype=np.float32))
+    header = replace(_HEADER, num_layers=10 ** _DIGITS)  # no row of an empty table checks it
+    table = ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64), sim=np.empty(0),
+                            pooled_out=np.empty((0, header.hidden_dim), dtype=np.float32))
     buf = io.StringIO()
     with pytest.raises(SinkFailure, match="^cannot write log header: .*limit"):
         write_log(header, table, buf)

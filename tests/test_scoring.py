@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_synthetic_records, table_from_rows
+from conftest import grid_table, make_synthetic_records
 from depthprune.actlog import DomainInfo, LogHeader
 from depthprune.errors import AlphaOutOfRange, EmptyInput, LayerSetMismatch
 from depthprune.probes import MATH_SUBTASKS, NONMATH_SUBTASKS
@@ -16,12 +16,9 @@ HEADER = LogHeader(model_id="scoring", num_layers=4, hidden_dim=2,
                             DomainInfo("nonmath", NONMATH_SUBTASKS, 0)))
 
 
-def rec(sample_id, layer, sim, domain="math", subtask="Math-CoT"):
-    return (sample_id, layer, domain, subtask, sim, np.zeros(2, dtype=np.float32))
-
-
-def records_table(*rows):
-    return table_from_rows(HEADER, list(rows))
+def records_table(*sims, subtasks=None):
+    """A table of one math sample per row of ``sims`` (4 layers each), Math-CoT by default."""
+    return grid_table(HEADER, subtasks or ["Math-CoT"] * len(sims), np.reshape(sims, (-1, 4)))
 
 
 def table(raw, domain="math"):
@@ -31,33 +28,34 @@ def table(raw, domain="math"):
 # ---- aggregation -----------------------------------------------------------
 
 def test_single_sample_aggregate():
-    t = aggregate_domain(records_table(rec(0, 1, 0.7), rec(0, 2, 0.3)), "math", [1, 2])
+    t = aggregate_domain(records_table([0.1, 0.7, 0.3, 0.9]), "math", [1, 2])
     assert t.raw == {1: 0.7, 2: 0.3}
     assert t.sample_count == 1
 
 
 def test_aggregate_mean_oracle():
-    records = records_table(*(rec(i, 1, s) for i, s in enumerate([0.2, 0.4, 0.6])))
+    records = records_table(*([0.0, s, 0.0, 0.0] for s in [0.2, 0.4, 0.6]))
     t = aggregate_domain(records, "math", [1])
     assert t.raw[1] == pytest.approx(0.4)
 
 
 def test_aggregate_merges_subtasks_flat():
-    records = records_table(rec(0, 1, 0.0, subtask="Math-CoT"),
-                            rec(1, 1, 1.0, subtask="Math-Direct"),
-                            rec(2, 1, 0.5, subtask="Math-Direct"))
+    records = records_table([0.0] * 4, [1.0] * 4, [0.5] * 4,
+                            subtasks=["Math-CoT", "Math-Direct", "Math-Direct"])
     t = aggregate_domain(records, "math", [1])
     assert t.raw[1] == pytest.approx(0.5)
 
 
 def test_aggregate_empty_domain():
     with pytest.raises(EmptyInput):
-        aggregate_domain(records_table(rec(0, 1, 0.5)), "nonmath", [1])
+        aggregate_domain(records_table([0.5] * 4), "nonmath", [1])
 
 
 def test_aggregate_missing_layer():
-    with pytest.raises(LayerSetMismatch):
-        aggregate_domain(records_table(rec(0, 1, 0.5)), "math", [1, 2])
+    # a table holds every layer of its header, and no other
+    for layer in (-1, 4):
+        with pytest.raises(LayerSetMismatch, match=f"no samples covering layer {layer}$"):
+            aggregate_domain(records_table([0.5] * 4), "math", [1, layer])
 
 
 # ---- z-normalization -------------------------------------------------------
@@ -155,9 +153,11 @@ def test_monotone_substitution():
 # ---- heatmap ---------------------------------------------------------------
 
 def test_heatmap_singleton():
-    hm = heatmap_matrix(records_table(rec(0, 3, 0.42)))
+    header = LogHeader(model_id="scoring", num_layers=1, hidden_dim=2,
+                       protected_layers=frozenset(), domains=(DomainInfo("math", ("Math-CoT",), 1),))
+    hm = heatmap_matrix(grid_table(header, ["Math-CoT"], [[0.42]]))
     assert hm.subtasks == ("Math-CoT",)
-    assert hm.layers == (3,)
+    assert hm.layers == (0,)
     assert hm.values[0, 0] == pytest.approx(0.42)
 
 

@@ -1,10 +1,10 @@
 """Differential tests: the activation-table reductions against per-record loops.
 
 The references walk the records one at a time, the way the rankers did
-before activations were held as columns.  The table reductions accumulate
-in record order (``np.bincount``), so every comparison here is exact, on
-synthetic tables, on shuffled row orders and on captured data read back
-from the log.
+before activations were held as a samples × layers grid.  The table
+reductions add the grid's rows in sample order, so every comparison here is
+exact, on synthetic tables, on shuffled sample orders and on captured data
+read back from the log.
 """
 
 import io
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import depthprune.baselines as baselines
-from conftest import log_bytes, make_synthetic_records, select_rows
+from conftest import log_bytes, make_synthetic_records, select_samples
 from depthprune.actlog import read_log
 from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
                                   interlace_plan)
@@ -30,9 +30,10 @@ Record = namedtuple("Record", "sample_id layer domain subtask sim pooled_out")
 def records_of(table):
     names = [d.domain for d in table.header.domains]
     tags = table.header.subtask_tags
+    sample = table.sample_id
     return [Record(s, l, names[d], tags[t], x, p) for s, l, d, t, x, p in zip(
-        table.sample_id.tolist(), table.layer.tolist(), table.domain.tolist(),
-        table.subtask.tolist(), table.sim.tolist(), table.pooled_out)]
+        sample.tolist(), table.layer.tolist(), table.domain[sample].tolist(),
+        table.subtask[sample].tolist(), table.sim.tolist(), table.pooled_out)]
 
 
 def ref_aggregate(records, domain, pruneable):
@@ -61,9 +62,7 @@ def ref_heatmap(records):
         i, j = subtasks.index(rec.subtask), layers.index(rec.layer)
         sums[i, j] += rec.sim
         counts[i, j] += 1
-    with np.errstate(invalid="ignore"):
-        values = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return tuple(subtasks), layers, values
+    return tuple(subtasks), layers, sums / counts
 
 
 def ref_features(records):
@@ -88,7 +87,7 @@ def ref_inout(records):
 
 
 def shuffled(table, seed):
-    return select_rows(table, np.random.default_rng(seed).permutation(len(table)))
+    return select_samples(table, np.random.default_rng(seed).permutation(len(table.subtask)))
 
 
 def synthetic_tables():
@@ -127,11 +126,7 @@ def test_aggregate_domain_matches_loop(captured_tables):
 
 
 def test_heatmap_matrix_matches_loop(captured_tables):
-    cases = all_tables(captured_tables)
-    _, table = cases[0]
-    # drop some (subtask, layer) cells so the empty-cell NaNs are compared too
-    cases.append(("sparse", select_rows(table, (table.layer != 2) | (table.subtask % 2 == 0))))
-    for name, table in cases:
+    for name, table in all_tables(captured_tables):
         subtasks, layers, values = ref_heatmap(records_of(table))
         got = heatmap_matrix(table)
         assert (got.subtasks, got.layers) == (subtasks, layers), name
