@@ -39,7 +39,8 @@ def capture_run(model, probe_sets, runs=None):
     whole-domain stream.  A ``runs`` that is a mapping, or that holds a
     different number of runs than there are probe sets, raises
     ``ValueError`` before any block is reduced.  Sims are clamped into
-    [-1, 1]; ``table.clamped`` counts how many needed it.  A probe set with
+    [-1, 1], ``table.clamped`` counting how many needed it, and rounded to
+    float32 as the log stores them, so a table ranks as its log does.  A probe set with
     no samples raises ``EmptyInput``, and a pruned model ``PlanModelMismatch``,
     before any block runs.
     """
@@ -76,7 +77,7 @@ def capture_run(model, probe_sets, runs=None):
     return header, ActivationTable(
         header=header,
         subtask=np.asarray(subtask, dtype=np.int64),
-        sim=np.clip(sim, -1.0, 1.0),
+        sim=np.clip(sim, -1.0, 1.0).astype(np.float32).astype(np.float64),
         pooled_out=pooled.reshape(-1, cfg.hidden_dim).astype(np.float32, copy=False),
         clamped=int(np.count_nonzero(np.abs(sim) > 1.0)),
     )

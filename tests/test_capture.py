@@ -1,9 +1,12 @@
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import log_bytes
 from depthprune import capture
+from depthprune.actlog import read_log
 from depthprune.capture import capture_run, layer_stats
 from depthprune.errors import EmptyInput, PlanModelMismatch
 from depthprune.linalg import token_cosine_mean
@@ -47,7 +50,8 @@ def test_stored_sim_matches_trace_recomputation(small_model, small_probes, small
             trace = small_model.forward_with_hooks(tokens)
             for lid, h_in, h_out in zip(trace.layer_ids, trace.h_in, trace.h_out):
                 expected = token_cosine_mean(h_in, h_out)
-                assert abs(by_sample[sample_id][lid] - expected) < 1e-12
+                # stored as float32: within half a float32 ulp (2**-25 below 1) of the sim
+                assert abs(by_sample[sample_id][lid] - expected) < 2.0 ** -25 + 1e-12
             sample_id += 1
 
 
@@ -75,6 +79,17 @@ def test_neutralized_block_sim_is_one():
     assert sims.size and all(abs(s - 1.0) < 1e-6 for s in sims)
 
 
+def test_capture_holds_what_its_log_reads_back(small_capture):
+    # sims are rounded to float32 as the log stores them, so sweep (which ranks the
+    # captured table) and rank, plan and heatmap (which read the log) see the same numbers
+    header, table = small_capture
+    _, logged = read_log(io.StringIO(log_bytes(header, table).decode()))
+    for name in ("subtask", "sim", "pooled_out"):
+        got, want = getattr(table, name), getattr(logged, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_sims_within_range(small_capture):
     _, table = small_capture
     assert all(-1.0 <= s <= 1.0 for s in table.sim)
@@ -91,7 +106,8 @@ def test_capture_counts_clamped_sims():
     raw, _ = layer_stats(states)
     _, table = capture_run(model, [probes], [states])
     assert table.clamped == int(np.count_nonzero(np.abs(raw) > 1.0)) > 0
-    np.testing.assert_array_equal(table.sim, np.clip(raw, -1.0, 1.0).reshape(-1))
+    np.testing.assert_array_equal(
+        table.sim, np.clip(raw, -1.0, 1.0).reshape(-1).astype(np.float32).astype(np.float64))
 
 
 def test_capture_rejects_runs_of_the_wrong_form(monkeypatch):

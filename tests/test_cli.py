@@ -95,6 +95,14 @@ def test_sweep_writes_three_files_idempotently(workdir, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_sweep_heatmap_equals_the_heatmap_of_its_log(workdir, tmp_path, capsys):
+    # sweep averages the sims it captured, heatmap the ones its log holds: both are float32
+    assert main(["sweep", "--config", str(workdir / "config.json"), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["heatmap", "--log", str(workdir / "activations.log")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "heatmap.csv").read_text()
+
+
 def test_sweep_skips_an_infeasible_cell(tmp_path, capsys):
     # on the default 12-layer model interlace spaces only 4 removals, so
     # budget 0.5 (5 of 10 layers) cannot be met; the other three cells can
