@@ -240,6 +240,8 @@ def read_log(source):
 
 
 def write_log_path(header: LogHeader, table: ActivationTable, path) -> int:
+    """``write_log`` into the file ``path``; a table it refuses leaves the file as it was."""
+    _check_rows(replace(table, header=header))  # before ``open`` truncates the file
     return write_path(path, "log", lambda fh: write_log(header, table, fh))
 
 

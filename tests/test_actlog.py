@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import grid_table, log_bytes
 from depthprune.actlog import (_COLUMNS, _PIECE, SCHEMA_VERSION, ActivationTable, DomainInfo,
-                               LogHeader, _parse_header, read_log, write_log)
+                               LogHeader, _parse_header, read_log, read_log_path, write_log,
+                               write_log_path)
 from depthprune.errors import SchemaViolation, SinkFailure, TruncatedFile
 
 
@@ -158,6 +159,17 @@ def test_write_validates_before_writing():
     with pytest.raises(SchemaViolation, match="record 5: sim"):
         write_log(header_4x2(2), table(SIMS, (0.5, 2.0, 0.5, 0.5)), buf)
     assert buf.getvalue() == ""
+
+
+def test_a_refused_write_keeps_the_log_at_its_path(tmp_path):
+    path = str(tmp_path / "keep.log")
+    tab = table(SIMS)
+    assert write_log_path(tab.header, tab, path) == 4
+    before = (tmp_path / "keep.log").read_bytes()
+    with pytest.raises(SchemaViolation, match=r"^record 0: sim: 2.0 outside \[-1, 1\]$"):
+        write_log_path(tab.header, replace(tab, sim=tab.sim * 0 + 2.0), path)
+    assert (tmp_path / "keep.log").read_bytes() == before
+    assert read_log_path(path)[0] == tab.header
 
 
 def test_write_turns_a_sink_failure_into_sink_failure():
