@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (SchemaViolation, SinkFailure, TruncatedFile, check_distinct, check_int,
-                     check_kinds, dump_json, load_json, object_problem)
+                     check_kinds, dump_json, load_json, object_problem, show)
 
 SCHEMA_VERSION = 4
 
@@ -54,8 +54,8 @@ class LogHeader:
         for d in self.domains:
             check_kinds(_DOMAIN_KINDS, domain=d.domain, subtasks=d.subtasks)
         if self.schema_version != SCHEMA_VERSION:
-            raise SchemaViolation(f"schema_version: unsupported value {self.schema_version} "
-                                  f"(this reader reads {SCHEMA_VERSION})")
+            raise SchemaViolation(f"schema_version: unsupported value {show(self.schema_version)}"
+                                  f" (this reader reads {SCHEMA_VERSION})")
         check_int(SchemaViolation, "num_layers", self.num_layers, 1)
         check_int(SchemaViolation, "hidden_dim", self.hidden_dim, 1)
         for p in self.protected_layers:

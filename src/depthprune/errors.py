@@ -7,10 +7,12 @@ only rules for a valid integer, number and fraction; none takes a ``bool``.
 ``check_int`` and ``check_distinct`` word each integer and repeat fault once;
 ``kind_problem``, ``check_kinds`` and ``object_problem`` apply the kind rules
 of each on-disk record, to a file's keys and to a record's fields alike.
+``show`` writes a value into a message, an over-long integer too.
 ``load_json`` and ``dump_json`` are the only JSON decode and encode.
 """
 
 import json
+import sys
 
 
 def is_int(value) -> bool:
@@ -25,22 +27,39 @@ def is_fraction(value) -> bool:
     return is_number(value) and 0 <= value <= 1
 
 
+def show(value) -> str:
+    """``repr(value)``, or what it is when it holds an integer too long for ``repr``.
+
+    ``repr`` refuses an integer of more than ``sys.get_int_max_str_digits()``
+    digits with a plain ``ValueError``, so no message may hold one.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        what = "an integer" if is_int(value) else f"a {type(value).__name__} holding an integer"
+        return f"<{what} of over {sys.get_int_max_str_digits()} digits>"
+
+
 def check_int(error, name, value, low=None, high=None):
     """Raise ``error`` naming ``name`` unless ``value`` is an integer in [low, high), type first."""
     if not is_int(value):
-        raise error(f"{name}: {value!r} is not an integer")
+        raise error(f"{name}: {show(value)} is not an integer")
     if high is not None and not low <= value < high:
-        raise error(f"{name}: {value} outside [{low}, {high})")
+        raise error(f"{name}: {show(value)} outside [{low}, {show(high)})")
     if low is not None and value < low:
-        raise error(f"{name}: must be >= {low}, got {value}")
+        raise error(f"{name}: must be >= {low}, got {show(value)}")
 
 
 def check_distinct(error, name, values):
-    """Raise ``error`` naming the first entry of ``values`` that repeats an earlier one."""
-    values = list(values)
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise error(f"{name}: {value!r} is listed twice")
+    """Raise ``error`` naming the first entry of ``values`` that repeats an earlier one.
+
+    Entries must be hashable: each is looked up in a set of those before it.
+    """
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise error(f"{name}: {show(value)} is listed twice")
+        seen.add(value)
 
 
 def kind_problem(kinds, values, sequence=list):
@@ -56,7 +75,7 @@ def kind_problem(kinds, values, sequence=list):
         else:
             ok = type(value) is kind if isinstance(kind, type) else kind(value)
         if not ok:
-            return f"{key}: unexpected value {value!r:.60}"
+            return f"{key}: unexpected value {show(value):.60}"
     return None
 
 

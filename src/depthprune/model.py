@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong, check_int
+from .errors import InvalidConfig, PlanModelMismatch, SequenceTooLong, check_int, show
 from .rng import SeededStream
 
 
@@ -54,8 +54,8 @@ class ToyModelConfig:
         check_int(InvalidConfig, "max_seq_len", self.max_seq_len, 1)
         check_int(InvalidConfig, "seed", self.seed)
         if self.hidden_dim % self.num_heads != 0:
-            raise InvalidConfig(
-                f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}")
+            raise InvalidConfig(f"hidden_dim {show(self.hidden_dim)} not divisible "
+                                f"by num_heads {show(self.num_heads)}")
 
 
 @dataclass(frozen=True)

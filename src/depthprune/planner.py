@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .errors import (BudgetOutOfRange, LayerSetMismatch, SchemaViolation, check_distinct,
                      check_int, check_kinds, dump_json, is_fraction, is_int, is_number, load_json,
-                     object_problem)
+                     object_problem, show)
 from .scoring import rank_order
 
 METHODS = ("ours-math", "ours-nonmath", "ours-mixed", "cka", "interlace", "random")
@@ -25,7 +25,7 @@ _PLAN_KINDS = {
 def budget_k(p: float, n_mid: int) -> int:
     """K = floor(p * n_mid), guarded against float representation of p."""
     if not is_fraction(p):
-        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {p!r}")
+        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {show(p)}")
     if n_mid < 0:
         raise BudgetOutOfRange(f"n_mid must be >= 0, got {n_mid}")
     return int(math.floor(p * n_mid + 1e-9))
@@ -56,9 +56,9 @@ class PrunePlan:
         n_mid = self.num_layers - len(self.protected)
         if self.k != budget_k(self.budget_fraction, n_mid):
             raise SchemaViolation(
-                f"k: {self.k} != floor({self.budget_fraction} * {n_mid})")
+                f"k: {show(self.k)} != floor({self.budget_fraction} * {show(n_mid)})")
         if len(self.pruned) != self.k:
-            raise SchemaViolation(f"pruned: has {len(self.pruned)} layers but k = {self.k}")
+            raise SchemaViolation(f"pruned: has {len(self.pruned)} layers but k = {show(self.k)}")
         for layer in self.pruned:
             check_int(SchemaViolation, "pruned", layer, 0, self.num_layers)
             if layer in self.protected:

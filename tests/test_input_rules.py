@@ -14,7 +14,7 @@ from depthprune.actlog import (SCHEMA_VERSION, ActivationTable, DomainInfo, LogH
 from depthprune.baselines import random_plan
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
                                DepthPruneError, EmptyInput, InvalidConfig, SchemaViolation,
-                               SinkFailure, is_fraction)
+                               SinkFailure, check_distinct, is_fraction)
 from depthprune.model import ToyModelConfig, build_model, default_protected
 from depthprune.planner import METHODS, PrunePlan, budget_k, parse_plan, serialize_plan
 from depthprune.probes import ProbeSet, generate_probes
@@ -263,3 +263,63 @@ def test_a_header_with_an_over_long_field_is_a_sink_failure():
     with pytest.raises(SinkFailure, match="^cannot write log header: .*limit"):
         write_log(header, table, buf)
     assert buf.getvalue() == ""
+
+
+# an integer too long for repr: every record refuses one in its own type and words
+_HUGE = 10 ** (_DIGITS + 1)
+_SHOWN = rf"<an integer of over {_DIGITS} digits>"
+
+
+@over_long
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: ToyModelConfig(num_layers=-_HUGE), InvalidConfig,
+     f"^num_layers: must be >= 3, got {_SHOWN}$"),
+    (lambda: ToyModelConfig(hidden_dim=_HUGE + 1, num_heads=2), InvalidConfig,
+     f"^hidden_dim {_SHOWN} not divisible by num_heads 2$"),
+    (lambda: RunConfig(probe_seed=[_HUGE]), InvalidConfig,
+     rf"^probe_seed: <a list holding an integer of over {_DIGITS} digits> is not an integer$"),
+    (lambda: RunConfig(alpha=_HUGE), AlphaOutOfRange, f"^alpha must be in .*, got {_SHOWN}$"),
+    (lambda: RunConfig(budgets=(_HUGE,)), BudgetOutOfRange, f"^budgets: .*, got {_SHOWN}$"),
+    (lambda: RunConfig(seeds=(_HUGE, _HUGE)), InvalidConfig, f"^seeds: {_SHOWN} is listed twice$"),
+    (lambda: replace(_HEADER, schema_version=_HUGE), SchemaViolation,
+     f"^schema_version: unsupported value {_SHOWN} "),
+    (lambda: replace(_HEADER, protected_layers=frozenset({0, _HUGE})), SchemaViolation,
+     rf"^protected_layers: {_SHOWN} outside \[0, 4\)$"),
+    (lambda: replace(_HEADER, num_layers=_HUGE, protected_layers=frozenset({-1})), SchemaViolation,
+     rf"^protected_layers: -1 outside \[0, {_SHOWN}\)$"),
+    (lambda: PrunePlan(method="cka", budget_fraction=0.0, k=0, num_layers=12,
+                       protected=frozenset({0, _HUGE}), pruned=()), SchemaViolation,
+     rf"^protected: {_SHOWN} outside \[0, 12\)$"),
+    (lambda: replace(_PLAN, k=_HUGE), SchemaViolation, rf"^k: {_SHOWN} != floor\(0.25 \* 10\)$"),
+    (lambda: replace(_PLAN, seed=[_HUGE]), SchemaViolation,
+     rf"^seed: unexpected value <a list holding an integer of over {_DIGITS} digits>$"),
+], ids=["config-range", "config-divisor", "run-type", "run-alpha", "run-budget", "run-repeat",
+        "header-version", "header-value", "header-bound", "plan-value", "plan-k", "plan-kind"])
+def test_an_over_long_integer_is_each_records_typed_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_check_distinct_looks_each_entry_up_once():
+    # entries are compared only on a hash match, so n distinct entries cost no n² comparisons
+    class Counted:
+        comparisons = 0
+
+        def __init__(self, value):
+            self.value = value
+
+        def __hash__(self):
+            return hash(self.value)
+
+        def __eq__(self, other):
+            Counted.comparisons += 1
+            return self.value == other.value
+
+        def __repr__(self):
+            return f"Counted({self.value})"
+
+    check_distinct(InvalidConfig, "tags", [Counted(i) for i in range(2000)])
+    assert Counted.comparisons == 0
+    with pytest.raises(InvalidConfig, match=r"^tags: Counted\(1\) is listed twice$"):
+        check_distinct(InvalidConfig, "tags", map(Counted, [0, 1, 2, 1, 0, 2]))
+    assert Counted.comparisons == 1
