@@ -408,6 +408,24 @@ def test_a_log_with_every_layer_protected_exits_one(workdir, tmp_path, capsys, a
                                        "protected, so no layer is pruneable\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["score"], ["heatmap"], ["rank", "--method", "cka"],
+    ["plan", "--method", "interlace", "--budget", "0.25"],
+])
+def test_a_header_declaring_more_layers_than_the_log_holds_exits_one(workdir, tmp_path, capsys,
+                                                                     argv):
+    # the columns' lengths give the header away before any layer set of its size is built
+    lines = (workdir / "activations.log").read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["num_layers"] = 2_000_000
+    log = tmp_path / "edited.log"
+    log.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    assert main(argv + ["--log", str(log)]) == 1
+    n = sum(d["sample_count"] for d in header["domains"])
+    assert capsys.readouterr() == ("", f"SchemaViolation: line 3: sim: {8 * n} values, "
+                                       f"expected {2_000_000 * n} for {n} samples\n")
+
+
 @pytest.mark.parametrize("argv,error", [
     (["capture", "--config", "{bad}"], "InvalidConfig: config {bad} "),
     (["sweep", "--config", "{bad}"], "InvalidConfig: config {bad} "),
