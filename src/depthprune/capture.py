@@ -40,9 +40,9 @@ def capture_run(model, probe_sets, runs=None):
     different number of runs than there are probe sets, raises
     ``ValueError`` before any block is reduced.  Sims are clamped into
     [-1, 1], ``table.clamped`` counting how many needed it, and rounded to
-    float32 as the log stores them, so a table ranks as its log does.  A probe set with
-    no samples raises ``EmptyInput``, and a pruned model ``PlanModelMismatch``,
-    before any block runs.
+    float32 as the log stores them, so a table ranks as its log does.  A
+    probe set with no samples raises ``EmptyInput``, and a pruned model
+    ``PlanModelMismatch``, before any block runs.
     """
     cfg = model.config
     if model.depth != cfg.num_layers:
