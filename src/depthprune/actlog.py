@@ -6,7 +6,7 @@ object whose one key is the column name and whose value is the base64 of
 the column's little-endian bytes.  ``subtask`` holds one index into
 ``header.subtask_tags`` per sample; ``sim`` and ``pooled_out`` hold one row
 per (sample, layer), sample-major over every layer, stored as float32, so
-a log round-trips bit for bit.
+a log round-trips bit for bit.  A log holds at least one sample.
 """
 
 import base64
@@ -125,13 +125,17 @@ def _header_to_json(header: LogHeader) -> str:
 
 
 def _check_rows(table):
-    """Raise SchemaViolation for a misshapen column, a bad value, then a miscounted domain.
+    """Raise SchemaViolation for an empty or misshapen table, a bad value, a miscounted domain.
 
-    Values are checked in column order, and the earliest bad one is named
-    by its sample (a subtask) or record (a sim or pooled output).  Each
-    domain must hold as many samples as its header ``sample_count`` declares.
+    A table with no samples is refused first, so no per-layer work follows
+    for a header that only declares its layers.  Values are checked in
+    column order, and the earliest bad one is named by its sample (a
+    subtask) or record (a sim or pooled output).  Each domain must hold as
+    many samples as its header ``sample_count`` declares.
     """
     header, n = table.header, len(table.subtask)
+    if n == 0:
+        raise SchemaViolation("no samples: a log holds at least one")
     rows = n * header.num_layers
     if table.sim.shape != (rows,) or table.pooled_out.shape != (rows, header.hidden_dim):
         raise SchemaViolation(f"sim {table.sim.shape} and pooled_out {table.pooled_out.shape}: "

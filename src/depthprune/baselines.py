@@ -2,7 +2,8 @@
 
 All three consume the activation table from the log, reuse only pooled
 output vectors and stored similarities, and respect the protected
-endpoint set through the pruneable layer set they are given.
+endpoint set: CKA and interlace rank the pruneable layers of the table's
+header, and ``random_plan`` draws from the pruneable layers it is given.
 """
 
 import numpy as np
@@ -41,20 +42,19 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
     return float(num / (denom_x * denom_y))
 
 
-def cka_rank(table, pruneable) -> dict:
+def cka_rank(table) -> dict:
     """Adjacent-layer CKA redundancy; high CKA(l, l+1) marks l+1 pruneable.
 
-    Returns {pruneable layer l: CKA(X_{l-1}, X_l)}; a degenerate (zero-spread)
-    feature pair scores 0.0.
+    Returns {pruneable layer l of the header: CKA(X_{l-1}, X_l)}; a degenerate
+    (zero-spread) feature pair scores 0.0.
     """
     features = feature_matrices(table)
     redundancy = {}
-    for later in sorted(pruneable):
-        earlier = later - 1
-        if earlier not in features or later not in features:
-            raise MissingSubtask(f"no features for adjacency pair ({earlier}, {later})")
+    for later in table.header.pruneable:
+        if later == 0:  # a header may leave layer 0 pruneable
+            raise MissingSubtask("no features for adjacency pair (-1, 0)")
         try:
-            redundancy[later] = linear_cka(features[earlier], features[later])
+            redundancy[later] = linear_cka(features[later - 1], features[later])
         except DegenerateFeatures:
             redundancy[later] = 0.0
     return redundancy
@@ -65,35 +65,29 @@ def _inout_redundancy(table) -> dict:
     return dict(enumerate(table.sim_grid.mean(axis=0).tolist()))
 
 
-def interlace_solution(table, pruneable, k: int):
-    """Solve the triplet selection; returns (pruned, anchors, inout, num_layers).
+def interlace_solution(table, k: int):
+    """Solve the triplet selection; returns (pruned, anchors, inout).
 
-    Triplets (l, l+1, l+2) over the pruneable range are scored by the mean
-    of the two adjacent similarities, accepted greedily under a strict
-    non-overlap constraint, and each accepted triplet removes the more
+    Triplets (l, l+1, l+2) over the header's pruneable layers are scored by
+    the mean of the two adjacent similarities, accepted greedily under a
+    strict non-overlap constraint, and each accepted triplet removes the more
     redundant of its first two layers while keeping l+2 as an anchor.
     If non-overlapping triplets cannot cover the budget, remaining removals
     are filled from the highest in/out-redundancy layers subject to the
     >= 2 spacing constraint and anchor preservation; if that still falls
     short, the budget is infeasible.
     """
-    pruneable = sorted(pruneable)
-    pset = set(pruneable)
-    n_mid = len(pruneable)
-    if k > n_mid:
-        raise BudgetInfeasible(f"k = {k} exceeds pruneable count {n_mid}")
+    pruneable = table.header.pruneable
+    if k > len(pruneable):
+        raise BudgetInfeasible(f"k = {k} exceeds pruneable count {len(pruneable)}")
     features = feature_matrices(table)
-    num_layers = table.header.num_layers
     # S_l = mean over the 9 subtask rows of cosine(row_l, row_{l+1})
     sims = {l: token_cosine_mean(features[l], features[l + 1])
             for l in pruneable if l + 1 in features}
     inout = _inout_redundancy(table)
 
-    triplets = []
-    for l in pruneable:
-        if l + 1 in pset and l in sims and (l + 1) in sims and l + 2 < num_layers:
-            score = (sims[l] + sims[l + 1]) / 2.0
-            triplets.append((score, l))
+    # a triplet's l + 1 has a sim when it is pruneable and l + 2 is a layer
+    triplets = [((sims[l] + sims[l + 1]) / 2.0, l) for l in pruneable if l + 1 in sims]
     # descending score; equal scores favor the earlier start
     triplets.sort(key=lambda t: (-t[0], t[1]))
 
@@ -126,19 +120,16 @@ def interlace_solution(table, pruneable, k: int):
     if len(pruned) < k:
         raise BudgetInfeasible(
             f"interlace can supply only {len(pruned)} spaced removals for budget {k}")
-    return tuple(pruned), frozenset(anchors), inout, num_layers
+    return tuple(pruned), frozenset(anchors), inout
 
 
-def interlace_plan(table, pruneable, k: int, budget_fraction: float = None) -> PrunePlan:
+def interlace_plan(table, k: int, budget_fraction: float) -> PrunePlan:
     """Triplet-based spaced pruning; see interlace_solution for the rules."""
-    pruneable = sorted(pruneable)
-    pruned, _, inout, num_layers = interlace_solution(table, pruneable, k)
-    protected = frozenset(range(num_layers)) - frozenset(pruneable)
-    if budget_fraction is None:
-        budget_fraction = k / len(pruneable)
+    header = table.header
+    pruned, _, inout = interlace_solution(table, k)
     return PrunePlan(method="interlace", budget_fraction=budget_fraction, k=k,
-                     num_layers=num_layers, protected=protected,
-                     pruned=pruned, scores={l: inout[l] for l in pruneable})
+                     num_layers=header.num_layers, protected=header.protected_layers,
+                     pruned=pruned, scores={l: inout[l] for l in header.pruneable})
 
 
 def random_plan(pruneable, k: int, seed: int, num_layers: int,

@@ -62,12 +62,12 @@ def cmd_capture(args):
 
 
 def cmd_score(args):
-    header, table = read_log_path(args.log)
+    _, table = read_log_path(args.log)
     for domain in DOMAINS:
-        scores = znormalize(aggregate_domain(table, domain, header.pruneable))
+        scores = znormalize(aggregate_domain(table, domain))
         print(f"domain={domain} n={scores.sample_count} "
               f"mu={scores.mu:.6f} sigma={scores.sigma:.6f}")
-        for layer in header.pruneable:
+        for layer in scores.raw:
             print(f"  layer {layer:3d}  raw={scores.raw[layer]:+.6f}  "
                   f"norm={scores.normalized[layer]:+.6f}")
     return 0
@@ -85,8 +85,8 @@ def _check_flags(args, budget=None):
 
 def cmd_rank(args):
     _check_flags(args)
-    header, table = read_log_path(args.log)
-    scores, order = method_scores(args.method, header, table, args.alpha, args.seed)
+    _, table = read_log_path(args.log)
+    scores, order = method_scores(args.method, table, args.alpha, args.seed)
     for layer in order:
         print(f"{layer}\t{scores[layer]:+.6f}")
     return 0
@@ -98,9 +98,8 @@ def _write_text(path, what, text):
 
 def cmd_plan(args):
     _check_flags(args, args.budget)
-    header, table = read_log_path(args.log)
-    plan = plan_for_method(args.method, header, table, args.budget,
-                           alpha=args.alpha, seed=args.seed)
+    _, table = read_log_path(args.log)
+    plan = plan_for_method(args.method, table, args.budget, alpha=args.alpha, seed=args.seed)
     regime = classify_regime(args.budget)
     if args.out:  # a failed write prints nothing
         _write_text(args.out, "plan", serialize_plan(plan))

@@ -220,39 +220,39 @@ def _drain(states):
         yield states.pop()
 
 
-def method_scores(method: str, header, table, alpha: float = DEFAULT_ALPHA, seed: int = None):
-    """(scores, full prune order) of one method over the header's pruneable layers.
+def method_scores(method: str, table, alpha: float = DEFAULT_ALPHA, seed: int = None):
+    """(scores, full prune order) of one method over the table header's pruneable layers.
 
     ``ours-math`` and ``ours-nonmath`` are ``ours-mixed`` at alpha 0 and 1;
     ``random`` is ``random_plan``'s full order, every score 0.0: each random plan is its first K.
     """
-    pruneable = header.pruneable
+    header = table.header
     if method == "random":
+        pruneable = header.pruneable
         order = random_plan(pruneable, len(pruneable), seed, num_layers=header.num_layers).pruned
         return {l: 0.0 for l in pruneable}, order
     if method in ("ours-math", "ours-nonmath", "ours-mixed"):
-        ranking = mixed_ranking(znormalize(aggregate_domain(table, "math", pruneable)),
-                                znormalize(aggregate_domain(table, "nonmath", pruneable)),
+        ranking = mixed_ranking(znormalize(aggregate_domain(table, "math")),
+                                znormalize(aggregate_domain(table, "nonmath")),
                                 {"ours-math": 0.0, "ours-nonmath": 1.0}.get(method, alpha))
         return ranking.scores, ranking.order
     if method == "cka":
-        scores = cka_rank(table, pruneable)
+        scores = cka_rank(table)
         return scores, rank_order(scores)
     raise InvalidConfig(f"method {method!r} has no budget-free ranking" if method in METHODS
                         else f"unknown method {method!r}")
 
 
-def plan_for_method(method: str, header, table, p: float, alpha: float = DEFAULT_ALPHA,
-                    seed: int = None):
-    """Build the PrunePlan for one method tag at budget p from log data."""
-    num_layers, pruneable = header.num_layers, header.pruneable
+def plan_for_method(method: str, table, p: float, alpha: float = DEFAULT_ALPHA, seed: int = None):
+    """Build the PrunePlan for one method tag at budget p over the table header's layers."""
+    header, pruneable = table.header, table.header.pruneable
     k = budget_k(p, len(pruneable))
     if method == "interlace":
-        return interlace_plan(table, pruneable, k, budget_fraction=p)
+        return interlace_plan(table, k, p)
     if method == "random":
-        return random_plan(pruneable, k, seed, num_layers=num_layers, budget_fraction=p)
-    scores, _ = method_scores(method, header, table, alpha)
-    return make_plan(scores, p, num_layers, header.protected_layers, method,
+        return random_plan(pruneable, k, seed, num_layers=header.num_layers, budget_fraction=p)
+    scores, _ = method_scores(method, table, alpha)
+    return make_plan(scores, p, header.num_layers, header.protected_layers, method,
                      alpha=alpha if method == "ours-mixed" else None)
 
 
@@ -278,7 +278,7 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
     probe_sets = default_probe_sets(config, probe_seed, probe_counts)
     tokens = [ps.token_matrix() for ps in probe_sets]
     base_runs = threaded(lambda t: list(model.stream(t)), tokens)
-    header, table = capture_run(model, probe_sets, base_runs)
+    table = capture_run(model, probe_sets, base_runs)[1]
     heatmap = heatmap_matrix(table)
 
     grid_plans = {}
@@ -288,7 +288,7 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
         for p in budgets:
             # only random reads the seed; any other plan serves every seed
             try:
-                plans = [plan_for_method(method, header, table, p, alpha=alpha, seed=seed)
+                plans = [plan_for_method(method, table, p, alpha=alpha, seed=seed)
                          for seed in (seeds if method == "random" else seeds[:1])]
             except BudgetInfeasible as exc:
                 print(f"skipped {method} at budget {p!r}: {exc}", file=sys.stderr)

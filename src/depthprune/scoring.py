@@ -37,20 +37,16 @@ def rank_order(scores: dict) -> tuple:
     return tuple(sorted(scores, key=lambda l: (-scores[l], -l)))
 
 
-def aggregate_domain(table, domain: str, pruneable) -> DomainScoreTable:
-    """Mean per-sample similarity per pruneable layer, subtasks merged flat."""
-    pruneable = sorted(set(pruneable))
+def aggregate_domain(table, domain: str) -> DomainScoreTable:
+    """Mean per-sample similarity per pruneable layer of the header, subtasks merged flat."""
     names = [d.domain for d in table.header.domains]
     in_domain = table.domain == (names.index(domain) if domain in names else -1)
     if not in_domain.any():
         raise EmptyInput(f"no records for domain {domain!r}")
-    for l in pruneable:
-        if not 0 <= l < table.header.num_layers:
-            raise LayerSetMismatch(f"domain {domain!r} has no samples covering layer {l}")
     # a mean over the rows adds each layer's sims in sample order, as a per-record loop would
     means = table.sim_grid[in_domain].mean(axis=0)
-    return DomainScoreTable(domain=domain, raw={l: float(means[l]) for l in pruneable},
-                            sample_count=int(np.count_nonzero(in_domain)))
+    raw = {l: float(means[l]) for l in table.header.pruneable}
+    return DomainScoreTable(domain=domain, raw=raw, sample_count=int(np.count_nonzero(in_domain)))
 
 
 def znormalize(table: DomainScoreTable) -> DomainScoreTable:
@@ -78,14 +74,6 @@ def mixed_ranking(math_table: DomainScoreTable, nonmath_table: DomainScoreTable,
         raise LayerSetMismatch("math and nonmath tables cover different layer sets")
     scores = {l: alpha * nonmath_table.normalized[l] + (1.0 - alpha) * math_table.normalized[l]
               for l in math_table.normalized}
-    return MixedRanking(scores=scores, order=rank_order(scores))
-
-
-def single_domain_ranking(table: DomainScoreTable) -> MixedRanking:
-    """Ranking by one domain's normalized scores alone."""
-    if table.normalized is None:
-        raise LayerSetMismatch("table must be normalized before ranking")
-    scores = dict(table.normalized)
     return MixedRanking(scores=scores, order=rank_order(scores))
 
 

@@ -20,8 +20,7 @@ from depthprune.model import (ToyModelConfig, apply_prune_plan, build_model,
 from depthprune.planner import METHODS, make_plan
 from depthprune.probes import default_probe_sets
 from depthprune.report import classify_regime, fidelity, plan_for_method, sweep, sweep_csv, removal_pattern_grid
-from depthprune.scoring import (DomainScoreTable, mixed_ranking, rank_order,
-                                single_domain_ranking, znormalize)
+from depthprune.scoring import DomainScoreTable, mixed_ranking, rank_order, znormalize
 
 from test_baselines import hsic_cka_oracle, random_orthogonal
 
@@ -75,8 +74,8 @@ def test_acceptance_03_alpha_endpoints():
         layers = int(rng.integers(3, 25))
         m = random_table(rng, "math", layers)
         nm = random_table(rng, "nonmath", layers)
-        assert mixed_ranking(m, nm, 0.0).order == single_domain_ranking(m).order
-        assert mixed_ranking(m, nm, 1.0).order == single_domain_ranking(nm).order
+        assert mixed_ranking(m, nm, 0.0).order == rank_order(m.normalized)
+        assert mixed_ranking(m, nm, 1.0).order == rank_order(nm.normalized)
     print("\nPASS 3: alpha=0 and alpha=1 mixed rankings are order-identical to "
           "the math / non-math single-domain rankings on 100 random tables")
 
@@ -125,7 +124,7 @@ def test_acceptance_06_interlace_structure():
             num_layers=num_layers, hidden_dim=4, samples_per_subtask=1,
             seed=int(rng.integers(1 << 30)))
         try:
-            pruned, anchors, _, _ = interlace_solution(records, pruneable, k)
+            pruned, anchors, _ = interlace_solution(records, k)
         except BudgetInfeasible:
             infeasible += 1
             continue
@@ -151,10 +150,10 @@ def test_acceptance_07_endpoint_protection_and_budget_exactness():
         cfg = ToyModelConfig(num_layers=num_layers)
         model = build_model(cfg)
         probe_sets = default_probe_sets(cfg, 0, {"math": 2, "nonmath": 2})
-        header, records = capture_run(model, probe_sets)
+        _, records = capture_run(model, probe_sets)
         for method in METHODS:
             for p in (0.10, 0.25, 0.40):
-                plan = plan_for_method(method, header, records, p, seed=0)
+                plan = plan_for_method(method, records, p, seed=0)
                 assert 0 not in plan.pruned
                 assert num_layers - 1 not in plan.pruned
                 assert len(plan.pruned) == EXPECTED_K[(p, num_layers)]
@@ -172,9 +171,9 @@ def test_acceptance_08_planted_redundancy_detection():
         planted = int(rng.integers(1, cfg.num_layers - 1))
         model = neutralize_block(build_model(ToyModelConfig(seed=trial)), planted)
         probe_sets = default_probe_sets(cfg, trial, counts)
-        header, records = capture_run(model, probe_sets)
+        _, records = capture_run(model, probe_sets)
         for method in ("ours-math", "ours-nonmath", "ours-mixed", "cka"):
-            plan = plan_for_method(method, header, records, 0.10)
+            plan = plan_for_method(method, records, 0.10)
             assert plan.pruned == (planted,), (trial, method, planted, plan.pruned)
         pruned_model = apply_prune_plan(model, plan)
         for ps in probe_sets:
@@ -193,16 +192,16 @@ def test_acceptance_09_directional_low_budget_gap():
     cfg = ToyModelConfig()
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 0, {"math": 4, "nonmath": 4})
-    header, records = capture_run(model, probe_sets)
+    _, records = capture_run(model, probe_sets)
     math_ps = next(ps for ps in probe_sets if ps.domain == "math")
 
-    ours = plan_for_method("ours-math", header, records, 0.10)
+    ours = plan_for_method("ours-math", records, 0.10)
     ours_top1 = fidelity(model, apply_prune_plan(model, ours), math_ps).top1_agreement
 
     cache = {}
     vals = []
     for seed in range(20):
-        plan = plan_for_method("random", header, records, 0.10, seed=seed)
+        plan = plan_for_method("random", records, 0.10, seed=seed)
         if plan.pruned not in cache:
             rep = fidelity(model, apply_prune_plan(model, plan), math_ps)
             cache[plan.pruned] = rep.top1_agreement

@@ -36,14 +36,15 @@ def table(*sims):
 
 
 def test_empty_stream_header_only():
+    # a log holds at least one sample: no header-only log is written or read
     buf = io.StringIO()
-    assert write_log(header_4x2(0), table(), buf) == 0
-    lines = buf.getvalue().splitlines()
-    assert lines[1:] == [json.dumps({name: ""}, separators=(",", ":")) for name, _ in _COLUMNS]
-    header, got = read_log(io.StringIO(buf.getvalue()))
-    assert len(got) == 0
-    assert got.pooled_out.shape == (0, 2)
-    assert header == header_4x2(0)
+    with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
+        write_log(header_4x2(0), table(), buf)
+    assert buf.getvalue() == ""
+    header_only = (log_lines()[0] + "\n"
+                   + "".join(json.dumps({name: ""}) + "\n" for name, _ in _COLUMNS))
+    with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
+        read_log(io.StringIO(header_only.replace('"sample_count":1', '"sample_count":0')))
 
 
 def reference_column_lines(tab):
@@ -470,7 +471,7 @@ finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def headers_and_tables(draw, min_samples=0):
+def headers_and_tables(draw):
     num_layers = draw(st.integers(1, 6))
     hidden_dim = draw(st.integers(1, 4))
     names = draw(st.lists(st.sampled_from(("math", "nonmath", "other")),
@@ -480,7 +481,8 @@ def headers_and_tables(draw, min_samples=0):
     cuts = sorted(draw(st.permutations(range(1, len(tags))))[:len(names) - 1])
     subtasks = {name: tuple(tags[a:b])
                 for name, a, b in zip(names, [0, *cuts], [*cuts, len(tags)])}
-    samples = draw(st.lists(st.sampled_from(tags), min_size=min_samples, max_size=4))
+    # a log holds at least one sample
+    samples = draw(st.lists(st.sampled_from(tags), min_size=1, max_size=4))
     n = len(samples)
     sims = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * num_layers, max_size=n * num_layers))
     pooled = draw(st.lists(finite32, min_size=n * num_layers * hidden_dim,
@@ -532,7 +534,7 @@ LINE_CORRUPTIONS = {
 }
 
 
-@given(headers_and_tables(min_samples=1), st.data())
+@given(headers_and_tables(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_property_corrupt_line_is_reported(case, data):
     header, tab = case
@@ -550,7 +552,7 @@ def test_property_corrupt_line_is_reported(case, data):
         read_log(io.StringIO(text(lines)))
 
 
-@given(headers_and_tables(min_samples=1), st.data())
+@given(headers_and_tables(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_property_bad_record_value_is_reported(case, data):
     header, tab = case

@@ -80,7 +80,7 @@ def test_feature_matrices_shape_and_order():
 
 def test_cka_rank_attributes_to_later_layer():
     header, records = make_synthetic_records(num_layers=6)
-    scores = cka_rank(records, range(1, 5))
+    scores = cka_rank(records)
     features = feature_matrices(records)
     assert set(scores) == {1, 2, 3, 4}
     for later, score in scores.items():
@@ -92,7 +92,7 @@ def test_cka_rank_missing_subtask():
     header, records = make_synthetic_records(num_layers=4)
     records = select_samples(records, records.subtask != header.subtask_tags.index("Grounding"))
     with pytest.raises(MissingSubtask, match="^no records for subtask 'Grounding'$"):
-        cka_rank(records, range(1, 3))
+        cka_rank(records)
 
 
 def test_cka_identical_adjacent_layers_score_one():
@@ -100,8 +100,7 @@ def test_cka_identical_adjacent_layers_score_one():
     # make layer 3 carry layer 2's pooled outputs for every sample
     pooled = records.pooled_grid.copy()
     pooled[:, 3] = pooled[:, 2]
-    scores = cka_rank(replace(records, pooled_out=pooled.reshape(records.pooled_out.shape)),
-                      range(1, 4))
+    scores = cka_rank(replace(records, pooled_out=pooled.reshape(records.pooled_out.shape)))
     assert scores[3] == pytest.approx(1.0, abs=1e-9)
     assert max(scores, key=lambda l: scores[l]) == 3
 
@@ -111,19 +110,18 @@ def test_cka_rank_scores_a_degenerate_pair_zero():
     # every sample pools to one vector at layer 2, so layer 2's features have no spread
     pooled = records.pooled_grid.copy()
     pooled[:, 2] = 1.0
-    scores = cka_rank(replace(records, pooled_out=pooled.reshape(records.pooled_out.shape)),
-                      range(1, 4))
+    scores = cka_rank(replace(records, pooled_out=pooled.reshape(records.pooled_out.shape)))
     assert scores[2] == scores[3] == 0.0
-    assert scores[1] == cka_rank(records, range(1, 4))[1] > 0.0
+    assert scores[1] == cka_rank(records)[1] > 0.0
 
 
 # ---- Interlace -------------------------------------------------------------
 
 def test_interlace_k1_single_triplet():
     header, records = make_synthetic_records(num_layers=10)
-    plan = interlace_plan(records, range(1, 9), 1)
+    plan = interlace_plan(records, 1, 1 / 8)
     assert plan.k == 1 and len(plan.pruned) == 1
-    pruned, anchors, _, _ = interlace_solution(records, range(1, 9), 1)
+    pruned, anchors, _ = interlace_solution(records, 1)
     assert pruned[0] not in anchors
 
 
@@ -131,12 +129,11 @@ def test_interlace_spacing_and_anchors_randomized():
     rng = np.random.default_rng(0)
     for trial in range(60):
         num_layers = int(rng.integers(6, 16))
-        pruneable = range(1, num_layers - 1)
         k_max = max(1, (num_layers - 2) // 3)
         k = int(rng.integers(1, k_max + 1))
         header, records = make_synthetic_records(num_layers=num_layers,
                                                  seed=int(rng.integers(1 << 30)))
-        pruned, anchors, _, _ = interlace_solution(records, pruneable, k)
+        pruned, anchors, _ = interlace_solution(records, k)
         assert len(pruned) == k
         spaced = sorted(pruned)
         assert all(b - a >= 2 for a, b in zip(spaced, spaced[1:]))
@@ -147,8 +144,8 @@ def test_interlace_uniform_sims_deterministic():
     # identical sims everywhere: triplet ties break to the earliest start
     header, r1 = make_synthetic_records(num_layers=10, sims=[0.5] * 10, seed=1)
     header, r2 = make_synthetic_records(num_layers=10, sims=[0.5] * 10, seed=1)
-    p1 = interlace_plan(r1, range(1, 9), 2)
-    p2 = interlace_plan(r2, range(1, 9), 2)
+    p1 = interlace_plan(r1, 2, 0.25)
+    p2 = interlace_plan(r2, 2, 0.25)
     assert p1.pruned == p2.pruned
 
 
@@ -156,28 +153,31 @@ def test_interlace_budget_infeasible():
     header, records = make_synthetic_records(num_layers=6)
     # 4 pruneable layers can never yield 4 removals with pairwise gaps >= 2
     with pytest.raises(BudgetInfeasible):
-        interlace_plan(records, range(1, 5), 4)
+        interlace_plan(records, 4, 1.0)
 
 
 def test_interlace_refuses_more_removals_than_pruneable_layers():
     header, records = make_synthetic_records(num_layers=6)
     with pytest.raises(BudgetInfeasible, match="^k = 5 exceeds pruneable count 4$"):
-        interlace_solution(records, range(1, 5), 5)
+        interlace_solution(records, 5)
 
 
 def test_interlace_takes_depth_from_the_header():
     # pruneable layers 1-7 only: the depth is the header's 12, not 7 + 2
     header, records = make_synthetic_records(num_layers=12)
-    pruned, _, _, num_layers = interlace_solution(records, range(1, 8), 2)
-    assert num_layers == 12
-    plan = interlace_plan(records, range(1, 8), 2)
+    header = replace(header, protected_layers=frozenset({0, 8, 9, 10, 11}))
+    records = replace(records, header=header)
+    pruned, _, inout = interlace_solution(records, 2)
+    assert set(pruned) <= set(range(1, 8)) and set(inout) == set(range(12))
+    plan = interlace_plan(records, 2, 2 / 7)
     assert plan.num_layers == 12
     assert plan.protected == frozenset({0, 8, 9, 10, 11})
+    assert plan.pruned == pruned and set(plan.scores) == set(range(1, 8))
 
 
 def test_interlace_respects_protected():
     header, records = make_synthetic_records(num_layers=12)
-    plan = interlace_plan(records, range(1, 11), 3)
+    plan = interlace_plan(records, 3, 0.3)
     assert 0 not in plan.pruned and 11 not in plan.pruned
     assert plan.protected == frozenset({0, 11})
 
@@ -239,8 +239,7 @@ def test_interlace_plans_are_pinned(shape, seed, plan):
                          seed=seed)
     _, table = capture_run(build_model(cfg),
                            default_probe_sets(cfg, seed, {"math": 1, "nonmath": 1}))
-    pruneable = range(1, num_layers - 1)
     for k in range(len(plan) + 1):
-        assert interlace_solution(table, pruneable, k)[0] == plan[:k]
+        assert interlace_solution(table, k)[0] == plan[:k]
     with pytest.raises(BudgetInfeasible):
-        interlace_solution(table, pruneable, len(plan) + 1)
+        interlace_solution(table, len(plan) + 1)

@@ -1,14 +1,20 @@
 import json
 import re
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from depthprune import cli, report
-from depthprune.actlog import read_log_path
+from depthprune.actlog import (_COLUMNS, ActivationTable, DomainInfo, LogHeader, _header_to_json,
+                               read_log_path, write_log_path)
+from depthprune.capture import capture_run
 from depthprune.cli import main
-from depthprune.model import default_protected
-from depthprune.planner import PrunePlan, serialize_plan
+from depthprune.errors import BudgetInfeasible, SchemaViolation
+from depthprune.model import ToyModelConfig, build_model, default_protected, neutralize_block
+from depthprune.planner import METHODS, PrunePlan, budget_k, serialize_plan
+from depthprune.probes import MATH_SUBTASKS, NONMATH_SUBTASKS, default_probe_sets
 
 CONFIG = {
     "model": {"num_layers": 8, "hidden_dim": 32, "num_heads": 4},
@@ -515,3 +521,89 @@ def test_a_flag_of_one_call_does_not_carry_into_the_next(workdir, tmp_path, caps
     capsys.readouterr()
     assert main(rank) == 1
     assert capsys.readouterr().err.startswith("InvalidConfig: method random requires --seed")
+
+
+# ---- the header is the only layer source ---------------------------------
+
+@pytest.fixture(scope="module")
+def inner_protected_log(tmp_path_factory):
+    """(path, table) of a 12-layer log whose header protects {0, 5, 11}.
+
+    Block 5 is an identity, so every score ranks it first: a ranker that
+    took its layers from anywhere but the header would pick it.
+    """
+    cfg = ToyModelConfig()
+    model = neutralize_block(build_model(cfg), 5)
+    _, table = capture_run(model, default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1}))
+    header = replace(table.header, protected_layers=frozenset({0, 5, 11}))
+    table = replace(table, header=header)
+    path = tmp_path_factory.mktemp("inner") / "inner.log"
+    write_log_path(header, table, str(path))
+    return path, table
+
+
+def test_every_method_ranks_and_plans_exactly_the_header_pruneable_layers(inner_protected_log):
+    _, table = inner_protected_log
+    pruneable = table.header.pruneable
+    assert pruneable == (1, 2, 3, 4, 6, 7, 8, 9, 10)
+    for method in METHODS:
+        if method != "interlace":  # it ranks only under a budget
+            scores, order = report.method_scores(method, table, seed=0)
+            assert tuple(scores) == pruneable and sorted(order) == list(pruneable), method
+        for p in (0.1, 0.25, 1.0):
+            try:
+                plan = report.plan_for_method(method, table, p, seed=0)
+            except BudgetInfeasible:
+                assert method == "interlace" and p == 1.0
+                continue
+            assert (plan.num_layers, plan.protected) == (12, frozenset({0, 5, 11})), method
+            assert plan.k == budget_k(p, 9) and set(plan.pruned) <= set(pruneable), method
+            assert plan.scores is None or tuple(plan.scores) == pruneable, method
+
+
+@pytest.mark.parametrize("argv", [
+    ["score"], *(["rank", "--method", m, "--seed", "0"] for m in METHODS if m != "interlace"),
+    *(["plan", "--method", m, "--budget", b, "--seed", "0"] for m in METHODS
+      for b in ("0.25", "0.4")),
+])
+def test_rank_and_plan_never_print_a_protected_layer(inner_protected_log, capsys, argv):
+    path, _ = inner_protected_log
+    status = main(argv + ["--log", str(path)])
+    out = capsys.readouterr().out
+    if argv[0] == "score":
+        layers = [int(line.split()[1]) for line in out.splitlines() if line.startswith("  layer")]
+    elif argv[0] == "rank":
+        layers = [int(line.split("\t")[0]) for line in out.splitlines()]
+    elif status == 0:
+        pruned = next(line for line in out.splitlines() if line.startswith("pruned: "))
+        layers = [int(l) for l in pruned.removeprefix("pruned: ").split(",") if l]
+    else:  # interlace spaces at most 3 removals among these layers
+        assert (status, argv[2:6]) == (1, ["interlace", "--budget", "0.4"])
+        return
+    assert status == 0 and layers and 5 not in layers
+    assert set(layers) <= {1, 2, 3, 4, 6, 7, 8, 9, 10}
+
+
+# ---- a log holds at least one sample --------------------------------------
+
+def test_a_log_of_no_samples_is_refused(workdir, tmp_path, capsys):
+    # 0 samples agree with any num_layers, so such a header would cost each command its layers
+    header = LogHeader(model_id="empty", num_layers=200_000, hidden_dim=2,
+                       protected_layers=frozenset({0, 199_999}),
+                       domains=(DomainInfo("math", MATH_SUBTASKS, 0),
+                                DomainInfo("nonmath", NONMATH_SUBTASKS, 0)))
+    empty = ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64),
+                            sim=np.empty(0), pooled_out=np.empty((0, 2), dtype=np.float32))
+    kept = tmp_path / "kept.log"
+    kept.write_bytes((workdir / "activations.log").read_bytes())
+    with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
+        write_log_path(header, empty, str(kept))
+    assert kept.read_bytes() == (workdir / "activations.log").read_bytes()
+    # the log that the writer refuses, written by hand
+    log = tmp_path / "empty.log"
+    log.write_text(_header_to_json(header) + "\n"
+                   + "".join(json.dumps({name: ""}) + "\n" for name, _ in _COLUMNS))
+    with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
+        read_log_path(str(log))
+    assert main(["rank", "--log", str(log), "--method", "random", "--seed", "0"]) == 1
+    assert capsys.readouterr() == ("", "SchemaViolation: no samples: a log holds at least one\n")

@@ -145,12 +145,12 @@ def test_sweep_rows_equal_uncached_fidelity():
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 3, counts)
     runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
-    header, records = capture_run(model, probe_sets, runs)
+    _, records = capture_run(model, probe_sets, runs)
     expected = []
     for method in methods:
         for p in budgets:
             for seed in seeds:
-                plan = plan_for_method(method, header, records, p, seed=seed)
+                plan = plan_for_method(method, records, p, seed=seed)
                 pruned = apply_prune_plan(model, plan)
                 expected.extend(replace(fidelity(model, pruned, ps), method=method,
                                         budget_fraction=p, seed=seed) for ps in probe_sets)
@@ -421,8 +421,8 @@ def test_sweep_evaluates_each_prefix_trie_node_once(monkeypatch):
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 3, counts)
     runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
-    header, table = capture_run(model, probe_sets, runs)
-    pruned_sets = {frozenset(plan_for_method(method, header, table, p, seed=seed).pruned)
+    _, table = capture_run(model, probe_sets, runs)
+    pruned_sets = {frozenset(plan_for_method(method, table, p, seed=seed).pruned)
                    for method in methods for p in budgets for seed in seeds}
     # a node is the stream after retained layer j, given the layers pruned below j;
     # nodes with nothing pruned below j are the base run's own states

@@ -103,8 +103,8 @@ def test_replace_with_a_bad_field_raises_the_type_error(valid, bad, error, messa
 @pytest.mark.parametrize("call", [
     lambda header, table, seed: random_plan(header.pruneable, 2, seed,
                                             num_layers=header.num_layers),
-    lambda header, table, seed: method_scores("random", header, table, seed=seed),
-    lambda header, table, seed: plan_for_method("random", header, table, 0.25, seed=seed),
+    lambda header, table, seed: method_scores("random", table, seed=seed),
+    lambda header, table, seed: plan_for_method("random", table, 0.25, seed=seed),
 ], ids=["random_plan", "method_scores", "plan_for_method"])
 def test_random_entry_points_refuse_a_seed_that_is_not_an_integer(small_capture, call, seed):
     with pytest.raises(DepthPruneError, match="requires a seed"):
@@ -112,10 +112,10 @@ def test_random_entry_points_refuse_a_seed_that_is_not_an_integer(small_capture,
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda header, table: method_scores("interlace", header, table),
+    (lambda header, table: method_scores("interlace", table),
      "^method 'interlace' has no budget-free ranking$"),
-    (lambda header, table: method_scores("bogus", header, table), "^unknown method 'bogus'$"),
-    (lambda header, table: plan_for_method("bogus", header, table, 0.25),
+    (lambda header, table: method_scores("bogus", table), "^unknown method 'bogus'$"),
+    (lambda header, table: plan_for_method("bogus", table, 0.25),
      "^unknown method 'bogus'$"),
     (lambda header, table: random_plan(header.pruneable, 2, None, num_layers=header.num_layers),
      r"^method random requires a seed \(an integer\), got None$"),
@@ -146,7 +146,7 @@ def test_every_plan_round_trips_through_its_file(small_capture):
     for method in METHODS:
         for p in (0.0, 0.1, 0.25, 0.4, 1.0):
             try:
-                plan = plan_for_method(method, header, table, p, seed=0)
+                plan = plan_for_method(method, table, p, seed=0)
             except BudgetInfeasible:
                 continue
             assert parse_plan(serialize_plan(plan)) == plan, (method, p)
@@ -256,11 +256,14 @@ def test_a_plan_with_an_over_long_seed_is_a_sink_failure():
 
 @over_long
 def test_a_header_with_an_over_long_field_is_a_sink_failure():
-    header = replace(_HEADER, num_layers=10 ** _DIGITS)  # no row of an empty table checks it
+    header = replace(_HEADER, num_layers=10 ** _DIGITS)
+    with pytest.raises(SinkFailure, match="^cannot write log header: .*limit"):
+        _header_to_json(header)
+    # no table of samples fits such a header, and a table of none is refused before the header
     table = ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64), sim=np.empty(0),
                             pooled_out=np.empty((0, header.hidden_dim), dtype=np.float32))
     buf = io.StringIO()
-    with pytest.raises(SinkFailure, match="^cannot write log header: .*limit"):
+    with pytest.raises(SchemaViolation, match="^no samples: "):
         write_log(header, table, buf)
     assert buf.getvalue() == ""
 

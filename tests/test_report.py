@@ -179,7 +179,7 @@ def test_sweep_caches_fidelity_by_the_set_of_pruned_layers(monkeypatch):
     calls = []
     real_compare = report._compare
 
-    def stub_plan(method, header, table, p, **kwargs):
+    def stub_plan(method, table, p, **kwargs):
         return PrunePlan(method=method, budget_fraction=p, k=2, num_layers=CFG.num_layers,
                          protected=default_protected(CFG.num_layers), pruned=orders[method])
 
@@ -224,9 +224,9 @@ def test_sweep_equals_a_serial_loop_over_the_trie():
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 4, counts)
     runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
-    header, table = capture_run(model, probe_sets, runs)
+    _, table = capture_run(model, probe_sets, runs)
     cells = [(m, p, s) for m in methods for p in budgets for s in seeds]
-    plans = {cell: plan_for_method(cell[0], header, table, cell[1], seed=cell[2])
+    plans = {cell: plan_for_method(cell[0], table, cell[1], seed=cell[2])
              for cell in cells}
     pruned = {frozenset(plan.pruned): apply_prune_plan(model, plan) for plan in plans.values()}
     results = {}
@@ -311,7 +311,7 @@ def test_every_method_plans_or_raises_a_typed_error(log, drawn, alpha, seed):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    plan = plan_for_method(method, header, table, p, alpha=alpha, seed=seed)
+                    plan = plan_for_method(method, table, p, alpha=alpha, seed=seed)
             except MissingSubtask:
                 # cka scores layer l by CKA(l - 1, l), which layer 0 has not
                 assert method == "cka" and 0 in pruneable
@@ -340,11 +340,11 @@ def test_random_plans_are_prefixes_of_the_random_ranking(small_capture):
     # rank --method random and every plan --method random come from one draw
     header, table = small_capture
     for seed in range(200):
-        scores, order = method_scores("random", header, table, seed=seed)
+        scores, order = method_scores("random", table, seed=seed)
         assert scores == {l: 0.0 for l in header.pruneable}
         assert sorted(order) == list(header.pruneable)
         for p in (0.1, 0.25, 0.4, 0.5, 1.0):
-            plan = plan_for_method("random", header, table, p, seed=seed)
+            plan = plan_for_method("random", table, p, seed=seed)
             assert plan.pruned == order[:budget_k(p, len(order))]
 
 
@@ -353,6 +353,6 @@ def test_random_requires_a_seed(small_capture):
     with pytest.raises(DepthPruneError, match="requires a seed"):
         random_plan(header.pruneable, 2, None, num_layers=header.num_layers)
     with pytest.raises(DepthPruneError, match="requires a seed"):
-        method_scores("random", header, table)
+        method_scores("random", table)
     with pytest.raises(DepthPruneError, match="requires a seed"):
-        plan_for_method("random", header, table, 0.25)
+        plan_for_method("random", table, 0.25)

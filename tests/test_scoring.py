@@ -7,8 +7,7 @@ from depthprune.actlog import DomainInfo, LogHeader
 from depthprune.errors import AlphaOutOfRange, EmptyInput, LayerSetMismatch
 from depthprune.probes import MATH_SUBTASKS, NONMATH_SUBTASKS
 from depthprune.scoring import (DomainScoreTable, aggregate_domain,
-                                heatmap_matrix, mixed_ranking, rank_order,
-                                single_domain_ranking, znormalize)
+                                heatmap_matrix, mixed_ranking, rank_order, znormalize)
 
 HEADER = LogHeader(model_id="scoring", num_layers=4, hidden_dim=2,
                    protected_layers=frozenset({0, 3}),
@@ -28,34 +27,28 @@ def table(raw, domain="math"):
 # ---- aggregation -----------------------------------------------------------
 
 def test_single_sample_aggregate():
-    t = aggregate_domain(records_table([0.1, 0.7, 0.3, 0.9]), "math", [1, 2])
+    # the header's pruneable layers, 1 and 2, are the layers scored
+    t = aggregate_domain(records_table([0.1, 0.7, 0.3, 0.9]), "math")
     assert t.raw == {1: 0.7, 2: 0.3}
     assert t.sample_count == 1
 
 
 def test_aggregate_mean_oracle():
     records = records_table(*([0.0, s, 0.0, 0.0] for s in [0.2, 0.4, 0.6]))
-    t = aggregate_domain(records, "math", [1])
+    t = aggregate_domain(records, "math")
     assert t.raw[1] == pytest.approx(0.4)
 
 
 def test_aggregate_merges_subtasks_flat():
     records = records_table([0.0] * 4, [1.0] * 4, [0.5] * 4,
                             subtasks=["Math-CoT", "Math-Direct", "Math-Direct"])
-    t = aggregate_domain(records, "math", [1])
+    t = aggregate_domain(records, "math")
     assert t.raw[1] == pytest.approx(0.5)
 
 
 def test_aggregate_empty_domain():
     with pytest.raises(EmptyInput):
-        aggregate_domain(records_table([0.5] * 4), "nonmath", [1])
-
-
-def test_aggregate_missing_layer():
-    # a table holds every layer of its header, and no other
-    for layer in (-1, 4):
-        with pytest.raises(LayerSetMismatch, match=f"no samples covering layer {layer}$"):
-            aggregate_domain(records_table([0.5] * 4), "math", [1, layer])
+        aggregate_domain(records_table([0.5] * 4), "nonmath")
 
 
 # ---- z-normalization -------------------------------------------------------
@@ -108,12 +101,12 @@ def two_tables(seed=0, layers=8):
 
 def test_alpha_zero_matches_math_order():
     m, nm = two_tables()
-    assert mixed_ranking(m, nm, 0.0).order == single_domain_ranking(m).order
+    assert mixed_ranking(m, nm, 0.0).order == rank_order(m.normalized)
 
 
 def test_alpha_one_matches_nonmath_order():
     m, nm = two_tables()
-    assert mixed_ranking(m, nm, 1.0).order == single_domain_ranking(nm).order
+    assert mixed_ranking(m, nm, 1.0).order == rank_order(nm.normalized)
 
 
 def test_mixed_arithmetic_oracle():
@@ -169,10 +162,9 @@ def test_heatmap_empty():
 def test_heatmap_consistent_with_aggregate():
     header, records = make_synthetic_records(num_layers=6, samples_per_subtask=3, seed=5)
     hm = heatmap_matrix(records)
-    pruneable = range(1, 5)
     for domain, tags in (("math", hm.subtasks[:5]), ("nonmath", hm.subtasks[5:])):
-        t = aggregate_domain(records, domain, pruneable)
-        for layer in pruneable:
+        t = aggregate_domain(records, domain)
+        for layer in header.pruneable:
             col = hm.layers.index(layer)
             rows = [hm.subtasks.index(tag) for tag in tags]
             # equal per-subtask sample counts: flat merge equals row mean

@@ -119,9 +119,9 @@ def all_tables(captured_tables):
 def test_aggregate_domain_matches_loop(captured_tables):
     for name, table in all_tables(captured_tables):
         records = records_of(table)
-        pruneable = range(1, table.header.num_layers - 1)
+        pruneable = table.header.pruneable
         for domain in ("math", "nonmath"):
-            got = aggregate_domain(table, domain, pruneable)
+            got = aggregate_domain(table, domain)
             assert (got.raw, got.sample_count) == ref_aggregate(records, domain, pruneable), name
 
 
@@ -153,17 +153,16 @@ def with_loop_inputs(monkeypatch):
     monkeypatch.setattr(baselines, "_inout_redundancy", lambda t: ref_inout(records_of(t)))
 
 
+def interlace_plans(table):
+    """Interlace plans of one and of a third of the table's pruneable layers."""
+    n_mid = len(table.header.pruneable)
+    return [interlace_plan(table, k, k / n_mid) for k in (1, n_mid // 3)]
+
+
 def test_cka_rank_and_interlace_plan_match_loop(captured_tables, monkeypatch):
     cases = all_tables(captured_tables)
-    results = []
-    for name, table in cases:
-        n = table.header.num_layers
-        pruneable = range(1, n - 1)
-        results.append((cka_rank(table, pruneable),
-                        [interlace_plan(table, pruneable, k) for k in (1, (n - 2) // 3)]))
+    results = [(cka_rank(table), interlace_plans(table)) for _, table in cases]
     with_loop_inputs(monkeypatch)
     for (name, table), (cka, plans) in zip(cases, results):
-        n = table.header.num_layers
-        pruneable = range(1, n - 1)
-        assert cka == cka_rank(table, pruneable), name
-        assert plans == [interlace_plan(table, pruneable, k) for k in (1, (n - 2) // 3)], name
+        assert cka == cka_rank(table), name
+        assert plans == interlace_plans(table), name
