@@ -4,9 +4,10 @@ UTF-8 text of ``\n``-terminated JSON lines.  Line 1 is the header object.
 Then come exactly one line per table column, in ``_COLUMNS`` order: an
 object whose one key is the column name and whose value is the base64 of
 the column's little-endian bytes.  ``subtask`` holds one index into
-``header.subtask_tags`` per sample; ``sim`` and ``pooled_out`` hold one row
-per (sample, layer), sample-major over every layer, stored as float32, so
-a log round-trips bit for bit.  A log holds at least one sample.
+``header.subtask_tags`` per sample; ``sim`` and ``pooled_out`` hold the
+table's (samples, layers) and (samples, layers, hidden_dim) grids flattened,
+sample-major over every layer, stored as float32, so a log round-trips bit
+for bit.  A log holds at least one sample.
 """
 
 import base64
@@ -82,39 +83,56 @@ class LogHeader:
 
 @dataclass(frozen=True, eq=False)
 class ActivationTable:
-    """A samples × layers grid: one row per (sample, layer), sample-major over every layer.
+    """A samples × layers grid over every layer of its header; it checks itself when built.
 
     ``clamped`` counts the sims a capture clamped into [-1, 1] (0 when read).
     """
     header: LogHeader
     subtask: np.ndarray     # int64 (n,), index into header.subtask_tags
-    sim: np.ndarray         # float64 (n * num_layers,)
-    pooled_out: np.ndarray  # float32 (n * num_layers, hidden_dim)
+    sim: np.ndarray         # float64 (n, num_layers)
+    pooled_out: np.ndarray  # float32 (n, num_layers, hidden_dim)
     clamped: int = 0
 
+    def __post_init__(self):
+        """Raise SchemaViolation for an empty or misshapen table, a bad value, a miscounted domain.
+
+        A table with no samples is refused first, so no per-layer work follows
+        for a header that only declares its layers.  Values are checked in
+        column order, and the earliest bad one is named by its sample (a
+        subtask) or record (a sim or pooled output at cell (s, l) is record
+        s·num_layers + l).  Each domain must hold as many samples as its
+        header ``sample_count`` declares.
+        """
+        header, n = self.header, len(self.subtask)
+        if n == 0:
+            raise SchemaViolation("no samples: a log holds at least one")
+        grid = (n, header.num_layers)
+        if self.sim.shape != grid or self.pooled_out.shape != grid + (header.hidden_dim,):
+            raise SchemaViolation(f"sim {self.sim.shape} and pooled_out {self.pooled_out.shape}: "
+                                  f"not the shapes of {n} samples")
+        faults = (("sample", (self.subtask < 0) | (self.subtask >= len(header.subtask_tags)),
+                   lambda i: f"subtask: unknown tag {self.subtask[i]}"),
+                  ("record", ~((self.sim >= -1.0) & (self.sim <= 1.0)),
+                   lambda i: f"sim: {float(self.sim.flat[i])} outside [-1, 1]"),
+                  ("record", ~np.isfinite(self.pooled_out).all(axis=2),
+                   lambda i: "pooled_out: non-finite entry"))
+        for unit, mask, message in faults:
+            if mask.any():
+                i = int(np.argmax(mask))  # of the flattened mask: sample-major, as the log is
+                raise SchemaViolation(f"{unit} {i}: {message(i)}")
+        held = np.bincount(self.domain, minlength=len(header.domains))
+        for info, count in zip(header.domains, held.tolist()):
+            if count != info.sample_count:
+                raise SchemaViolation(f"domains: {info.domain!r} declares sample_count "
+                                      f"{info.sample_count}, but its records hold {count} samples")
+
     def __len__(self) -> int:
-        return self.sim.shape[0]
-
-    @property
-    def sim_grid(self) -> np.ndarray:  # (n, num_layers) view of sim
-        return self.sim.reshape(len(self.subtask), self.header.num_layers)
-
-    @property
-    def pooled_grid(self) -> np.ndarray:  # (n, num_layers, hidden_dim) view of pooled_out
-        return self.pooled_out.reshape(self.sim_grid.shape + self.pooled_out.shape[1:])
+        return self.sim.size
 
     @property
     def domain(self) -> np.ndarray:  # int64 (n,), the domain declaring each sample's subtask
         sizes = [len(d.subtasks) for d in self.header.domains]
         return np.repeat(np.arange(len(sizes)), sizes)[self.subtask]
-
-    @property
-    def sample_id(self) -> np.ndarray:  # int64 (n * num_layers,)
-        return np.repeat(np.arange(len(self.subtask)), self.header.num_layers)
-
-    @property
-    def layer(self) -> np.ndarray:  # int64 (n * num_layers,)
-        return np.tile(np.arange(self.header.num_layers), len(self.subtask))
 
 
 def _header_to_json(header: LogHeader) -> str:
@@ -122,39 +140,6 @@ def _header_to_json(header: LogHeader) -> str:
     obj["protected_layers"] = sorted(header.protected_layers)
     obj["domains"] = [{key: getattr(d, key) for key in _DOMAIN_KINDS} for d in header.domains]
     return dump_json(obj, "log header")
-
-
-def _check_rows(table):
-    """Raise SchemaViolation for an empty or misshapen table, a bad value, a miscounted domain.
-
-    A table with no samples is refused first, so no per-layer work follows
-    for a header that only declares its layers.  Values are checked in
-    column order, and the earliest bad one is named by its sample (a
-    subtask) or record (a sim or pooled output).  Each domain must hold as
-    many samples as its header ``sample_count`` declares.
-    """
-    header, n = table.header, len(table.subtask)
-    if n == 0:
-        raise SchemaViolation("no samples: a log holds at least one")
-    rows = n * header.num_layers
-    if table.sim.shape != (rows,) or table.pooled_out.shape != (rows, header.hidden_dim):
-        raise SchemaViolation(f"sim {table.sim.shape} and pooled_out {table.pooled_out.shape}: "
-                              f"not the shapes of {n} samples")
-    faults = (("sample", (table.subtask < 0) | (table.subtask >= len(header.subtask_tags)),
-               lambda i: f"subtask: unknown tag {table.subtask[i]}"),
-              ("record", ~((table.sim >= -1.0) & (table.sim <= 1.0)),
-               lambda i: f"sim: {float(table.sim[i])} outside [-1, 1]"),
-              ("record", ~np.isfinite(table.pooled_out).all(axis=1),
-               lambda i: "pooled_out: non-finite entry"))
-    for unit, mask, message in faults:
-        if mask.any():
-            i = int(np.argmax(mask))
-            raise SchemaViolation(f"{unit} {i}: {message(i)}")
-    held = np.bincount(table.domain, minlength=len(header.domains))
-    for info, count in zip(header.domains, held.tolist()):
-        if count != info.sample_count:
-            raise SchemaViolation(f"domains: {info.domain!r} declares sample_count "
-                                  f"{info.sample_count}, but its records hold {count} samples")
 
 
 def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
@@ -166,7 +151,7 @@ def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
     ``json.dumps`` of ``{name: base64}``: a column name and the base64
     alphabet need no JSON escape.
     """
-    _check_rows(replace(table, header=header))  # the table as the log will hold it
+    table = replace(table, header=header)  # checks the table as the log will hold it
     try:
         destination.write(_header_to_json(header) + "\n")
         for name, dtype in _COLUMNS:
@@ -236,16 +221,14 @@ def read_log(source):
         if len(columns[name]) != expected:
             raise SchemaViolation(f"line {lineno}: {name}: {len(columns[name])} values, "
                                   f"expected {expected} for {n} samples")
-    columns["sim"] = columns["sim"].astype(np.float64)
-    columns["pooled_out"] = columns["pooled_out"].reshape(rows, d)
-    table = ActivationTable(header=header, **columns)
-    _check_rows(table)
-    return header, table
+    columns["sim"] = columns["sim"].astype(np.float64).reshape(n, header.num_layers)
+    columns["pooled_out"] = columns["pooled_out"].reshape(n, header.num_layers, d)
+    return header, ActivationTable(header=header, **columns)
 
 
 def write_log_path(header: LogHeader, table: ActivationTable, path) -> int:
     """``write_log`` into the file ``path``; a table it refuses leaves the file as it was."""
-    _check_rows(replace(table, header=header))  # before ``open`` truncates the file
+    table = replace(table, header=header)  # checked before ``open`` truncates the file
     return write_path(path, "log", lambda fh: write_log(header, table, fh))
 
 

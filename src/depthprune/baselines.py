@@ -8,8 +8,8 @@ header, and ``random_plan`` draws from the pruneable layers it is given.
 
 import numpy as np
 
-from .errors import (BudgetInfeasible, DegenerateFeatures, InvalidConfig, MissingSubtask,
-                     is_int, show)
+from .errors import (BudgetInfeasible, DegenerateFeatures, InvalidConfig, LayerSetMismatch,
+                     MissingSubtask, is_int, show)
 from .linalg import center_rows, token_cosine_mean
 from .planner import PrunePlan
 from .probes import MATH_SUBTASKS, NONMATH_SUBTASKS
@@ -26,7 +26,7 @@ def feature_matrices(table) -> dict:
         if not rows.any():
             raise MissingSubtask(f"no records for subtask {tag!r}")
         # a float64 mean over the rows adds each entry in sample order, as a per-record loop would
-        means.append(table.pooled_grid[rows].mean(axis=0, dtype=np.float64))
+        means.append(table.pooled_out[rows].mean(axis=0, dtype=np.float64))
     return dict(enumerate(np.stack(means, axis=1)))  # layer -> (9, d)
 
 
@@ -46,13 +46,15 @@ def cka_rank(table) -> dict:
     """Adjacent-layer CKA redundancy; high CKA(l, l+1) marks l+1 pruneable.
 
     Returns {pruneable layer l of the header: CKA(X_{l-1}, X_l)}; a degenerate
-    (zero-spread) feature pair scores 0.0.
+    (zero-spread) feature pair scores 0.0.  Layer 0 has no layer before it,
+    so a header that leaves it pruneable raises ``LayerSetMismatch``.
     """
+    if 0 in table.header.pruneable:
+        raise LayerSetMismatch("layer 0 is pruneable, but cka scores layer l by CKA(l - 1, l): "
+                               "it needs layer 0 protected")
     features = feature_matrices(table)
     redundancy = {}
     for later in table.header.pruneable:
-        if later == 0:  # a header may leave layer 0 pruneable
-            raise MissingSubtask("no features for adjacency pair (-1, 0)")
         try:
             redundancy[later] = linear_cka(features[later - 1], features[later])
         except DegenerateFeatures:
@@ -62,7 +64,7 @@ def cka_rank(table) -> dict:
 
 def _inout_redundancy(table) -> dict:
     """Domain-agnostic per-layer mean of stored in/out similarities."""
-    return dict(enumerate(table.sim_grid.mean(axis=0).tolist()))
+    return dict(enumerate(table.sim.mean(axis=0).tolist()))
 
 
 def interlace_solution(table, k: int):

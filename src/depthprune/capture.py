@@ -27,7 +27,7 @@ def layer_stats(states):
 
 
 def capture_run(model, probe_sets, runs=None):
-    """One table row per (sample, layer), over every layer; returns (header, table).
+    """One table cell per (sample, layer), over every layer; returns (header, table).
 
     Samples are numbered sequentially across probe sets in the given order.
     ``runs`` holds one iterable of the model's states per probe set, such as
@@ -40,11 +40,13 @@ def capture_run(model, probe_sets, runs=None):
     different number of runs than there are probe sets, raises
     ``ValueError`` before any block is reduced.  Sims are clamped into
     [-1, 1], ``table.clamped`` counting how many needed it, and rounded to
-    float32 as the log stores them, so a table ranks as its log does.  A
-    probe set with no samples raises ``EmptyInput``, and a pruned model
-    ``PlanModelMismatch``, before any block runs.
+    float32 as the log stores them, so a table ranks as its log does.  No
+    probe sets, or a probe set with no samples, raises ``EmptyInput``, and a
+    pruned model ``PlanModelMismatch``, before any block runs.
     """
     cfg = model.config
+    if not probe_sets:
+        raise EmptyInput("no probe sets: a capture needs at least one")
     if model.depth != cfg.num_layers:
         raise PlanModelMismatch(f"capture needs all {cfg.num_layers} layers, not {model.depth}")
     for ps in probe_sets:
@@ -72,12 +74,11 @@ def capture_run(model, probe_sets, runs=None):
     tags = header.subtask_tags
     subtask = [tags.index(tag) for ps in probe_sets for tag, _ in ps.all_samples()]
     stats = [layer_stats(states) for states in runs]
-    sim = np.concatenate([s for s, _ in stats] or [np.empty(0)]).reshape(-1)
-    pooled = np.concatenate([p for _, p in stats] or [np.empty((0, cfg.hidden_dim))])
+    sim = np.concatenate([s for s, _ in stats])
     return header, ActivationTable(
         header=header,
         subtask=np.asarray(subtask, dtype=np.int64),
         sim=np.clip(sim, -1.0, 1.0).astype(np.float32).astype(np.float64),
-        pooled_out=pooled.reshape(-1, cfg.hidden_dim).astype(np.float32, copy=False),
+        pooled_out=np.concatenate([p for _, p in stats]),
         clamped=int(np.count_nonzero(np.abs(sim) > 1.0)),
     )

@@ -131,9 +131,7 @@ def cmd_prune_eval(args):
 def cmd_sweep(args):
     run = _load_config(args.config)
     out_dir = args.out or run.out
-    reports, plans, heatmap = sweep(run.model, run.methods, run.budgets, run.seeds,
-                                    alpha=run.alpha, probe_counts=run.probe_counts,
-                                    probe_seed=run.probe_seed)
+    reports, plans, heatmap = sweep(run)
     outputs = {
         "sweep.csv": sweep_csv(reports),
         "removal_grid.csv": removal_pattern_grid(plans),

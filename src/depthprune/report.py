@@ -256,26 +256,23 @@ def plan_for_method(method: str, table, p: float, alpha: float = DEFAULT_ALPHA, 
                      alpha=alpha if method == "ours-mixed" else None)
 
 
-def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_counts=None,
-          probe_seed: int = 0):
-    """Full evaluation grid.
+def sweep(run: RunConfig):
+    """Full evaluation grid of ``run``, checked when it was built.
 
     Returns (reports, plans, heatmap): one FidelityReport per
     (method, budget, domain, seed), one plan per (method, budget) with
-    random plans taken at the first seed, and the candidate heatmap.  Every
-    argument is checked before the model is built.  A (method, budget) whose
-    plan raises ``BudgetInfeasible`` is left out of both, with one line on
-    stderr.  Each domain's base forward, and then its fidelity walk, runs on
+    random plans taken at the first seed, and the candidate heatmap.  A run
+    with no method, budget or seed is refused before the model is built.  A
+    (method, budget) whose plan raises ``BudgetInfeasible`` is left out of
+    both, with one line on stderr.  Each domain's base forward, and then its fidelity walk, runs on
     its own thread; the walk drains the base states, so it ends up holding
     only the last and those a pruned model resumes from.
     """
+    methods, budgets, seeds = run.methods, run.budgets, run.seeds
     if not (methods and budgets and seeds):
         raise InvalidConfig("a sweep needs at least one method, one budget and one seed")
-    RunConfig(model=config, probe_counts=DEFAULT_COUNTS if probe_counts is None else probe_counts,
-              probe_seed=probe_seed, methods=methods, budgets=budgets, alpha=alpha,
-              seeds=seeds)
-    model = build_model(config)
-    probe_sets = default_probe_sets(config, probe_seed, probe_counts)
+    model = build_model(run.model)
+    probe_sets = default_probe_sets(run.model, run.probe_seed, run.probe_counts)
     tokens = [ps.token_matrix() for ps in probe_sets]
     base_runs = threaded(lambda t: list(model.stream(t)), tokens)
     table = capture_run(model, probe_sets, base_runs)[1]
@@ -288,7 +285,7 @@ def sweep(config, methods, budgets, seeds, alpha: float = DEFAULT_ALPHA, probe_c
         for p in budgets:
             # only random reads the seed; any other plan serves every seed
             try:
-                plans = [plan_for_method(method, table, p, alpha=alpha, seed=seed)
+                plans = [plan_for_method(method, table, p, alpha=run.alpha, seed=seed)
                          for seed in (seeds if method == "random" else seeds[:1])]
             except BudgetInfeasible as exc:
                 print(f"skipped {method} at budget {p!r}: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ def aggregate_domain(table, domain: str) -> DomainScoreTable:
     if not in_domain.any():
         raise EmptyInput(f"no records for domain {domain!r}")
     # a mean over the rows adds each layer's sims in sample order, as a per-record loop would
-    means = table.sim_grid[in_domain].mean(axis=0)
+    means = table.sim[in_domain].mean(axis=0)
     raw = {l: float(means[l]) for l in table.header.pruneable}
     return DomainScoreTable(domain=domain, raw=raw, sample_count=int(np.count_nonzero(in_domain)))
 
@@ -96,10 +96,8 @@ def heatmap_matrix(table) -> HeatmapMatrix:
     Rows follow each subtask's first appearance in the table, columns the
     layers in order.
     """
-    if len(table) == 0:
-        raise EmptyInput("no records to build a heatmap from")
     codes = list(dict.fromkeys(table.subtask.tolist()))  # in first-appearance order
     # a mean over a subtask's rows adds each cell in sample order, as a per-record loop would
-    values = np.array([table.sim_grid[table.subtask == c].mean(axis=0) for c in codes])
+    values = np.array([table.sim[table.subtask == c].mean(axis=0) for c in codes])
     return HeatmapMatrix(subtasks=tuple(table.header.subtask_tags[c] for c in codes),
                          layers=tuple(range(table.header.num_layers)), values=values)

@@ -57,13 +57,12 @@ def small_capture(small_model, small_probes):
 def grid_table(header, subtasks, sims, pooled=None):
     """The ActivationTable of samples of ``subtasks`` (one tag each), sims (n, num_layers)
     and pooled outputs (n, num_layers, hidden_dim), zeros by default."""
-    n, shape = len(subtasks), (len(subtasks), header.num_layers, header.hidden_dim)
-    pooled = np.zeros(shape) if pooled is None else np.asarray(pooled)
+    shape = (len(subtasks), header.num_layers, header.hidden_dim)
     return ActivationTable(
         header=header,
         subtask=np.array([header.subtask_tags.index(tag) for tag in subtasks], dtype=np.int64),
-        sim=np.asarray(sims, dtype=np.float64).reshape(n * header.num_layers),
-        pooled_out=pooled.astype(np.float32).reshape(n * header.num_layers, header.hidden_dim),
+        sim=np.asarray(sims, dtype=np.float64),
+        pooled_out=np.asarray(np.zeros(shape) if pooled is None else pooled, dtype=np.float32),
     )
 
 
@@ -75,9 +74,13 @@ def log_bytes(header, table):
 
 
 def select_samples(table, index):
-    """The samples of ``table`` that ``index`` (a mask or an order) picks, in that order."""
-    return replace(table, subtask=table.subtask[index], sim=table.sim_grid[index].reshape(-1),
-                   pooled_out=table.pooled_grid[index].reshape(-1, table.header.hidden_dim))
+    """The samples of ``table`` that ``index`` (a mask or an order) picks, in that order,
+    under its header with each domain's ``sample_count`` recounted."""
+    held = np.bincount(table.domain[index], minlength=len(table.header.domains)).tolist()
+    header = replace(table.header, domains=tuple(
+        replace(d, sample_count=count) for d, count in zip(table.header.domains, held)))
+    return replace(table, header=header, subtask=table.subtask[index], sim=table.sim[index],
+                   pooled_out=table.pooled_out[index])
 
 
 def make_synthetic_records(num_layers, hidden_dim=8, samples_per_subtask=2,

@@ -19,7 +19,7 @@ from depthprune.model import (ToyModelConfig, apply_prune_plan, build_model,
                               neutralize_block)
 from depthprune.planner import METHODS, make_plan
 from depthprune.probes import default_probe_sets
-from depthprune.report import classify_regime, fidelity, plan_for_method, sweep, sweep_csv, removal_pattern_grid
+from depthprune.report import RunConfig, classify_regime, fidelity, plan_for_method, sweep, sweep_csv, removal_pattern_grid
 from depthprune.scoring import DomainScoreTable, mixed_ranking, rank_order, znormalize
 
 from test_baselines import hsic_cka_oracle, random_orthogonal
@@ -34,8 +34,8 @@ def test_acceptance_01_stored_sims_match_recomputation(small_model, small_probes
                                                        small_capture):
     start = time.monotonic()
     _, table = small_capture
-    stored = dict(zip(zip(table.sample_id.tolist(), table.layer.tolist()), table.sim.tolist()))
-    assert len(stored) >= 1000
+    stored = table.sim  # (samples, layers)
+    assert stored.size >= 1000
     checked = 0
     sample_id = 0
     for ps in small_probes:
@@ -43,7 +43,7 @@ def test_acceptance_01_stored_sims_match_recomputation(small_model, small_probes
             trace = small_model.forward_with_hooks(tokens)
             for lid, h_in, h_out in zip(trace.layer_ids, trace.h_in, trace.h_out):
                 expected = token_cosine_mean(h_in, h_out)
-                assert abs(stored[(sample_id, lid)] - expected) <= 1e-6
+                assert abs(stored[sample_id, lid] - expected) <= 1e-6
                 checked += 1
             sample_id += 1
     elapsed = time.monotonic() - start
@@ -222,7 +222,7 @@ def test_acceptance_10_sweep_determinism():
                 seeds=[0, 1], probe_counts={"math": 2, "nonmath": 2})
     outs = []
     for _ in range(2):
-        reports, plans, heatmap = sweep(cfg, **args)
+        reports, plans, heatmap = sweep(RunConfig(model=cfg, **args))
         outs.append((sweep_csv(reports).encode(),
                      removal_pattern_grid(plans).encode(),
                      heatmap.to_csv().encode()))

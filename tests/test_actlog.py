@@ -65,8 +65,8 @@ def test_column_written_in_pieces_equals_one_json_dumps():
                        protected_layers=frozenset({0, 3}),
                        domains=(DomainInfo("math", ("Math-CoT",), n),))
     tab = ActivationTable(header=header, subtask=np.zeros(n, dtype=np.int64),
-                          sim=rng.uniform(-1, 1, 4 * n),
-                          pooled_out=rng.standard_normal((4 * n, 5)).astype(np.float32))
+                          sim=rng.uniform(-1, 1, (n, 4)),
+                          pooled_out=rng.standard_normal((n, 4, 5)).astype(np.float32))
     assert tab.pooled_out.nbytes > 2 * _PIECE and tab.pooled_out.nbytes % 3 != 0
     buf = io.StringIO()
     assert write_log(header, tab, buf) == 4 * n
@@ -81,11 +81,11 @@ def test_round_trip_single_record():
     assert header == header_4x2()
     assert got.header == header
     assert len(got) == 4
-    assert (got.sample_id[1], got.layer[1]) == (0, 1)
+    assert got.sim.shape == (1, 4) and got.pooled_out.shape == (1, 4, 2)
     assert header.domains[got.domain[0]].domain == "math"
     assert header.subtask_tags[got.subtask[0]] == "Math-CoT"
-    assert got.sim[1] == float(np.float32(0.123456789))
-    np.testing.assert_array_equal(got.pooled_out[1], POOLED)
+    assert got.sim[0, 1] == float(np.float32(0.123456789))
+    np.testing.assert_array_equal(got.pooled_out[0, 1], POOLED)
 
 
 def test_header_line_bytes_are_pinned():
@@ -108,8 +108,8 @@ def test_round_trip_preserves_float32_bits():
     tab = grid_table(header_4x2(20), ["Math-CoT"] * 20, sims, pooled)
     data = log_bytes(tab.header, tab)
     _, got = read_log(io.StringIO(data.decode()))
-    np.testing.assert_array_equal(got.pooled_grid, pooled)
-    np.testing.assert_array_equal(got.sim_grid, sims.astype(np.float32).astype(np.float64))
+    np.testing.assert_array_equal(got.pooled_out, pooled)
+    np.testing.assert_array_equal(got.sim, sims.astype(np.float32).astype(np.float64))
 
 
 def test_records_carry_no_pooled_in():
@@ -122,20 +122,21 @@ def test_records_carry_no_pooled_in():
 
 
 def test_write_rejects_wrong_dim():
+    # a table of hidden_dim 3, written under a header of hidden_dim 2
     header = header_4x2()
-    bad = ActivationTable(header=header, subtask=np.zeros(1, dtype=np.int64), sim=np.zeros(4),
-                          pooled_out=np.zeros((4, 3), dtype=np.float32))
-    with pytest.raises(SchemaViolation, match=r"pooled_out \(4, 3\): not the shapes of 1 samples"):
+    bad = grid_table(replace(header, hidden_dim=3), ["Math-CoT"], [SIMS])
+    with pytest.raises(SchemaViolation,
+                       match=r"pooled_out \(1, 4, 3\): not the shapes of 1 samples"):
         write_log(header, bad, io.StringIO())
 
 
 def test_write_rejects_duplicate_pair():
     # a grid holds each (sample, layer) pair once: a sample's records given twice are
-    # more records than its samples have
+    # more records than its samples have, so no table holds them
     tab = table(SIMS)
-    twice = replace(tab, sim=np.tile(tab.sim, 2), pooled_out=np.tile(tab.pooled_out, (2, 1)))
-    with pytest.raises(SchemaViolation, match=r"^sim \(8,\) and pooled_out \(8, 2\): "
+    with pytest.raises(SchemaViolation, match=r"^sim \(1, 8\) and pooled_out \(1, 8, 2\): "
                                               r"not the shapes of 1 samples$"):
+        twice = replace(tab, sim=np.tile(tab.sim, 2), pooled_out=np.tile(tab.pooled_out, (2, 1)))
         write_log(header_4x2(), twice, io.StringIO())
 
 
@@ -364,8 +365,7 @@ def test_read_streams_lines():
     tab = table(SIMS, SIMS)
     data = log_bytes(tab.header, tab).decode()
     _, got = read_log(LinesOnly(data))
-    assert got.sample_id.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert got.layer.tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
+    np.testing.assert_array_equal(got.sim, [SIMS, SIMS])
 
 
 def test_truncated_last_line():
@@ -505,9 +505,10 @@ def test_property_round_trip_is_bit_exact(case):
     header, tab = case
     got_header, got = read_log(io.StringIO(log_bytes(header, tab).decode()))
     assert got_header == header
-    for name in ("subtask", "domain", "sample_id", "layer"):
+    for name in ("subtask", "domain"):
         np.testing.assert_array_equal(getattr(got, name), getattr(tab, name))
     assert got.sim.dtype == np.float64 and got.pooled_out.dtype == np.float32
+    assert got.sim.shape == tab.sim.shape
     assert (got.sim.view(np.uint64) == tab.sim.astype(np.float32).astype(np.float64)
             .view(np.uint64)).all()
     assert got.pooled_out.shape == tab.pooled_out.shape
@@ -566,7 +567,7 @@ def test_property_bad_record_value_is_reported(case, data):
         where = f"sample {i}"
     else:
         i = data.draw(st.integers(0, len(tab) - 1), label="record")
-        values = getattr(tab, kind).astype(np.float32)
+        values = getattr(tab, kind).astype(np.float32).reshape(len(tab), -1)  # a row per record
         if kind == "sim":
             values[i] = rng.choice([1.5, -2.0, float("nan"), float("inf")])
         else:

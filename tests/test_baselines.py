@@ -98,9 +98,9 @@ def test_cka_rank_missing_subtask():
 def test_cka_identical_adjacent_layers_score_one():
     header, records = make_synthetic_records(num_layers=5, seed=9)
     # make layer 3 carry layer 2's pooled outputs for every sample
-    pooled = records.pooled_grid.copy()
+    pooled = records.pooled_out.copy()
     pooled[:, 3] = pooled[:, 2]
-    scores = cka_rank(replace(records, pooled_out=pooled.reshape(records.pooled_out.shape)))
+    scores = cka_rank(replace(records, pooled_out=pooled))
     assert scores[3] == pytest.approx(1.0, abs=1e-9)
     assert max(scores, key=lambda l: scores[l]) == 3
 
@@ -108,9 +108,9 @@ def test_cka_identical_adjacent_layers_score_one():
 def test_cka_rank_scores_a_degenerate_pair_zero():
     header, records = make_synthetic_records(num_layers=5, seed=9)
     # every sample pools to one vector at layer 2, so layer 2's features have no spread
-    pooled = records.pooled_grid.copy()
+    pooled = records.pooled_out.copy()
     pooled[:, 2] = 1.0
-    scores = cka_rank(replace(records, pooled_out=pooled.reshape(records.pooled_out.shape)))
+    scores = cka_rank(replace(records, pooled_out=pooled))
     assert scores[2] == scores[3] == 0.0
     assert scores[1] == cka_rank(records)[1] > 0.0
 

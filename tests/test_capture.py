@@ -20,13 +20,10 @@ def test_record_count_is_samples_times_depth(small_capture, small_probes):
     total = sum(ps.num_samples for ps in small_probes)
     assert len(table) == total * header.num_layers
     assert table.header is header
-    for column in (table.sample_id, table.layer, table.sim):
-        assert column.shape == (len(table),)
     for column in (table.domain, table.subtask):
         assert column.shape == (total,)
-    assert table.sim_grid.shape == (total, header.num_layers)
-    assert table.pooled_out.shape == (len(table), header.hidden_dim)
-    assert table.pooled_grid.shape == (total, header.num_layers, header.hidden_dim)
+    assert table.sim.shape == (total, header.num_layers)
+    assert table.pooled_out.shape == (total, header.num_layers, header.hidden_dim)
     assert table.pooled_out.dtype == np.float32
 
 
@@ -40,10 +37,6 @@ def test_header_matches_config(small_capture, small_config):
 
 def test_stored_sim_matches_trace_recomputation(small_model, small_probes, small_capture):
     _, table = small_capture
-    by_sample = {}
-    for sample_id, layer, sim in zip(table.sample_id.tolist(), table.layer.tolist(),
-                                     table.sim.tolist()):
-        by_sample.setdefault(sample_id, {})[layer] = sim
     sample_id = 0
     for ps in small_probes:
         for _, tokens in ps.all_samples():
@@ -51,7 +44,7 @@ def test_stored_sim_matches_trace_recomputation(small_model, small_probes, small
             for lid, h_in, h_out in zip(trace.layer_ids, trace.h_in, trace.h_out):
                 expected = token_cosine_mean(h_in, h_out)
                 # stored as float32: within half a float32 ulp (2**-25 below 1) of the sim
-                assert abs(by_sample[sample_id][lid] - expected) < 2.0 ** -25 + 1e-12
+                assert abs(table.sim[sample_id, lid] - expected) < 2.0 ** -25 + 1e-12
             sample_id += 1
 
 
@@ -59,9 +52,8 @@ def test_pooled_vectors_match_trace(small_model, small_probes, small_capture):
     header, table = small_capture
     tokens = next(small_probes[0].all_samples())[1]
     trace = small_model.forward_with_hooks(tokens)
-    first = table.sample_id == 0
-    assert table.layer[first].tolist() == list(range(header.num_layers))
-    pooled = table.pooled_out[first]
+    pooled = table.pooled_out[0]
+    assert pooled.shape == (header.num_layers, header.hidden_dim)
     for layer in range(header.num_layers):
         np.testing.assert_allclose(pooled[layer], trace.h_out[layer].mean(axis=0), rtol=1e-5)
         # the pooled input v1 stored is the previous layer's pooled output
@@ -75,7 +67,7 @@ def test_neutralized_block_sim_is_one():
     model = neutralize_block(build_model(cfg), 4)
     probes = generate_probes("math", 2, seed=0, config=cfg)
     _, table = capture_run(model, [probes])
-    sims = table.sim[table.layer == 4]
+    sims = table.sim[:, 4]
     assert sims.size and all(abs(s - 1.0) < 1e-6 for s in sims)
 
 
@@ -92,7 +84,7 @@ def test_capture_holds_what_its_log_reads_back(small_capture):
 
 def test_sims_within_range(small_capture):
     _, table = small_capture
-    assert all(-1.0 <= s <= 1.0 for s in table.sim)
+    assert all(-1.0 <= s <= 1.0 for s in table.sim.flat)
 
 
 def test_capture_counts_clamped_sims():
@@ -107,7 +99,7 @@ def test_capture_counts_clamped_sims():
     _, table = capture_run(model, [probes], [states])
     assert table.clamped == int(np.count_nonzero(np.abs(raw) > 1.0)) > 0
     np.testing.assert_array_equal(
-        table.sim, np.clip(raw, -1.0, 1.0).reshape(-1).astype(np.float32).astype(np.float64))
+        table.sim, np.clip(raw, -1.0, 1.0).astype(np.float32).astype(np.float64))
 
 
 def test_capture_rejects_runs_of_the_wrong_form(monkeypatch):
@@ -153,6 +145,17 @@ def test_capture_refuses_an_empty_probe_set():
     for runs in (None, [[], []]):
         with pytest.raises(EmptyInput, match="^probe set 'math' is empty$"):
             capture_run(model, probe_sets, runs)
+
+
+def test_capture_refuses_no_probe_sets(monkeypatch):
+    # a log holds at least one sample, so no probe sets is refused before any reduction
+    reduced = []
+    monkeypatch.setattr(capture, "layer_stats", reduced.append)
+    for runs in (None, []):
+        with pytest.raises(EmptyInput, match="^no probe sets: a capture needs at least one$"):
+            capture_run(build_model(ToyModelConfig(num_layers=4, hidden_dim=16, num_heads=2)),
+                        [], runs)
+    assert reduced == []
 
 
 def test_capture_refuses_a_pruned_model(monkeypatch):

@@ -415,6 +415,23 @@ def test_a_log_with_every_layer_protected_exits_one(workdir, tmp_path, capsys, a
 
 
 @pytest.mark.parametrize("argv", [
+    ["rank", "--method", "cka"], ["plan", "--method", "cka", "--budget", "0.25"],
+])
+def test_cka_on_a_log_that_leaves_layer_0_pruneable_exits_one(workdir, tmp_path, capsys, argv):
+    # every subtask is present, but cka scores layer l by CKA(l - 1, l) and layer 0 has no l - 1
+    lines = (workdir / "activations.log").read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["protected_layers"] = [7]
+    log = tmp_path / "layer-0-pruneable.log"
+    log.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    assert main(argv + ["--log", str(log)]) == 1
+    assert capsys.readouterr() == ("", "LayerSetMismatch: layer 0 is pruneable, but cka scores "
+                                       "layer l by CKA(l - 1, l): it needs layer 0 protected\n")
+    assert main(["rank", "--method", "ours-mixed", "--log", str(log)]) == 0
+    assert "0" in [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+
+
+@pytest.mark.parametrize("argv", [
     ["score"], ["heatmap"], ["rank", "--method", "cka"],
     ["plan", "--method", "interlace", "--budget", "0.25"],
 ])
@@ -588,11 +605,12 @@ def test_a_log_of_no_samples_is_refused(workdir, tmp_path, capsys):
                        protected_layers=frozenset({0, 199_999}),
                        domains=(DomainInfo("math", MATH_SUBTASKS, 0),
                                 DomainInfo("nonmath", NONMATH_SUBTASKS, 0)))
-    empty = ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64),
-                            sim=np.empty(0), pooled_out=np.empty((0, 2), dtype=np.float32))
     kept = tmp_path / "kept.log"
     kept.write_bytes((workdir / "activations.log").read_bytes())
     with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
+        empty = ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64),
+                                sim=np.empty((0, 200_000)),
+                                pooled_out=np.empty((0, 200_000, 2), dtype=np.float32))
         write_log_path(header, empty, str(kept))
     assert kept.read_bytes() == (workdir / "activations.log").read_bytes()
     # the log that the writer refuses, written by hand

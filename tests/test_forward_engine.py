@@ -21,7 +21,7 @@ from depthprune.planner import PrunePlan
 from depthprune.probes import (MATH_SUBTASKS, NONMATH_SUBTASKS, ProbeSet, default_probe_sets,
                                generate_probes)
 from depthprune import report
-from depthprune.report import fidelity, plan_for_method, sweep
+from depthprune.report import RunConfig, fidelity, plan_for_method, sweep
 
 ATOL = 1e-12
 
@@ -141,7 +141,8 @@ def test_sweep_rows_equal_uncached_fidelity():
     cfg = ToyModelConfig(num_layers=8, hidden_dim=32, num_heads=4, seed=2)
     counts = {"math": 1, "nonmath": 1}
     methods, budgets, seeds = ["ours-mixed", "cka", "interlace", "random"], [0.2, 0.4], [0, 1]
-    reports, _, _ = sweep(cfg, methods, budgets, seeds, probe_counts=counts, probe_seed=3)
+    reports, _, _ = sweep(RunConfig(model=cfg, probe_counts=counts, probe_seed=3,
+                                    methods=methods, budgets=budgets, seeds=seeds))
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 3, counts)
     runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
@@ -183,7 +184,7 @@ def test_per_sample_capture_matches_batched_capture(n):
     batched_header, batched = capture_run(model, probe_sets, runs)
     assert header == batched_header
     assert records.clamped == batched.clamped
-    for name in ("sample_id", "layer", "domain", "subtask", "sim", "pooled_out"):
+    for name in ("domain", "subtask", "sim", "pooled_out"):
         np.testing.assert_array_equal(getattr(records, name), getattr(batched, name))
 
 
@@ -204,9 +205,11 @@ def test_chunked_capture_matches_per_sample_reference(n):
                                                        * np.sqrt(np.sum(h_out * h_out, axis=-1)))
                 sims.append(cos.mean())
                 pooled.append(h_out.mean(axis=0))
-    np.testing.assert_array_equal(table.sample_id, np.repeat(np.arange(2 * n), cfg.num_layers))
-    np.testing.assert_allclose(table.sim, sims, rtol=2.0 ** -24, atol=ATOL)
-    np.testing.assert_allclose(table.pooled_out, pooled, rtol=2.0 ** -23, atol=ATOL)
+    grid = (2 * n, cfg.num_layers)
+    assert table.sim.shape == grid
+    np.testing.assert_allclose(table.sim, np.reshape(sims, grid), rtol=2.0 ** -24, atol=ATOL)
+    np.testing.assert_allclose(table.pooled_out, np.reshape(pooled, grid + (cfg.hidden_dim,)),
+                               rtol=2.0 ** -23, atol=ATOL)
 
 
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
@@ -404,8 +407,9 @@ def test_sweep_drops_each_base_state_its_walk_has_passed(monkeypatch):
 
     monkeypatch.setattr(report, "build_model", watched_build)
     monkeypatch.setattr(Model, "stream", watched_stream)
-    sweep(cfg, ["ours-mixed", "cka", "random"], [0.125, 0.25, 0.5], [0, 1],
-          probe_counts={"math": 1, "nonmath": 1}, probe_seed=4)
+    sweep(RunConfig(model=cfg, probe_counts={"math": 1, "nonmath": 1}, probe_seed=4,
+                    methods=["ours-mixed", "cka", "random"], budgets=[0.125, 0.25, 0.5],
+                    seeds=[0, 1]))
     assert len(base_states) == len(starts) == 2
     for domain, leaves in starts.items():
         assert len(base_states[domain]) == cfg.num_layers + 1
@@ -443,5 +447,6 @@ def test_sweep_evaluates_each_prefix_trie_node_once(monkeypatch):
             yield x
 
     monkeypatch.setattr(Model, "stream", counting_stream)
-    sweep(cfg, methods, budgets, seeds, probe_counts=counts, probe_seed=3)
+    sweep(RunConfig(model=cfg, probe_counts=counts, probe_seed=3, methods=methods,
+                    budgets=budgets, seeds=seeds))
     assert len(evaluated) == len(probe_sets) * len(nodes)

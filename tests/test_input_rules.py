@@ -259,11 +259,12 @@ def test_a_header_with_an_over_long_field_is_a_sink_failure():
     header = replace(_HEADER, num_layers=10 ** _DIGITS)
     with pytest.raises(SinkFailure, match="^cannot write log header: .*limit"):
         _header_to_json(header)
-    # no table of samples fits such a header, and a table of none is refused before the header
-    table = ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64), sim=np.empty(0),
-                            pooled_out=np.empty((0, header.hidden_dim), dtype=np.float32))
+    # no table of samples fits such a header, and a table of none is refused when built
     buf = io.StringIO()
     with pytest.raises(SchemaViolation, match="^no samples: "):
+        table = ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64),
+                                sim=np.empty(0),
+                                pooled_out=np.empty((0, header.hidden_dim), dtype=np.float32))
         write_log(header, table, buf)
     assert buf.getvalue() == ""
 

@@ -11,14 +11,14 @@ from depthprune import report
 from depthprune.baselines import random_plan
 from depthprune.capture import capture_run
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
-                               DepthPruneError, InconsistentDepth, InvalidConfig, MissingSubtask,
+                               DepthPruneError, InconsistentDepth, InvalidConfig, LayerSetMismatch,
                                ModelMismatch, ZeroNormInput)
 from depthprune.model import (Model, ToyModelConfig, apply_prune_plan, build_model,
                               default_protected)
 from depthprune.planner import METHODS, PrunePlan, budget_k, parse_plan, serialize_plan
 from depthprune.probes import default_probe_sets, generate_probes
-from depthprune.report import (classify_regime, fidelity, method_scores, plan_for_method,
-                               removal_pattern_grid, sweep, sweep_csv)
+from depthprune.report import (RunConfig, classify_regime, fidelity, method_scores,
+                               plan_for_method, removal_pattern_grid, sweep, sweep_csv)
 
 CFG = ToyModelConfig()
 
@@ -118,7 +118,7 @@ SWEEP_ARGS = dict(methods=["ours-math", "random"], budgets=[0.0, 0.25],
 
 
 def test_sweep_row_count_and_order():
-    reports, plans, heatmap = sweep(CFG, **SWEEP_ARGS)
+    reports, plans, heatmap = sweep(RunConfig(model=CFG, **SWEEP_ARGS))
     assert len(reports) == 2 * 2 * 2 * 1  # methods x budgets x domains x seeds
     text = sweep_csv(reports)
     lines = text.strip().split("\n")
@@ -127,7 +127,7 @@ def test_sweep_row_count_and_order():
 
 
 def test_sweep_zero_budget_is_identity():
-    reports, _, _ = sweep(CFG, **SWEEP_ARGS)
+    reports, _, _ = sweep(RunConfig(model=CFG, **SWEEP_ARGS))
     for rep in reports:
         if rep.budget_fraction == 0.0:
             assert rep.top1_agreement == 1.0
@@ -135,8 +135,8 @@ def test_sweep_zero_budget_is_identity():
 
 
 def test_sweep_deterministic_bytes():
-    a = sweep_csv(sweep(CFG, **SWEEP_ARGS)[0])
-    b = sweep_csv(sweep(CFG, **SWEEP_ARGS)[0])
+    a = sweep_csv(sweep(RunConfig(model=CFG, **SWEEP_ARGS))[0])
+    b = sweep_csv(sweep(RunConfig(model=CFG, **SWEEP_ARGS))[0])
     assert a.encode() == b.encode()
 
 
@@ -169,7 +169,7 @@ def test_sweep_checks_arguments_before_building_a_model(monkeypatch, bad, error,
     calls = []
     monkeypatch.setattr(report, "build_model", lambda config: calls.append(config))
     with pytest.raises(error, match=message):
-        sweep(CFG, **{**SWEEP_ARGS, **bad})
+        sweep(RunConfig(model=CFG, **{**SWEEP_ARGS, **bad}))
     assert calls == []
 
 
@@ -189,8 +189,8 @@ def test_sweep_caches_fidelity_by_the_set_of_pruned_layers(monkeypatch):
 
     monkeypatch.setattr(report, "plan_for_method", stub_plan)
     monkeypatch.setattr(report, "_compare", counting_compare)
-    reports, _, _ = sweep(CFG, ["cka", "ours-mixed"], [0.25], [0],
-                          probe_counts={"math": 1, "nonmath": 1})
+    reports, _, _ = sweep(RunConfig(model=CFG, methods=["cka", "ours-mixed"], budgets=[0.25],
+                                    probe_counts={"math": 1, "nonmath": 1}))
     # one evaluated trie leaf per domain serves both methods
     assert sorted(calls) == ["math", "nonmath"]
     assert [(r.method, r.domain) for r in reports] == [
@@ -200,7 +200,8 @@ def test_sweep_caches_fidelity_by_the_set_of_pruned_layers(monkeypatch):
 def test_sweep_with_no_feasible_cell_raises():
     # interlace spaces only 4 removals on the default 12-layer model
     with pytest.raises(BudgetInfeasible, match="no \\(method, budget\\) of the sweep"):
-        sweep(CFG, ["interlace"], [0.5], [0], probe_counts={"math": 1, "nonmath": 1})
+        sweep(RunConfig(model=CFG, methods=["interlace"], budgets=[0.5],
+                        probe_counts={"math": 1, "nonmath": 1}))
 
 
 def test_sweep_raises_a_worker_threads_error_with_its_type(monkeypatch):
@@ -213,14 +214,15 @@ def test_sweep_raises_a_worker_threads_error_with_its_type(monkeypatch):
 
     monkeypatch.setattr(report, "_compare", failing_compare)
     with pytest.raises(ZeroNormInput, match="nonmath final state"):
-        sweep(CFG, **SWEEP_ARGS)
+        sweep(RunConfig(model=CFG, **SWEEP_ARGS))
 
 
 def test_sweep_equals_a_serial_loop_over_the_trie():
     cfg = ToyModelConfig(num_layers=10, hidden_dim=32, num_heads=4, seed=5)
     counts = {"math": 2, "nonmath": 2}
     methods, budgets, seeds = ["ours-mixed", "cka", "random"], [0.125, 0.25, 0.5], [0, 1]
-    reports, _, _ = sweep(cfg, methods, budgets, seeds, probe_counts=counts, probe_seed=4)
+    reports, _, _ = sweep(RunConfig(model=cfg, probe_counts=counts, probe_seed=4,
+                                    methods=methods, budgets=budgets, seeds=seeds))
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 4, counts)
     runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
@@ -312,7 +314,7 @@ def test_every_method_plans_or_raises_a_typed_error(log, drawn, alpha, seed):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     plan = plan_for_method(method, table, p, alpha=alpha, seed=seed)
-            except MissingSubtask:
+            except LayerSetMismatch:
                 # cka scores layer l by CKA(l - 1, l), which layer 0 has not
                 assert method == "cka" and 0 in pruneable
                 continue

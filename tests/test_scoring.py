@@ -4,20 +4,20 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import grid_table, make_synthetic_records
 from depthprune.actlog import DomainInfo, LogHeader
-from depthprune.errors import AlphaOutOfRange, EmptyInput, LayerSetMismatch
+from depthprune.errors import AlphaOutOfRange, EmptyInput, LayerSetMismatch, SchemaViolation
 from depthprune.probes import MATH_SUBTASKS, NONMATH_SUBTASKS
 from depthprune.scoring import (DomainScoreTable, aggregate_domain,
                                 heatmap_matrix, mixed_ranking, rank_order, znormalize)
 
-HEADER = LogHeader(model_id="scoring", num_layers=4, hidden_dim=2,
-                   protected_layers=frozenset({0, 3}),
-                   domains=(DomainInfo("math", MATH_SUBTASKS, 3),
-                            DomainInfo("nonmath", NONMATH_SUBTASKS, 0)))
-
 
 def records_table(*sims, subtasks=None):
-    """A table of one math sample per row of ``sims`` (4 layers each), Math-CoT by default."""
-    return grid_table(HEADER, subtasks or ["Math-CoT"] * len(sims), np.reshape(sims, (-1, 4)))
+    """A table of one math sample per row of ``sims`` (4 layers each), Math-CoT by default,
+    under a header that counts them."""
+    header = LogHeader(model_id="scoring", num_layers=4, hidden_dim=2,
+                       protected_layers=frozenset({0, 3}),
+                       domains=(DomainInfo("math", MATH_SUBTASKS, len(sims)),
+                                DomainInfo("nonmath", NONMATH_SUBTASKS, 0)))
+    return grid_table(header, subtasks or ["Math-CoT"] * len(sims), np.reshape(sims, (-1, 4)))
 
 
 def table(raw, domain="math"):
@@ -155,7 +155,8 @@ def test_heatmap_singleton():
 
 
 def test_heatmap_empty():
-    with pytest.raises(EmptyInput):
+    # no table of no samples can be built, so a heatmap always has a row
+    with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
         heatmap_matrix(records_table())
 
 

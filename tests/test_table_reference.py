@@ -28,12 +28,11 @@ Record = namedtuple("Record", "sample_id layer domain subtask sim pooled_out")
 
 
 def records_of(table):
+    """One record per cell (sample, layer) of the table, sample-major."""
     names = [d.domain for d in table.header.domains]
     tags = table.header.subtask_tags
-    sample = table.sample_id
-    return [Record(s, l, names[d], tags[t], x, p) for s, l, d, t, x, p in zip(
-        sample.tolist(), table.layer.tolist(), table.domain[sample].tolist(),
-        table.subtask[sample].tolist(), table.sim.tolist(), table.pooled_out)]
+    return [Record(s, l, names[table.domain[s]], tags[table.subtask[s]], float(table.sim[s, l]),
+                   table.pooled_out[s, l]) for s, l in np.ndindex(table.sim.shape)]
 
 
 def ref_aggregate(records, domain, pruneable):
