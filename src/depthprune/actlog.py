@@ -85,6 +85,8 @@ class LogHeader:
 class ActivationTable:
     """A samples × layers grid over every layer of its header; it checks itself when built.
 
+    It holds read-only views of its arrays, so no edit through the table
+    skips the check; ``dataclasses.replace`` builds, and checks, a new one.
     ``clamped`` counts the sims a capture clamped into [-1, 1] (0 when read).
     """
     header: LogHeader
@@ -103,6 +105,10 @@ class ActivationTable:
         s·num_layers + l).  Each domain must hold as many samples as its
         header ``sample_count`` declares.
         """
+        for name in ("subtask", "sim", "pooled_out"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         header, n = self.header, len(self.subtask)
         if n == 0:
             raise SchemaViolation("no samples: a log holds at least one")
@@ -187,7 +193,7 @@ def _read_line(source, lineno):
 
 
 def _parse_column(line, lineno, name, dtype):
-    """The values of column ``name`` from its log line, as a writable array."""
+    """The values of column ``name`` from its log line, an array over its decoded bytes."""
     obj = load_json(line, SchemaViolation, f"line {lineno}: invalid column")
     problem = object_problem(obj, {name: str}, "column")
     if problem is None:
@@ -199,7 +205,7 @@ def _parse_column(line, lineno, name, dtype):
         problem = f"{name}: {len(data)} bytes is not a whole number of {dtype} values"
     if problem is not None:
         raise SchemaViolation(f"line {lineno}: {problem}")
-    return np.frombuffer(data, dtype=dtype).copy()
+    return np.frombuffer(data, dtype=dtype)
 
 
 def read_log(source):

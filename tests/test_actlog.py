@@ -141,25 +141,32 @@ def test_write_rejects_duplicate_pair():
 
 
 def test_write_rejects_unknown_subtask():
-    bad = table(SIMS, SIMS)
-    bad.subtask[1] = -1
+    tab = table(SIMS, SIMS)
     with pytest.raises(SchemaViolation, match="^sample 1: subtask: unknown tag -1$"):
-        write_log(header_4x2(2), bad, io.StringIO())
+        write_log(header_4x2(2), replace(tab, subtask=np.array([0, -1])), io.StringIO())
 
 
 def test_write_rejects_undeclared_domain_index():
     # a sample's domain is the one that declares its subtask, so a subtask index past every
     # domain's tags is the only way to name no domain
-    bad = table(SIMS)
-    bad.subtask[0] = 5
+    tab = table(SIMS)
     with pytest.raises(SchemaViolation, match="^sample 0: subtask: unknown tag 5$"):
-        write_log(header_4x2(), bad, io.StringIO())
+        write_log(header_4x2(), replace(tab, subtask=np.array([5])), io.StringIO())
+
+
+def test_a_table_cannot_be_edited_in_place():
+    tab = table(SIMS)
+    for column in (tab.subtask, tab.sim, tab.pooled_out):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = -1
 
 
 def test_write_validates_before_writing():
+    # a table valid under its own header, written under one that miscounts its samples
     buf = io.StringIO()
-    with pytest.raises(SchemaViolation, match="record 5: sim"):
-        write_log(header_4x2(2), table(SIMS, (0.5, 2.0, 0.5, 0.5)), buf)
+    with pytest.raises(SchemaViolation, match="^domains: 'math' declares sample_count 3, "
+                                              "but its records hold 2 samples$"):
+        write_log(header_4x2(3), table(SIMS, SIMS), buf)
     assert buf.getvalue() == ""
 
 
@@ -168,8 +175,9 @@ def test_a_refused_write_keeps_the_log_at_its_path(tmp_path):
     tab = table(SIMS)
     assert write_log_path(tab.header, tab, path) == 4
     before = (tmp_path / "keep.log").read_bytes()
-    with pytest.raises(SchemaViolation, match=r"^record 0: sim: 2.0 outside \[-1, 1\]$"):
-        write_log_path(tab.header, replace(tab, sim=tab.sim * 0 + 2.0), path)
+    with pytest.raises(SchemaViolation, match=r"^sim \(1, 4\) and pooled_out \(1, 4, 2\): "
+                                              r"not the shapes of 1 samples$"):
+        write_log_path(replace(tab.header, num_layers=5), tab, path)
     assert (tmp_path / "keep.log").read_bytes() == before
     assert read_log_path(path)[0] == tab.header
 

@@ -605,13 +605,17 @@ def test_a_log_of_no_samples_is_refused(workdir, tmp_path, capsys):
                        protected_layers=frozenset({0, 199_999}),
                        domains=(DomainInfo("math", MATH_SUBTASKS, 0),
                                 DomainInfo("nonmath", NONMATH_SUBTASKS, 0)))
+    with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
+        ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64),
+                        sim=np.empty((0, 200_000)),
+                        pooled_out=np.empty((0, 200_000, 2), dtype=np.float32))
+    # the workdir's table, written under that header, is refused before the file is opened
     kept = tmp_path / "kept.log"
     kept.write_bytes((workdir / "activations.log").read_bytes())
-    with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
-        empty = ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64),
-                                sim=np.empty((0, 200_000)),
-                                pooled_out=np.empty((0, 200_000, 2), dtype=np.float32))
-        write_log_path(header, empty, str(kept))
+    _, table = read_log_path(str(kept))
+    with pytest.raises(SchemaViolation, match=r"^sim \(\d+, 8\) and pooled_out \(\d+, 8, \d+\): "
+                                              r"not the shapes of \d+ samples$"):
+        write_log_path(header, table, str(kept))
     assert kept.read_bytes() == (workdir / "activations.log").read_bytes()
     # the log that the writer refuses, written by hand
     log = tmp_path / "empty.log"

@@ -259,12 +259,12 @@ def test_a_header_with_an_over_long_field_is_a_sink_failure():
     header = replace(_HEADER, num_layers=10 ** _DIGITS)
     with pytest.raises(SinkFailure, match="^cannot write log header: .*limit"):
         _header_to_json(header)
-    # no table of samples fits such a header, and a table of none is refused when built
+    # no table of samples fits such a header, so write_log refuses a table before the header
+    small = replace(_HEADER, domains=(DomainInfo("math", ("Math-CoT",), 1),))
+    table = ActivationTable(header=small, subtask=np.zeros(1, dtype=np.int64),
+                            sim=np.zeros((1, 4)), pooled_out=np.zeros((1, 4, 2), dtype=np.float32))
     buf = io.StringIO()
-    with pytest.raises(SchemaViolation, match="^no samples: "):
-        table = ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64),
-                                sim=np.empty(0),
-                                pooled_out=np.empty((0, header.hidden_dim), dtype=np.float32))
+    with pytest.raises(SchemaViolation, match="^sim \\(1, 4\\) and pooled_out \\(1, 4, 2\\): "):
         write_log(header, table, buf)
     assert buf.getvalue() == ""
 
