@@ -9,7 +9,7 @@ header, and ``random_plan`` draws from the pruneable layers it is given.
 import numpy as np
 
 from .errors import (BudgetInfeasible, DegenerateFeatures, InvalidConfig, LayerSetMismatch,
-                     MissingSubtask, is_int, show)
+                     MissingSubtask, check_distinct, check_int, is_int, show)
 from .linalg import center_rows, token_cosine_mean
 from .planner import PrunePlan
 from .probes import MATH_SUBTASKS, NONMATH_SUBTASKS
@@ -134,19 +134,25 @@ def interlace_plan(table, k: int, budget_fraction: float) -> PrunePlan:
                      pruned=pruned, scores={l: inout[l] for l in header.pruneable})
 
 
-def random_plan(pruneable, k: int, seed: int, num_layers: int,
-                budget_fraction: float = None) -> PrunePlan:
-    """k distinct layers drawn uniformly without replacement, seeded: the first k of one order."""
+def random_plan(pruneable, k: int, seed: int, num_layers: int) -> PrunePlan:
+    """k distinct layers drawn uniformly without replacement, seeded: the first k of one order.
+
+    ``pruneable`` is one or more distinct layers in [0, num_layers), checked before the draw.
+    """
     if not is_int(seed):
         raise InvalidConfig(f"method random requires a seed (an integer), got {show(seed)}")
-    pruneable = sorted(pruneable)
+    pruneable = list(pruneable)
+    if not pruneable:
+        raise LayerSetMismatch("pruneable: no layer to draw from")
+    for layer in pruneable:
+        check_int(LayerSetMismatch, "pruneable", layer, 0, num_layers)
+    check_distinct(LayerSetMismatch, "pruneable", pruneable)
+    pruneable.sort()
     if k > len(pruneable):
         raise BudgetInfeasible(f"k = {k} exceeds pruneable count {len(pruneable)}")
     stream = SeededStream(seed)
     pruned = stream.sample_without_replacement(pruneable, k)
     protected = frozenset(range(num_layers)) - frozenset(pruneable)
-    if budget_fraction is None:
-        budget_fraction = k / len(pruneable)
-    return PrunePlan(method="random", budget_fraction=budget_fraction, k=k,
+    return PrunePlan(method="random", budget_fraction=k / len(pruneable), k=k,
                      num_layers=num_layers, protected=protected,
                      pruned=tuple(pruned), seed=seed)

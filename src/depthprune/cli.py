@@ -63,9 +63,9 @@ def cmd_capture(args):
 
 def cmd_score(args):
     _, table = read_log_path(args.log)
-    for domain in DOMAINS:
-        scores = znormalize(aggregate_domain(table, domain))
-        print(f"domain={domain} n={scores.sample_count} "
+    # both domains are scored before any line is printed, so a failure prints nothing
+    for scores in [znormalize(aggregate_domain(table, domain)) for domain in DOMAINS]:
+        print(f"domain={scores.domain} n={scores.sample_count} "
               f"mu={scores.mu:.6f} sigma={scores.sigma:.6f}")
         for layer in scores.raw:
             print(f"  layer {layer:3d}  raw={scores.raw[layer]:+.6f}  "

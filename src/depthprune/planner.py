@@ -3,10 +3,8 @@
 import math
 from dataclasses import dataclass
 
-from .errors import (BudgetOutOfRange, LayerSetMismatch, SchemaViolation, check_distinct,
-                     check_int, check_kinds, dump_json, is_fraction, is_int, is_number, load_json,
-                     object_problem, show)
-from .scoring import rank_order
+from .errors import (BudgetOutOfRange, SchemaViolation, check_distinct, check_int, check_kinds,
+                     dump_json, is_fraction, is_int, is_number, load_json, object_problem, show)
 
 METHODS = ("ours-math", "ours-nonmath", "ours-mixed", "cka", "interlace", "random")
 
@@ -66,25 +64,6 @@ class PrunePlan:
         check_distinct(SchemaViolation, "pruned", self.pruned)
         for layer in self.scores or ():
             check_int(SchemaViolation, "scores", layer, 0, self.num_layers)
-
-
-def make_plan(scores, p: float, num_layers: int, protected, method: str,
-              alpha: float = None) -> PrunePlan:
-    """Truncate the descending order of ``scores`` to the budget K.
-
-    scores is a {layer: score} map covering exactly the pruneable set;
-    alpha is recorded in the plan (ours-mixed only).
-    """
-    protected = frozenset(protected)
-    scores = dict(scores)
-    l_mid = frozenset(range(num_layers)) - protected
-    if set(scores) != l_mid:
-        raise LayerSetMismatch(
-            f"ranking covers {sorted(scores)}, pruneable set is {sorted(l_mid)}")
-    k = budget_k(p, len(l_mid))
-    order = rank_order(scores)
-    return PrunePlan(method=method, budget_fraction=p, k=k, num_layers=num_layers,
-                     protected=protected, pruned=order[:k], alpha=alpha, scores=scores)
 
 
 def serialize_plan(plan: PrunePlan) -> str:

@@ -13,7 +13,7 @@ from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, EmptyI
                      check_distinct, check_int, is_fraction, show)
 from .linalg import ZERO_NORM_THRESHOLD
 from .model import ToyModelConfig, apply_prune_plan, build_model, threaded
-from .planner import DEFAULT_BUDGETS, METHODS, budget_k, make_plan
+from .planner import DEFAULT_BUDGETS, METHODS, PrunePlan, budget_k
 from .probes import DEFAULT_COUNTS, check_counts, default_probe_sets
 from .scoring import (DEFAULT_ALPHA, aggregate_domain, heatmap_matrix, mixed_ranking,
                       rank_order, znormalize)
@@ -224,7 +224,7 @@ def method_scores(method: str, table, alpha: float = DEFAULT_ALPHA, seed: int = 
     """(scores, full prune order) of one method over the table header's pruneable layers.
 
     ``ours-math`` and ``ours-nonmath`` are ``ours-mixed`` at alpha 0 and 1;
-    ``random`` is ``random_plan``'s full order, every score 0.0: each random plan is its first K.
+    ``random`` is ``random_plan``'s full order, every score 0.0.
     """
     header = table.header
     if method == "random":
@@ -244,16 +244,20 @@ def method_scores(method: str, table, alpha: float = DEFAULT_ALPHA, seed: int = 
 
 
 def plan_for_method(method: str, table, p: float, alpha: float = DEFAULT_ALPHA, seed: int = None):
-    """Build the PrunePlan for one method tag at budget p over the table header's layers."""
-    header, pruneable = table.header, table.header.pruneable
-    k = budget_k(p, len(pruneable))
+    """Build the PrunePlan for one method tag at budget p over the table header's layers.
+
+    Every plan but interlace's is the first K of ``method_scores``' order.
+    """
+    header = table.header
+    k = budget_k(p, len(header.pruneable))
     if method == "interlace":
         return interlace_plan(table, k, p)
-    if method == "random":
-        return random_plan(pruneable, k, seed, num_layers=header.num_layers, budget_fraction=p)
-    scores, _ = method_scores(method, table, alpha)
-    return make_plan(scores, p, header.num_layers, header.protected_layers, method,
-                     alpha=alpha if method == "ours-mixed" else None)
+    scores, order = method_scores(method, table, alpha, seed)
+    return PrunePlan(method=method, budget_fraction=p, k=k, num_layers=header.num_layers,
+                     protected=header.protected_layers, pruned=order[:k],
+                     alpha=alpha if method == "ours-mixed" else None,
+                     scores=None if method == "random" else scores,
+                     seed=seed if method == "random" else None)
 
 
 def sweep(run: RunConfig):

@@ -8,7 +8,7 @@ from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
                                   interlace_plan, interlace_solution,
                                   linear_cka, random_plan)
 from depthprune.capture import capture_run
-from depthprune.errors import BudgetInfeasible, DegenerateFeatures, MissingSubtask
+from depthprune.errors import BudgetInfeasible, DegenerateFeatures, LayerSetMismatch, MissingSubtask
 from depthprune.model import ToyModelConfig, build_model
 from depthprune.probes import default_probe_sets
 
@@ -205,6 +205,18 @@ def test_random_plan_exhaustion():
 def test_random_plan_budget_too_large():
     with pytest.raises(BudgetInfeasible):
         random_plan(range(1, 6), 6, seed=0, num_layers=7)
+
+
+@pytest.mark.parametrize("pruneable,k,message", [
+    ([], 0, "^pruneable: no layer to draw from$"),
+    ([1, 1], 1, "^pruneable: 1 is listed twice$"),
+    ([5], 1, r"^pruneable: 5 outside \[0, 3\)$"),
+    ([1, -1], 1, r"^pruneable: -1 outside \[0, 3\)$"),
+    ([1, True], 1, "^pruneable: True is not an integer$"),
+], ids=["empty", "repeated", "past-the-last-layer", "negative", "bool"])
+def test_random_plan_refuses_a_bad_layer_list(pruneable, k, message):
+    with pytest.raises(LayerSetMismatch, match=message):
+        random_plan(pruneable, k, 0, num_layers=3)
 
 
 def test_random_plan_uniformity_chi_square():

@@ -625,3 +625,14 @@ def test_a_log_of_no_samples_is_refused(workdir, tmp_path, capsys):
         read_log_path(str(log))
     assert main(["rank", "--log", str(log), "--method", "random", "--seed", "0"]) == 1
     assert capsys.readouterr() == ("", "SchemaViolation: no samples: a log holds at least one\n")
+
+
+def test_score_on_a_log_of_one_domain_prints_nothing(tmp_path, capsys):
+    # both domains are scored before the first line is printed, as rank and plan do
+    cfg = ToyModelConfig(num_layers=4, hidden_dim=8, num_heads=2)
+    header, table = capture_run(build_model(cfg),
+                                default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1})[:1])
+    log = tmp_path / "math-only.log"
+    write_log_path(header, table, str(log))
+    assert main(["score", "--log", str(log)]) == 1
+    assert capsys.readouterr() == ("", "EmptyInput: no records for domain 'nonmath'\n")

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthprune.baselines import random_plan
-
-from depthprune.errors import BudgetOutOfRange, LayerSetMismatch, SchemaViolation
+from depthprune.errors import BudgetOutOfRange, SchemaViolation
 from depthprune.model import default_protected
-from depthprune.planner import PrunePlan, budget_k, make_plan, parse_plan, serialize_plan
+from depthprune.planner import METHODS, PrunePlan, budget_k, parse_plan, serialize_plan
+from depthprune.report import plan_for_method
+from depthprune.scoring import rank_order
 
 
 def scores_for(num_layers, seed=0):
@@ -40,50 +40,51 @@ def test_budget_k_out_of_range():
         budget_k(-0.1, 10)
 
 
-def test_make_plan_argmax_first():
+def cka_plan(scores, p):
+    """The cka plan of ``scores`` on 12 layers at budget p: the first K of their order."""
+    k = budget_k(p, len(scores))
+    return PrunePlan(method="cka", budget_fraction=p, k=k, num_layers=12,
+                     protected=default_protected(12), pruned=rank_order(scores)[:k],
+                     scores=scores)
+
+
+def test_rank_order_argmax_first():
     scores = scores_for(12)
     scores[7] = 99.0
-    plan = make_plan(scores, 0.1, 12, default_protected(12), "cka")
-    assert plan.pruned[0] == 7
+    assert rank_order(scores)[0] == 7
 
 
-def test_make_plan_tie_break_deeper_first():
+def test_rank_order_tie_break_deeper_first():
     scores = {l: 0.0 for l in range(1, 11)}
-    plan = make_plan(scores, 0.3, 12, default_protected(12), "cka")
-    assert plan.pruned == (10, 9, 8)
+    assert rank_order(scores)[:3] == (10, 9, 8)
 
 
-def test_make_plan_exhaustive_subset_oracle():
+def test_rank_order_exhaustive_subset_oracle():
     for seed in range(10):
         scores = scores_for(12, seed=seed)
-        plan = make_plan(scores, 0.3, 12, default_protected(12), "cka")
+        pruned = rank_order(scores)[:budget_k(0.3, len(scores))]
         best = max(itertools.combinations(scores, 3),
                    key=lambda sub: sum(scores[l] for l in sub))
-        assert set(plan.pruned) == set(best)
+        assert set(pruned) == set(best)
 
 
-def test_make_plan_endpoint_safety():
-    plan = make_plan(scores_for(12), 1.0, 12, default_protected(12), "cka")
-    assert 0 not in plan.pruned and 11 not in plan.pruned
-    assert len(plan.pruned) == 10
+def test_plan_for_method_endpoint_safety(small_capture):
+    header, table = small_capture
+    for method in ("ours-math", "ours-nonmath", "ours-mixed", "cka", "random"):
+        plan = plan_for_method(method, table, 1.0, seed=0)
+        assert 0 not in plan.pruned and header.num_layers - 1 not in plan.pruned, method
+        assert sorted(plan.pruned) == list(header.pruneable), method
 
 
-def test_make_plan_coverage_mismatch():
-    scores = scores_for(12)
-    del scores[5]
-    with pytest.raises(LayerSetMismatch):
-        make_plan(scores, 0.2, 12, default_protected(12), "cka")
-
-
-def test_make_plan_order_consistency():
-    scores = scores_for(12, seed=4)
-    plan = make_plan(scores, 0.5, 12, default_protected(12), "cka")
-    ordered = sorted(plan.pruned, key=lambda l: (-scores[l], -l))
-    assert list(plan.pruned) == ordered
+def test_plan_for_method_order_consistency(small_capture):
+    for method in ("ours-math", "ours-nonmath", "ours-mixed", "cka"):
+        plan = plan_for_method(method, small_capture[1], 0.5)
+        ordered = sorted(plan.pruned, key=lambda l: (-plan.scores[l], -l))
+        assert list(plan.pruned) == ordered, method
 
 
 def test_serialize_round_trip():
-    plan = make_plan(scores_for(12, seed=2), 0.25, 12, default_protected(12), "cka")
+    plan = cka_plan(scores_for(12, seed=2), 0.25)
     again = parse_plan(serialize_plan(plan))
     assert again == plan
 
@@ -96,7 +97,8 @@ def test_serialize_round_trip_with_seed_and_alpha():
 
 def test_serialize_round_trip_empty_scores():
     # no pruneable layer: the scores are {}, which must not come back as None
-    plan = make_plan({}, 0.25, 2, default_protected(2), "ours-mixed", alpha=0.7)
+    plan = PrunePlan(method="ours-mixed", budget_fraction=0.25, k=0, num_layers=2,
+                     protected=default_protected(2), pruned=(), alpha=0.7, scores={})
     assert serialize_plan(plan).count('"scores":{}') == 1
     assert parse_plan(serialize_plan(plan)) == plan
 
@@ -119,14 +121,15 @@ def plans(draw):
     protected = frozenset(draw(st.sets(st.integers(0, num_layers - 1))))
     pruneable = sorted(set(range(num_layers)) - protected)
     p = draw(st.floats(0.0, 1.0))
-    method = draw(st.sampled_from(("ours-math", "ours-nonmath", "ours-mixed", "cka",
-                                   "interlace", "random")))
-    if method == "random":
-        return random_plan(pruneable, budget_k(p, len(pruneable)), draw(st.integers(0, 2 ** 63)),
-                           num_layers=num_layers, budget_fraction=p)
-    scores = {l: draw(st.floats(allow_nan=False, allow_infinity=False)) for l in pruneable}
-    alpha = draw(st.floats(0.0, 1.0)) if method == "ours-mixed" else None
-    return make_plan(scores, p, num_layers, protected, method, alpha=alpha)
+    k = budget_k(p, len(pruneable))
+    method = draw(st.sampled_from(METHODS))
+    random = method == "random"
+    scores = None if random else {
+        l: draw(st.floats(allow_nan=False, allow_infinity=False)) for l in pruneable}
+    return PrunePlan(method=method, budget_fraction=p, k=k, num_layers=num_layers,
+                     protected=protected, pruned=tuple(draw(st.permutations(pruneable))[:k]),
+                     alpha=draw(st.floats(0.0, 1.0)) if method == "ours-mixed" else None,
+                     scores=scores, seed=draw(st.integers(0, 2 ** 63)) if random else None)
 
 
 @given(plans())
@@ -136,7 +139,7 @@ def test_property_plan_round_trip(plan):
 
 
 def test_parse_rejects_k_mismatch():
-    plan = make_plan(scores_for(12), 0.25, 12, default_protected(12), "cka")
+    plan = cka_plan(scores_for(12), 0.25)
     text = serialize_plan(plan).replace('"k":2', '"k":3')
     with pytest.raises(SchemaViolation):
         parse_plan(text)
@@ -193,7 +196,7 @@ def test_parse_rejects_score_keys_that_are_not_layers(scores, message):
 
 
 def test_parse_rejects_unknown_key():
-    plan = make_plan(scores_for(12), 0.1, 12, default_protected(12), "cka")
+    plan = cka_plan(scores_for(12), 0.1)
     text = serialize_plan(plan).rstrip()[:-1] + ',"extra":1}'
     with pytest.raises(SchemaViolation, match="extra"):
         parse_plan(text)

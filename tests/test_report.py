@@ -339,15 +339,19 @@ def test_every_method_plans_or_raises_a_typed_error(log, drawn, alpha, seed):
 # ---- the random baseline ---------------------------------------------------
 
 def test_random_plans_are_prefixes_of_the_random_ranking(small_capture):
-    # rank --method random and every plan --method random come from one draw
+    # rank --method M and every plan --method M come from one ranking, for each M but
+    # interlace; random's is one draw per seed
     header, table = small_capture
-    for seed in range(200):
-        scores, order = method_scores("random", table, seed=seed)
-        assert scores == {l: 0.0 for l in header.pruneable}
-        assert sorted(order) == list(header.pruneable)
-        for p in (0.1, 0.25, 0.4, 0.5, 1.0):
-            plan = plan_for_method("random", table, p, seed=seed)
-            assert plan.pruned == order[:budget_k(p, len(order))]
+    for method in ("ours-math", "ours-nonmath", "ours-mixed", "cka", "random"):
+        for seed in range(200) if method == "random" else (None,):
+            scores, order = method_scores(method, table, seed=seed)
+            assert sorted(order) == list(header.pruneable)
+            if method == "random":
+                assert scores == {l: 0.0 for l in header.pruneable}
+            for p in (0.1, 0.25, 0.4, 0.5, 1.0):
+                plan = plan_for_method(method, table, p, seed=seed)
+                assert plan.pruned == order[:budget_k(p, len(order))], (method, p)
+                assert plan.scores == (None if method == "random" else scores), (method, p)
 
 
 def test_random_requires_a_seed(small_capture):
