@@ -8,7 +8,8 @@ from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
                                   interlace_plan, interlace_solution,
                                   linear_cka, random_plan)
 from depthprune.capture import capture_run
-from depthprune.errors import BudgetInfeasible, DegenerateFeatures, LayerSetMismatch, MissingSubtask
+from depthprune.errors import (BudgetInfeasible, DegenerateFeatures, LayerSetMismatch,
+                               MissingSubtask)
 from depthprune.model import ToyModelConfig, build_model
 from depthprune.probes import default_probe_sets
 
