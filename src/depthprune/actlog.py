@@ -12,7 +12,7 @@ for bit.  A log holds at least one sample.
 
 import base64
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,17 +96,23 @@ class ActivationTable:
     clamped: int = 0
 
     def __post_init__(self):
-        """Raise SchemaViolation for an empty or misshapen table, a bad value, a miscounted domain.
+        """Raise SchemaViolation for a column of the wrong kind, then the table's other faults.
 
-        A table with no samples is refused first, so no per-layer work follows
-        for a header that only declares its layers.  Values are checked in
-        column order, and the earliest bad one is named by its sample (a
-        subtask) or record (a sim or pooled output at cell (s, l) is record
-        s·num_layers + l).  Each domain must hold as many samples as its
-        header ``sample_count`` declares.
+        ``subtask`` must be an integer array, ``sim`` and ``pooled_out`` real
+        floating ones.  A table with no samples is refused next, so no
+        per-layer work follows for a header that only declares its layers.
+        Values are checked in column order, and the earliest bad one is named
+        by its sample (a subtask) or record (a sim or pooled output at cell
+        (s, l) is record s·num_layers + l).  Each domain must hold as many
+        samples as its header ``sample_count`` declares.
         """
-        for name in ("subtask", "sim", "pooled_out"):
-            view = getattr(self, name).view()
+        for name, kind in (("subtask", np.integer), ("sim", np.floating),
+                           ("pooled_out", np.floating)):
+            column = getattr(self, name)
+            if not (isinstance(column, np.ndarray) and np.issubdtype(column.dtype, kind)):
+                got = column.dtype if isinstance(column, np.ndarray) else type(column).__name__
+                raise SchemaViolation(f"{name}: not an array of {kind.__name__} values ({got})")
+            view = column.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
         header, n = self.header, len(self.subtask)
@@ -148,8 +154,8 @@ def _header_to_json(header: LogHeader) -> str:
     return dump_json(obj, "log header")
 
 
-def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
-    """Validate the table, then write header and columns to a text sink; returns record count.
+def write_log(table: ActivationTable, destination) -> int:
+    """Write the table (checked when built) and its header to a text sink; returns record count.
 
     Each column's bytes are encoded and written ``_PIECE`` bytes at a time,
     so no whole-column copy of its bytes (for a column already in its file
@@ -157,9 +163,8 @@ def write_log(header: LogHeader, table: ActivationTable, destination) -> int:
     ``json.dumps`` of ``{name: base64}``: a column name and the base64
     alphabet need no JSON escape.
     """
-    table = replace(table, header=header)  # checks the table as the log will hold it
     try:
-        destination.write(_header_to_json(header) + "\n")
+        destination.write(_header_to_json(table.header) + "\n")
         for name, dtype in _COLUMNS:
             data = np.ascontiguousarray(getattr(table, name), dtype=dtype)
             data = data.reshape(-1).view(np.uint8)
@@ -232,10 +237,10 @@ def read_log(source):
     return header, ActivationTable(header=header, **columns)
 
 
-def write_log_path(header: LogHeader, table: ActivationTable, path) -> int:
-    """``write_log`` into the file ``path``; a table it refuses leaves the file as it was."""
-    table = replace(table, header=header)  # checked before ``open`` truncates the file
-    return write_path(path, "log", lambda fh: write_log(header, table, fh))
+# ``path`` is keyword-only: bench/tracer.py reads it as the third positional argument or by name
+def write_log_path(table: ActivationTable, *, path) -> int:
+    """``write_log`` into the file ``path``."""
+    return write_path(path, "log", lambda fh: write_log(table, fh))
 
 
 def write_path(path, what, write):

@@ -141,6 +141,7 @@ def random_plan(pruneable, k: int, seed: int, num_layers: int) -> PrunePlan:
     """
     if not is_int(seed):
         raise InvalidConfig(f"method random requires a seed (an integer), got {show(seed)}")
+    check_int(LayerSetMismatch, "num_layers", num_layers, 1)
     pruneable = list(pruneable)
     if not pruneable:
         raise LayerSetMismatch("pruneable: no layer to draw from")

@@ -54,8 +54,8 @@ def cmd_capture(args):
     out = args.out or os.path.join(run.out, "activations.log")
     model = build_model(run.model)
     probe_sets = default_probe_sets(run.model, run.probe_seed, run.probe_counts)
-    header, table = capture_run(model, probe_sets)
-    count = write_log_path(header, table, out)
+    _, table = capture_run(model, probe_sets)
+    count = write_log_path(table, path=out)
     print(f"wrote {count} records to {out}")
     print(f"clamped {table.clamped} of {count} sims to [-1, 1]", file=sys.stderr)
     return 0
@@ -131,9 +131,9 @@ def cmd_prune_eval(args):
 def cmd_sweep(args):
     run = _load_config(args.config)
     out_dir = args.out or run.out
-    reports, plans, heatmap = sweep(run)
+    rows, plans, heatmap = sweep(run)
     outputs = {
-        "sweep.csv": sweep_csv(reports),
+        "sweep.csv": sweep_csv(rows),
         "removal_grid.csv": removal_pattern_grid(plans),
         "heatmap.csv": heatmap.to_csv(),
     }

@@ -1,7 +1,7 @@
 """Budget x method sweeps, output-fidelity metrics, and CSV reports."""
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import cycle
 
 import numpy as np
@@ -25,14 +25,11 @@ SWEEP_CSV_HEADER = "method,budget,domain,seed,top1_agreement,final_hidden_cosine
 
 @dataclass(frozen=True)
 class FidelityReport:
-    method: str
-    budget_fraction: float
     domain: str
     top1_agreement: float
     final_hidden_cosine: float
     mean_kl: float
     num_probes: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,7 @@ def fidelity(base, pruned, probes) -> FidelityReport:
 
     A one-leaf :func:`_trie_leaves` walk over the streamed base model, which
     keeps only the base's state after the block prefix the two models share
-    and its last state.  The report's method, budget and seed are left
-    blank, as :func:`_compare` leaves them.
+    and its last state.
     """
     cb, cp = base.config, pruned.config
     if (cb.vocab_size, cb.max_seq_len, cb.hidden_dim) != (cp.vocab_size, cp.max_seq_len, cp.hidden_dim):
@@ -135,8 +131,7 @@ def _compare(probes, hb, base_logits, last, logits) -> FidelityReport:
     """Agreement, cosine and KL of a pruned model's last state and logits on ``probes``.
 
     ``hb`` and ``base_logits`` are the unpruned model's last state and
-    logits on the same probes.  The method, budget and seed are left blank
-    for the caller to fill in with ``replace``.
+    logits on the same probes.
     """
     n_base, n_pruned = np.linalg.norm(hb, axis=-1), np.linalg.norm(last, axis=-1)
     if float(n_base.min()) < ZERO_NORM_THRESHOLD or float(n_pruned.min()) < ZERO_NORM_THRESHOLD:
@@ -146,14 +141,11 @@ def _compare(probes, hb, base_logits, last, logits) -> FidelityReport:
     pp = _floored_softmax(logits)
     agree = np.argmax(base_logits, axis=-1) == np.argmax(logits, axis=-1)
     return FidelityReport(
-        method="",
-        budget_fraction=0.0,
         domain=probes.domain,
         top1_agreement=int(np.sum(agree)) / agree.size,
         final_hidden_cosine=float(np.sum(cos)) / agree.size,
         mean_kl=float(np.sum(pb * np.log(pb / pp))) / agree.size,
         num_probes=probes.num_samples,
-        seed=0,
     )
 
 
@@ -263,14 +255,15 @@ def plan_for_method(method: str, table, p: float, alpha: float = DEFAULT_ALPHA, 
 def sweep(run: RunConfig):
     """Full evaluation grid of ``run``, checked when it was built.
 
-    Returns (reports, plans, heatmap): one FidelityReport per
-    (method, budget, domain, seed), one plan per (method, budget) with
-    random plans taken at the first seed, and the candidate heatmap.  A run
-    with no method, budget or seed is refused before the model is built.  A
-    (method, budget) whose plan raises ``BudgetInfeasible`` is left out of
-    both, with one line on stderr.  Each domain's base forward, and then its fidelity walk, runs on
-    its own thread; the walk drains the base states, so it ends up holding
-    only the last and those a pruned model resumes from.
+    Returns (rows, plans, heatmap): one (method, budget, seed, FidelityReport)
+    row per (method, budget, seed, domain) in that order, one plan per
+    (method, budget) with random plans taken at the first seed, and the
+    candidate heatmap.  A run with no method, budget or seed is refused
+    before the model is built.  A (method, budget) whose plan raises
+    ``BudgetInfeasible`` is left out of both, with one line on stderr.  Each
+    domain's base forward, and then its fidelity walk, runs on its own
+    thread; the walk drains the base states, so it ends up holding only the
+    last and those a pruned model resumes from.
     """
     methods, budgets, seeds = run.methods, run.budgets, run.seeds
     if not (methods and budgets and seeds):
@@ -283,7 +276,7 @@ def sweep(run: RunConfig):
     heatmap = heatmap_matrix(table)
 
     grid_plans = {}
-    rows = []           # (method, p, seed, set of pruned layers)
+    cells = []          # (method, p, seed, set of pruned layers)
     pruned_models = {}  # set of pruned layers -> pruned model; it keeps the base block order
     for method in methods:
         for p in budgets:
@@ -299,29 +292,25 @@ def sweep(run: RunConfig):
                 key = frozenset(plan.pruned)
                 if key not in pruned_models:
                     pruned_models[key] = apply_prune_plan(model, plan)
-                rows.append((method, p, seed, key))
-    if not rows:
+                cells.append((method, p, seed, key))
+    if not cells:
         raise BudgetInfeasible("no (method, budget) of the sweep is feasible")
 
     results = threaded(  # per domain: pruned set -> report
         lambda i: _reports(model, _drain(base_runs[i]), pruned_models, probe_sets[i], tokens[i]),
         range(len(probe_sets)))
-    reports = [replace(res[key], method=method, budget_fraction=p, seed=seed)
-               for method, p, seed, key in rows for res in results]
+    rows = [(method, p, seed, res[key]) for method, p, seed, key in cells for res in results]
     plans = [grid_plans[k] for k in sorted(grid_plans, key=lambda mk: (mk[0], mk[1]))]
-    return reports, plans, heatmap
+    return rows, plans, heatmap
 
 
-def sweep_csv(reports) -> str:
-    rows = []
-    for r in reports:
-        rows.append(",".join([
-            r.method, repr(float(r.budget_fraction)), r.domain, str(r.seed),
-            repr(float(r.top1_agreement)), repr(float(r.final_hidden_cosine)),
-            repr(float(r.mean_kl)), str(r.num_probes),
-        ]))
-    rows.sort()
-    return SWEEP_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+def sweep_csv(rows) -> str:
+    """CSV text of the sweep's (method, budget, seed, FidelityReport) rows, lines sorted."""
+    lines = sorted(",".join([
+        method, repr(float(p)), r.domain, str(seed), repr(float(r.top1_agreement)),
+        repr(float(r.final_hidden_cosine)), repr(float(r.mean_kl)), str(r.num_probes),
+    ]) for method, p, seed, r in rows)
+    return SWEEP_CSV_HEADER + "\n" + "\n".join(lines) + "\n"
 
 
 def removal_pattern_grid(plans) -> str:

@@ -66,10 +66,10 @@ def grid_table(header, subtasks, sims, pooled=None):
     )
 
 
-def log_bytes(header, table):
+def log_bytes(table):
     """The UTF-8 bytes of the activation log that ``write_log`` writes for ``table``."""
     buf = io.StringIO()
-    write_log(header, table, buf)
+    write_log(table, buf)
     return buf.getvalue().encode("utf-8")
 
 

@@ -37,10 +37,8 @@ def table(*sims):
 
 def test_empty_stream_header_only():
     # a log holds at least one sample: no header-only log is written or read
-    buf = io.StringIO()
     with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
-        write_log(header_4x2(0), table(), buf)
-    assert buf.getvalue() == ""
+        write_log(table(), io.StringIO())
     header_only = (log_lines()[0] + "\n"
                    + "".join(json.dumps({name: ""}) + "\n" for name, _ in _COLUMNS))
     with pytest.raises(SchemaViolation, match="^no samples: a log holds at least one$"):
@@ -69,14 +67,14 @@ def test_column_written_in_pieces_equals_one_json_dumps():
                           pooled_out=rng.standard_normal((n, 4, 5)).astype(np.float32))
     assert tab.pooled_out.nbytes > 2 * _PIECE and tab.pooled_out.nbytes % 3 != 0
     buf = io.StringIO()
-    assert write_log(header, tab, buf) == 4 * n
+    assert write_log(tab, buf) == 4 * n
     assert buf.getvalue().split("\n", 1)[1] == reference_column_lines(tab)
     _, got = read_log(io.StringIO(buf.getvalue()))
     np.testing.assert_array_equal(got.pooled_out, tab.pooled_out)
 
 
 def test_round_trip_single_record():
-    data = log_bytes(header_4x2(), table((0.5, 0.123456789, -0.5, 1.0)))
+    data = log_bytes(table((0.5, 0.123456789, -0.5, 1.0)))
     header, got = read_log(io.StringIO(data.decode()))
     assert header == header_4x2()
     assert got.header == header
@@ -92,7 +90,7 @@ def test_header_line_bytes_are_pinned():
     header = replace(header_4x2(), protected_layers=frozenset({3, 1, 0}),
                      domains=(DomainInfo("math", ("Math-CoT", "Arithmetic"), 1),
                               DomainInfo("nonmath", ("Captioning",), 0)))
-    data = log_bytes(header, grid_table(header, ["Arithmetic"], [SIMS]))
+    data = log_bytes(grid_table(header, ["Arithmetic"], [SIMS]))
     assert data.split(b"\n")[0] == (
         b'{"schema_version":4,"model_id":"toy","num_layers":4,"hidden_dim":2,'
         b'"protected_layers":[0,1,3],"domains":[{"domain":"math","subtasks":'
@@ -106,7 +104,7 @@ def test_round_trip_preserves_float32_bits():
     sims = rng.uniform(-1, 1, (20, 4))
     pooled = rng.standard_normal((20, 4, 2)).astype(np.float32)
     tab = grid_table(header_4x2(20), ["Math-CoT"] * 20, sims, pooled)
-    data = log_bytes(tab.header, tab)
+    data = log_bytes(tab)
     _, got = read_log(io.StringIO(data.decode()))
     np.testing.assert_array_equal(got.pooled_out, pooled)
     np.testing.assert_array_equal(got.sim, sims.astype(np.float32).astype(np.float64))
@@ -115,19 +113,18 @@ def test_round_trip_preserves_float32_bits():
 def test_records_carry_no_pooled_in():
     # nor sample_id, layer or domain: a record's place in the grid gives its sample and layer,
     # and a sample's subtask its domain
-    data = log_bytes(header_4x2(), table(SIMS))
+    data = log_bytes(table(SIMS))
     header, *columns = (json.loads(line) for line in data.decode().splitlines())
     assert header["schema_version"] == 4
     assert [list(obj) for obj in columns] == [["subtask"], ["sim"], ["pooled_out"]]
 
 
 def test_write_rejects_wrong_dim():
-    # a table of hidden_dim 3, written under a header of hidden_dim 2
-    header = header_4x2()
-    bad = grid_table(replace(header, hidden_dim=3), ["Math-CoT"], [SIMS])
+    # a table of hidden_dim 3, put under a header of hidden_dim 2
+    bad = grid_table(replace(header_4x2(), hidden_dim=3), ["Math-CoT"], [SIMS])
     with pytest.raises(SchemaViolation,
                        match=r"pooled_out \(1, 4, 3\): not the shapes of 1 samples"):
-        write_log(header, bad, io.StringIO())
+        write_log(replace(bad, header=header_4x2()), io.StringIO())
 
 
 def test_write_rejects_duplicate_pair():
@@ -137,13 +134,13 @@ def test_write_rejects_duplicate_pair():
     with pytest.raises(SchemaViolation, match=r"^sim \(1, 8\) and pooled_out \(1, 8, 2\): "
                                               r"not the shapes of 1 samples$"):
         twice = replace(tab, sim=np.tile(tab.sim, 2), pooled_out=np.tile(tab.pooled_out, (2, 1)))
-        write_log(header_4x2(), twice, io.StringIO())
+        write_log(twice, io.StringIO())
 
 
 def test_write_rejects_unknown_subtask():
     tab = table(SIMS, SIMS)
     with pytest.raises(SchemaViolation, match="^sample 1: subtask: unknown tag -1$"):
-        write_log(header_4x2(2), replace(tab, subtask=np.array([0, -1])), io.StringIO())
+        write_log(replace(tab, subtask=np.array([0, -1])), io.StringIO())
 
 
 def test_write_rejects_undeclared_domain_index():
@@ -151,7 +148,21 @@ def test_write_rejects_undeclared_domain_index():
     # domain's tags is the only way to name no domain
     tab = table(SIMS)
     with pytest.raises(SchemaViolation, match="^sample 0: subtask: unknown tag 5$"):
-        write_log(header_4x2(), replace(tab, subtask=np.array([5])), io.StringIO())
+        write_log(replace(tab, subtask=np.array([5])), io.StringIO())
+
+
+@pytest.mark.parametrize("column,value,got", [
+    ("subtask", np.array([0.0]), "float64"),
+    ("subtask", np.array([False]), "bool"),
+    ("sim", [list(SIMS)], "list"),
+    ("sim", np.array([SIMS], dtype=complex), "complex128"),
+], ids=["float-subtask", "bool-subtask", "list-sim", "complex-sim"])
+def test_a_column_of_another_kind_is_refused_first(column, value, got):
+    # a complex sim would build, and then lose its imaginary part in the log
+    kind = "integer" if column == "subtask" else "floating"
+    with pytest.raises(SchemaViolation,
+                       match=rf"^{column}: not an array of {kind} values \({got}\)$"):
+        replace(table(SIMS), **{column: value})
 
 
 def test_a_table_cannot_be_edited_in_place():
@@ -162,24 +173,21 @@ def test_a_table_cannot_be_edited_in_place():
 
 
 def test_write_validates_before_writing():
-    # a table valid under its own header, written under one that miscounts its samples
-    buf = io.StringIO()
+    # a table valid under its own header, put under one that miscounts its samples
     with pytest.raises(SchemaViolation, match="^domains: 'math' declares sample_count 3, "
                                               "but its records hold 2 samples$"):
-        write_log(header_4x2(3), table(SIMS, SIMS), buf)
-    assert buf.getvalue() == ""
+        write_log(replace(table(SIMS, SIMS), header=header_4x2(3)), io.StringIO())
 
 
 def test_a_refused_write_keeps_the_log_at_its_path(tmp_path):
     path = str(tmp_path / "keep.log")
     tab = table(SIMS)
-    assert write_log_path(tab.header, tab, path) == 4
-    before = (tmp_path / "keep.log").read_bytes()
+    assert write_log_path(tab, path=path) == 4
+    assert read_log_path(path)[0] == tab.header
+    # a table is checked when built, so no table the writer could refuse reaches it
     with pytest.raises(SchemaViolation, match=r"^sim \(1, 4\) and pooled_out \(1, 4, 2\): "
                                               r"not the shapes of 1 samples$"):
-        write_log_path(replace(tab.header, num_layers=5), tab, path)
-    assert (tmp_path / "keep.log").read_bytes() == before
-    assert read_log_path(path)[0] == tab.header
+        write_log_path(replace(tab, header=replace(tab.header, num_layers=5)), path=path)
 
 
 def test_write_turns_a_sink_failure_into_sink_failure():
@@ -189,12 +197,12 @@ def test_write_turns_a_sink_failure_into_sink_failure():
 
     with pytest.raises(SinkFailure, match=r"^I/O failure while writing log: "
                                           r"\[Errno 28\] No space left on device$"):
-        write_log(header_4x2(), table(SIMS), FullSink())
+        write_log(table(SIMS), FullSink())
 
 
 def log_lines(tab=None):
     tab = table(SIMS) if tab is None else tab
-    return log_bytes(tab.header, tab).decode().splitlines()
+    return log_bytes(tab).decode().splitlines()
 
 
 def text(lines):
@@ -371,13 +379,13 @@ def test_read_streams_lines():
             return self._buf.readline()
 
     tab = table(SIMS, SIMS)
-    data = log_bytes(tab.header, tab).decode()
+    data = log_bytes(tab).decode()
     _, got = read_log(LinesOnly(data))
     np.testing.assert_array_equal(got.sim, [SIMS, SIMS])
 
 
 def test_truncated_last_line():
-    data = log_bytes(header_4x2(), table(SIMS)).decode()
+    data = log_bytes(table(SIMS)).decode()
     with pytest.raises(TruncatedFile, match="^line 4: unterminated"):
         read_log(io.StringIO(data[:-10]))
     # a log cut at a line boundary has all its lines whole, but too few of them
@@ -465,11 +473,11 @@ def test_header_sample_counts_must_match_the_records():
                                                   f"{count}, but its records hold {held} samples"):
             read_log(io.StringIO(text(lines)))
     with pytest.raises(SchemaViolation, match="^domains: 'math' declares sample_count 250"):
-        write_log(header_4x2(250), tab, io.StringIO())
+        write_log(replace(tab, header=header_4x2(250)), io.StringIO())
     # a Captioning sample is a nonmath sample, whatever header the table was built under
     with pytest.raises(SchemaViolation, match="^domains: 'math' declares sample_count 1, "
                                               "but its records hold 0 samples"):
-        write_log(header_4x2(), grid_table(header_4x2(), ["Captioning"], [SIMS]), io.StringIO())
+        write_log(grid_table(header_4x2(), ["Captioning"], [SIMS]), io.StringIO())
 
 
 # ---- property tests over random headers and tables --------------------------
@@ -511,7 +519,7 @@ def headers_and_tables(draw):
 @settings(max_examples=150, deadline=None)
 def test_property_round_trip_is_bit_exact(case):
     header, tab = case
-    got_header, got = read_log(io.StringIO(log_bytes(header, tab).decode()))
+    got_header, got = read_log(io.StringIO(log_bytes(tab).decode()))
     assert got_header == header
     for name in ("subtask", "domain"):
         np.testing.assert_array_equal(getattr(got, name), getattr(tab, name))
@@ -546,8 +554,8 @@ LINE_CORRUPTIONS = {
 @given(headers_and_tables(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_property_corrupt_line_is_reported(case, data):
-    header, tab = case
-    lines = log_bytes(header, tab).decode().splitlines()
+    _, tab = case
+    lines = log_bytes(tab).decode().splitlines()
     kind = data.draw(st.sampled_from(sorted(LINE_CORRUPTIONS) + ["extra line"]), label="kind")
     if kind == "extra line":
         lines.append(data.draw(st.sampled_from(["", "{}", lines[-1]])))
@@ -565,7 +573,7 @@ def test_property_corrupt_line_is_reported(case, data):
 @settings(max_examples=200, deadline=None)
 def test_property_bad_record_value_is_reported(case, data):
     header, tab = case
-    lines = log_bytes(header, tab).decode().splitlines()
+    lines = log_bytes(tab).decode().splitlines()
     rng = data.draw(st.randoms(use_true_random=False))
     kind = data.draw(st.sampled_from(["subtask", "sim", "pooled_out"]), label="kind")
     if kind == "subtask":  # a sample's tag index that no domain declares
@@ -590,8 +598,8 @@ def test_property_bad_record_value_is_reported(case, data):
 @settings(max_examples=100, deadline=None)
 def test_property_truncated_last_line(case, data):
     """A log cut anywhere, at a line boundary too, raises TruncatedFile."""
-    header, tab = case
-    log = log_bytes(header, tab).decode()
+    _, tab = case
+    log = log_bytes(tab).decode()
     boundaries = [i + 1 for i, char in enumerate(log[:-1]) if char == "\n"]
     cut = data.draw(st.sampled_from(boundaries) | st.integers(1, len(log) - 1), label="cut")
     with pytest.raises(TruncatedFile):

@@ -208,16 +208,21 @@ def test_random_plan_budget_too_large():
         random_plan(range(1, 6), 6, seed=0, num_layers=7)
 
 
-@pytest.mark.parametrize("pruneable,k,message", [
-    ([], 0, "^pruneable: no layer to draw from$"),
-    ([1, 1], 1, "^pruneable: 1 is listed twice$"),
-    ([5], 1, r"^pruneable: 5 outside \[0, 3\)$"),
-    ([1, -1], 1, r"^pruneable: -1 outside \[0, 3\)$"),
-    ([1, True], 1, "^pruneable: True is not an integer$"),
-], ids=["empty", "repeated", "past-the-last-layer", "negative", "bool"])
-def test_random_plan_refuses_a_bad_layer_list(pruneable, k, message):
+@pytest.mark.parametrize("pruneable,k,num_layers,message", [
+    ([], 0, 3, "^pruneable: no layer to draw from$"),
+    ([1, 1], 1, 3, "^pruneable: 1 is listed twice$"),
+    ([5], 1, 3, r"^pruneable: 5 outside \[0, 3\)$"),
+    ([1, -1], 1, 3, r"^pruneable: -1 outside \[0, 3\)$"),
+    ([1, True], 1, 3, "^pruneable: True is not an integer$"),
+    # the layer count is checked before the layers it bounds
+    ([1], 1, None, "^num_layers: None is not an integer$"),
+    ([1], 1, 2.5, "^num_layers: 2.5 is not an integer$"),
+    ([1], 1, True, "^num_layers: True is not an integer$"),
+], ids=["empty", "repeated", "past-the-last-layer", "negative", "bool",
+        "num-layers-none", "num-layers-float", "num-layers-bool"])
+def test_random_plan_refuses_a_bad_layer_list(pruneable, k, num_layers, message):
     with pytest.raises(LayerSetMismatch, match=message):
-        random_plan(pruneable, k, 0, num_layers=3)
+        random_plan(pruneable, k, 0, num_layers=num_layers)
 
 
 def test_random_plan_uniformity_chi_square():

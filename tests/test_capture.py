@@ -74,8 +74,8 @@ def test_neutralized_block_sim_is_one():
 def test_capture_holds_what_its_log_reads_back(small_capture):
     # sims are rounded to float32 as the log stores them, so sweep (which ranks the
     # captured table) and rank, plan and heatmap (which read the log) see the same numbers
-    header, table = small_capture
-    _, logged = read_log(io.StringIO(log_bytes(header, table).decode()))
+    _, table = small_capture
+    _, logged = read_log(io.StringIO(log_bytes(table).decode()))
     for name in ("subtask", "sim", "pooled_out"):
         got, want = getattr(table, name), getattr(logged, name)
         assert got.dtype == want.dtype

@@ -91,6 +91,31 @@ def test_plan_then_prune_eval(workdir, capsys):
     assert all(line.startswith("ours-mixed,0.25,") for line in lines[1:])
 
 
+def test_prune_eval_of_a_written_plan_prints_the_sweeps_rows(workdir, tmp_path, capsys):
+    # prune-eval's one-leaf fidelity walk and the sweep's shared trie walk agree, through the
+    # plan file of every method: its rows are the sweep's for that cell, less the seed column
+    budgets, seeds = ("0.1", "0.25", "0.4"), ("0", "3")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(CONFIG, methods=list(METHODS),
+                                      budgets=[float(b) for b in budgets],
+                                      seeds=[int(s) for s in seeds])))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    sweep_rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
+    log, plan = str(workdir / "activations.log"), str(tmp_path / "plan.json")
+    for method in METHODS:
+        for budget in budgets:
+            for seed in seeds:
+                assert main(["plan", "--log", log, "--method", method, "--budget", budget,
+                             "--seed", seed, "--out", plan]) == 0
+                capsys.readouterr()
+                assert main(["prune-eval", "--config", str(config), "--plan", plan]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                want = [",".join(row[:3] + row[4:]) for row in sweep_rows[1:]
+                        if row[:2] == [method, budget] and row[3] == seed]
+                assert len(want) == 2 and lines[1:] == want, (method, budget, seed)
+
+
 def test_sweep_writes_three_files_idempotently(workdir, capsys):
     config = str(workdir / "config.json")
     out1, out2 = workdir / "out1", workdir / "out2"
@@ -555,7 +580,7 @@ def inner_protected_log(tmp_path_factory):
     header = replace(table.header, protected_layers=frozenset({0, 5, 11}))
     table = replace(table, header=header)
     path = tmp_path_factory.mktemp("inner") / "inner.log"
-    write_log_path(header, table, str(path))
+    write_log_path(table, path=str(path))
     return path, table
 
 
@@ -609,14 +634,11 @@ def test_a_log_of_no_samples_is_refused(workdir, tmp_path, capsys):
         ActivationTable(header=header, subtask=np.empty(0, dtype=np.int64),
                         sim=np.empty((0, 200_000)),
                         pooled_out=np.empty((0, 200_000, 2), dtype=np.float32))
-    # the workdir's table, written under that header, is refused before the file is opened
-    kept = tmp_path / "kept.log"
-    kept.write_bytes((workdir / "activations.log").read_bytes())
-    _, table = read_log_path(str(kept))
+    # nor is the workdir's table, put under that header
+    _, table = read_log_path(str(workdir / "activations.log"))
     with pytest.raises(SchemaViolation, match=r"^sim \(\d+, 8\) and pooled_out \(\d+, 8, \d+\): "
                                               r"not the shapes of \d+ samples$"):
-        write_log_path(header, table, str(kept))
-    assert kept.read_bytes() == (workdir / "activations.log").read_bytes()
+        replace(table, header=header)
     # the log that the writer refuses, written by hand
     log = tmp_path / "empty.log"
     log.write_text(_header_to_json(header) + "\n"
@@ -630,9 +652,9 @@ def test_a_log_of_no_samples_is_refused(workdir, tmp_path, capsys):
 def test_score_on_a_log_of_one_domain_prints_nothing(tmp_path, capsys):
     # both domains are scored before the first line is printed, as rank and plan do
     cfg = ToyModelConfig(num_layers=4, hidden_dim=8, num_heads=2)
-    header, table = capture_run(build_model(cfg),
-                                default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1})[:1])
+    _, table = capture_run(build_model(cfg),
+                           default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1})[:1])
     log = tmp_path / "math-only.log"
-    write_log_path(header, table, str(log))
+    write_log_path(table, path=str(log))
     assert main(["score", "--log", str(log)]) == 1
     assert capsys.readouterr() == ("", "EmptyInput: no records for domain 'nonmath'\n")

@@ -127,9 +127,9 @@ def test_sweep_row_count_and_order():
 
 
 def test_sweep_zero_budget_is_identity():
-    reports, _, _ = sweep(RunConfig(model=CFG, **SWEEP_ARGS))
-    for rep in reports:
-        if rep.budget_fraction == 0.0:
+    rows, _, _ = sweep(RunConfig(model=CFG, **SWEEP_ARGS))
+    for _, p, _, rep in rows:
+        if p == 0.0:
             assert rep.top1_agreement == 1.0
             assert rep.mean_kl == 0.0
 
@@ -193,7 +193,7 @@ def test_sweep_caches_fidelity_by_the_set_of_pruned_layers(monkeypatch):
                                     probe_counts={"math": 1, "nonmath": 1}))
     # one evaluated trie leaf per domain serves both methods
     assert sorted(calls) == ["math", "nonmath"]
-    assert [(r.method, r.domain) for r in reports] == [
+    assert [(method, r.domain) for method, _, _, r in reports] == [
         ("cka", "math"), ("cka", "nonmath"), ("ours-mixed", "math"), ("ours-mixed", "nonmath")]
 
 
@@ -237,8 +237,7 @@ def test_sweep_equals_a_serial_loop_over_the_trie():
         for key, last, leaf_logits in islice(report._trie_leaves(model, states, pruned,
                                                                  ps.token_matrix()), 1, None):
             results[key, ps.domain] = report._compare(ps, states[-1], logits, last, leaf_logits)
-    assert reports == [replace(results[frozenset(plans[m, p, s].pruned), ps.domain],
-                               method=m, budget_fraction=p, seed=s)
+    assert reports == [(m, p, s, results[frozenset(plans[m, p, s].pruned), ps.domain])
                        for m, p, s in cells for ps in probe_sets]
 
 

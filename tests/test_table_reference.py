@@ -105,8 +105,8 @@ def captured_tables():
     cfg = ToyModelConfig(seed=4)
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 4, {"math": 3, "nonmath": 3})
-    header, table = capture_run(model, probe_sets)
-    _, logged = read_log(io.StringIO(log_bytes(header, table).decode()))
+    _, table = capture_run(model, probe_sets)
+    _, logged = read_log(io.StringIO(log_bytes(table).decode()))
     return [("captured", table), ("captured-log", logged),
             ("captured-shuffled", shuffled(table, 9))]
 
