@@ -87,13 +87,11 @@ class ActivationTable:
 
     It holds read-only views of its arrays, so no edit through the table
     skips the check; ``dataclasses.replace`` builds, and checks, a new one.
-    ``clamped`` counts the sims a capture clamped into [-1, 1] (0 when read).
     """
     header: LogHeader
     subtask: np.ndarray     # int64 (n,), index into header.subtask_tags
     sim: np.ndarray         # float64 (n, num_layers)
     pooled_out: np.ndarray  # float32 (n, num_layers, hidden_dim)
-    clamped: int = 0
 
     def __post_init__(self):
         """Raise SchemaViolation for a column of the wrong kind, then the table's other faults.
@@ -154,8 +152,8 @@ def _header_to_json(header: LogHeader) -> str:
     return dump_json(obj, "log header")
 
 
-def write_log(table: ActivationTable, destination) -> int:
-    """Write the table (checked when built) and its header to a text sink; returns record count.
+def write_log(table: ActivationTable, destination):
+    """Write the table (checked when built) and its header to a text sink.
 
     Each column's bytes are encoded and written ``_PIECE`` bytes at a time,
     so no whole-column copy of its bytes (for a column already in its file
@@ -175,7 +173,6 @@ def write_log(table: ActivationTable, destination) -> int:
         destination.flush()
     except OSError as exc:
         raise SinkFailure(f"I/O failure while writing log: {exc}") from exc
-    return len(table)
 
 
 def _parse_header(line: str) -> LogHeader:
@@ -185,6 +182,7 @@ def _parse_header(line: str) -> LogHeader:
         problem = problem or object_problem(d, _DOMAIN_KINDS, "domain")
     if problem is not None:
         raise SchemaViolation(f"line 1: {problem}")
+    check_distinct(SchemaViolation, "line 1: protected_layers", obj["protected_layers"])
     domains = tuple(DomainInfo(**dict(d, subtasks=tuple(d["subtasks"]))) for d in obj["domains"])
     return LogHeader(**dict(obj, protected_layers=frozenset(obj["protected_layers"]),
                             domains=domains))
@@ -214,7 +212,7 @@ def _parse_column(line, lineno, name, dtype):
 
 
 def read_log(source):
-    """Read and validate an activation log; returns (header, table).
+    """Read and validate an activation log; returns its table.
 
     A fault in a line's form names the line (``line N: ...``), such as a
     column length the header's sizes do not give; an invalid value names its
@@ -234,13 +232,13 @@ def read_log(source):
                                   f"expected {expected} for {n} samples")
     columns["sim"] = columns["sim"].astype(np.float64).reshape(n, header.num_layers)
     columns["pooled_out"] = columns["pooled_out"].reshape(n, header.num_layers, d)
-    return header, ActivationTable(header=header, **columns)
+    return ActivationTable(header=header, **columns)
 
 
 # ``path`` is keyword-only: bench/tracer.py reads it as the third positional argument or by name
-def write_log_path(table: ActivationTable, *, path) -> int:
+def write_log_path(table: ActivationTable, *, path):
     """``write_log`` into the file ``path``."""
-    return write_path(path, "log", lambda fh: write_log(table, fh))
+    write_path(path, "log", lambda fh: write_log(table, fh))
 
 
 def write_path(path, what, write):
@@ -248,7 +246,7 @@ def write_path(path, what, write):
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            return write(fh)
+            write(fh)
     except OSError as exc:
         raise SinkFailure(f"cannot write {what} {path}: {exc}") from exc
 

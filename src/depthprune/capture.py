@@ -27,7 +27,7 @@ def layer_stats(states):
 
 
 def capture_run(model, probe_sets, runs=None):
-    """One table cell per (sample, layer), over every layer; returns (header, table).
+    """One table cell per (sample, layer), over every layer; returns (clamped, table).
 
     Samples are numbered sequentially across probe sets in the given order.
     ``runs`` holds one iterable of the model's states per probe set, such as
@@ -39,7 +39,7 @@ def capture_run(model, probe_sets, runs=None):
     whole-domain stream.  A ``runs`` that is a mapping, or that holds a
     different number of runs than there are probe sets, raises
     ``ValueError`` before any block is reduced.  Sims are clamped into
-    [-1, 1], ``table.clamped`` counting how many needed it, and rounded to
+    [-1, 1], ``clamped`` counting how many needed it, and rounded to
     float32 as the log stores them, so a table ranks as its log does.  No
     probe sets, or a probe set with no samples, raises ``EmptyInput``, and a
     pruned model ``PlanModelMismatch``, before any block runs.
@@ -75,10 +75,9 @@ def capture_run(model, probe_sets, runs=None):
     subtask = [tags.index(tag) for ps in probe_sets for tag, _ in ps.all_samples()]
     stats = [layer_stats(states) for states in runs]
     sim = np.concatenate([s for s, _ in stats])
-    return header, ActivationTable(
+    return int(np.count_nonzero(np.abs(sim) > 1.0)), ActivationTable(
         header=header,
         subtask=np.asarray(subtask, dtype=np.int64),
         sim=np.clip(sim, -1.0, 1.0).astype(np.float32).astype(np.float64),
         pooled_out=np.concatenate([p for _, p in stats]),
-        clamped=int(np.count_nonzero(np.abs(sim) > 1.0)),
     )

@@ -54,15 +54,15 @@ def cmd_capture(args):
     out = args.out or os.path.join(run.out, "activations.log")
     model = build_model(run.model)
     probe_sets = default_probe_sets(run.model, run.probe_seed, run.probe_counts)
-    _, table = capture_run(model, probe_sets)
-    count = write_log_path(table, path=out)
-    print(f"wrote {count} records to {out}")
-    print(f"clamped {table.clamped} of {count} sims to [-1, 1]", file=sys.stderr)
+    clamped, table = capture_run(model, probe_sets)
+    write_log_path(table, path=out)
+    print(f"wrote {len(table)} records to {out}")
+    print(f"clamped {clamped} of {len(table)} sims to [-1, 1]", file=sys.stderr)
     return 0
 
 
 def cmd_score(args):
-    _, table = read_log_path(args.log)
+    table = read_log_path(args.log)
     # both domains are scored before any line is printed, so a failure prints nothing
     for scores in [znormalize(aggregate_domain(table, domain)) for domain in DOMAINS]:
         print(f"domain={scores.domain} n={scores.sample_count} "
@@ -85,7 +85,7 @@ def _check_flags(args, budget=None):
 
 def cmd_rank(args):
     _check_flags(args)
-    _, table = read_log_path(args.log)
+    table = read_log_path(args.log)
     scores, order = method_scores(args.method, table, args.alpha, args.seed)
     for layer in order:
         print(f"{layer}\t{scores[layer]:+.6f}")
@@ -98,7 +98,7 @@ def _write_text(path, what, text):
 
 def cmd_plan(args):
     _check_flags(args, args.budget)
-    _, table = read_log_path(args.log)
+    table = read_log_path(args.log)
     plan = plan_for_method(args.method, table, args.budget, alpha=args.alpha, seed=args.seed)
     regime = classify_regime(args.budget)
     if args.out:  # a failed write prints nothing
@@ -145,7 +145,7 @@ def cmd_sweep(args):
 
 
 def cmd_heatmap(args):
-    _, table = read_log_path(args.log)
+    table = read_log_path(args.log)
     sys.stdout.write(heatmap_matrix(table).to_csv())
     return 0
 

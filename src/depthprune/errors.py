@@ -4,7 +4,7 @@ Every error carries an ``exit_code`` used by the CLI: 1 for validation
 problems (bad input, schema, config), 2 for runtime failures (I/O).
 ``is_int``, ``is_number`` and ``is_fraction`` (a number in [0, 1]) are the
 only rules for a valid integer, number and fraction; none takes a ``bool``.
-``check_int`` and ``check_distinct`` word each integer and repeat fault once;
+``check_int``, ``check_fraction`` and ``check_distinct`` word each fault once;
 ``kind_problem``, ``check_kinds`` and ``object_problem`` apply the kind rules
 of each on-disk record, to a file's keys and to a record's fields alike.
 ``show`` writes a value into a message, an over-long integer too.
@@ -48,6 +48,11 @@ def check_int(error, name, value, low=None, high=None):
         raise error(f"{name}: {show(value)} outside [{low}, {show(high)})")
     if low is not None and value < low:
         raise error(f"{name}: must be >= {low}, got {show(value)}")
+
+
+def check_fraction(error, name, value):
+    if not is_fraction(value):
+        raise error(f"{name} must be in [0, 1], got {show(value)}")
 
 
 def check_distinct(error, name, values):
@@ -98,11 +103,16 @@ def object_problem(obj, kinds, what):
     return kind_problem(kinds, {key: obj[key] for key in kinds})
 
 
+def _distinct_keys(pairs):
+    check_distinct(ValueError, "key", (key for key, _ in pairs))
+    return dict(pairs)
+
+
 def load_json(text, error, what):
-    """``json.loads(text)``; any ValueError (a decode fault, or an integer literal longer than
-    ``sys.get_int_max_str_digits()``) raises ``error("<what> (<reason>)")``."""
+    """``json.loads(text)``; any ValueError (a decode fault, a repeated key, or an integer literal
+    longer than ``sys.get_int_max_str_digits()``) raises ``error("<what> (<reason>)")``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_distinct_keys)
     except ValueError as exc:
         raise error(f"{what} ({getattr(exc, 'msg', exc)})") from exc
 

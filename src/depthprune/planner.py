@@ -3,8 +3,9 @@
 import math
 from dataclasses import dataclass
 
-from .errors import (BudgetOutOfRange, SchemaViolation, check_distinct, check_int, check_kinds,
-                     dump_json, is_fraction, is_int, is_number, load_json, object_problem, show)
+from .errors import (BudgetOutOfRange, SchemaViolation, check_distinct, check_fraction, check_int,
+                     check_kinds, dump_json, is_fraction, is_int, is_number, load_json,
+                     object_problem, show)
 
 METHODS = ("ours-math", "ours-nonmath", "ours-mixed", "cka", "interlace", "random")
 
@@ -22,8 +23,7 @@ _PLAN_KINDS = {
 
 def budget_k(p: float, n_mid: int) -> int:
     """K = floor(p * n_mid), guarded against float representation of p."""
-    if not is_fraction(p):
-        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {show(p)}")
+    check_fraction(BudgetOutOfRange, "budget fraction", p)
     if n_mid < 0:
         raise BudgetOutOfRange(f"n_mid must be >= 0, got {n_mid}")
     return int(math.floor(p * n_mid + 1e-9))
@@ -79,6 +79,7 @@ def parse_plan(text) -> PrunePlan:
     problem = object_problem(obj, _PLAN_KINDS, "plan")
     if problem is not None:
         raise SchemaViolation(f"plan: {problem}")
+    check_distinct(SchemaViolation, "plan: protected", obj["protected"])
     scores = obj["scores"]
     if scores is not None:
         for key in scores:  # only the form serialize_plan writes, str(layer)

@@ -10,7 +10,7 @@ from .baselines import cka_rank, interlace_plan, random_plan
 from .capture import capture_run
 from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, EmptyInput,
                      InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput,
-                     check_distinct, check_int, is_fraction, show)
+                     check_distinct, check_fraction, check_int)
 from .linalg import ZERO_NORM_THRESHOLD
 from .model import ToyModelConfig, apply_prune_plan, build_model, threaded
 from .planner import DEFAULT_BUDGETS, METHODS, PrunePlan, budget_k
@@ -59,12 +59,9 @@ class RunConfig:
             if method not in METHODS:
                 raise InvalidConfig(
                     f"methods: unknown method {method!r} (expected one of {METHODS})")
-        if not is_fraction(self.alpha):
-            raise AlphaOutOfRange(f"alpha must be in [0, 1], got {show(self.alpha)}")
+        check_fraction(AlphaOutOfRange, "alpha", self.alpha)
         for p in self.budgets:
-            if not is_fraction(p):
-                raise BudgetOutOfRange(
-                    f"budgets: budget fraction must be in [0, 1], got {show(p)}")
+            check_fraction(BudgetOutOfRange, "budgets: budget fraction", p)
         for seed in self.seeds:
             check_int(InvalidConfig, "seeds", seed)
         for key in ("methods", "budgets", "seeds"):
@@ -76,8 +73,7 @@ class RunConfig:
 
 def classify_regime(p: float) -> RegimeLabel:
     """Fixed budget bands: <=15% ranking-sensitive, <=32% transition, above structure-dominated."""
-    if not is_fraction(p):
-        raise BudgetOutOfRange(f"budget fraction must be in [0, 1], got {show(p)}")
+    check_fraction(BudgetOutOfRange, "budget fraction", p)
     if p <= 0.15:
         label = "ranking-sensitive"
     elif p <= 0.32:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, EmptyInput, LayerSetMismatch, is_fraction, show
+from .errors import AlphaOutOfRange, EmptyInput, LayerSetMismatch, check_fraction
 
 EPSILON = 1e-8
 
@@ -66,8 +66,7 @@ def znormalize(table: DomainScoreTable) -> DomainScoreTable:
 def mixed_ranking(math_table: DomainScoreTable, nonmath_table: DomainScoreTable,
                   alpha: float) -> MixedRanking:
     """R_l = alpha * nonmath + (1 - alpha) * math over normalized scores."""
-    if not is_fraction(alpha):
-        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {show(alpha)}")
+    check_fraction(AlphaOutOfRange, "alpha", alpha)
     if math_table.normalized is None or nonmath_table.normalized is None:
         raise LayerSetMismatch("both tables must be normalized before mixing")
     if set(math_table.normalized) != set(nonmath_table.normalized):

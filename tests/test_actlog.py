@@ -67,17 +67,17 @@ def test_column_written_in_pieces_equals_one_json_dumps():
                           pooled_out=rng.standard_normal((n, 4, 5)).astype(np.float32))
     assert tab.pooled_out.nbytes > 2 * _PIECE and tab.pooled_out.nbytes % 3 != 0
     buf = io.StringIO()
-    assert write_log(tab, buf) == 4 * n
+    write_log(tab, buf)
     assert buf.getvalue().split("\n", 1)[1] == reference_column_lines(tab)
-    _, got = read_log(io.StringIO(buf.getvalue()))
+    got = read_log(io.StringIO(buf.getvalue()))
     np.testing.assert_array_equal(got.pooled_out, tab.pooled_out)
 
 
 def test_round_trip_single_record():
     data = log_bytes(table((0.5, 0.123456789, -0.5, 1.0)))
-    header, got = read_log(io.StringIO(data.decode()))
+    got = read_log(io.StringIO(data.decode()))
+    header = got.header
     assert header == header_4x2()
-    assert got.header == header
     assert len(got) == 4
     assert got.sim.shape == (1, 4) and got.pooled_out.shape == (1, 4, 2)
     assert header.domains[got.domain[0]].domain == "math"
@@ -96,7 +96,7 @@ def test_header_line_bytes_are_pinned():
         b'"protected_layers":[0,1,3],"domains":[{"domain":"math","subtasks":'
         b'["Math-CoT","Arithmetic"],"sample_count":1},{"domain":"nonmath",'
         b'"subtasks":["Captioning"],"sample_count":0}]}')
-    assert read_log(io.StringIO(data.decode()))[0] == header
+    assert read_log(io.StringIO(data.decode())).header == header
 
 
 def test_round_trip_preserves_float32_bits():
@@ -105,7 +105,7 @@ def test_round_trip_preserves_float32_bits():
     pooled = rng.standard_normal((20, 4, 2)).astype(np.float32)
     tab = grid_table(header_4x2(20), ["Math-CoT"] * 20, sims, pooled)
     data = log_bytes(tab)
-    _, got = read_log(io.StringIO(data.decode()))
+    got = read_log(io.StringIO(data.decode()))
     np.testing.assert_array_equal(got.pooled_out, pooled)
     np.testing.assert_array_equal(got.sim, sims.astype(np.float32).astype(np.float64))
 
@@ -182,8 +182,8 @@ def test_write_validates_before_writing():
 def test_a_refused_write_keeps_the_log_at_its_path(tmp_path):
     path = str(tmp_path / "keep.log")
     tab = table(SIMS)
-    assert write_log_path(tab, path=path) == 4
-    assert read_log_path(path)[0] == tab.header
+    write_log_path(tab, path=path)
+    assert read_log_path(path).header == tab.header
     # a table is checked when built, so no table the writer could refuse reaches it
     with pytest.raises(SchemaViolation, match=r"^sim \(1, 4\) and pooled_out \(1, 4, 2\): "
                                               r"not the shapes of 1 samples$"):
@@ -380,7 +380,7 @@ def test_read_streams_lines():
 
     tab = table(SIMS, SIMS)
     data = log_bytes(tab).decode()
-    _, got = read_log(LinesOnly(data))
+    got = read_log(LinesOnly(data))
     np.testing.assert_array_equal(got.sim, [SIMS, SIMS])
 
 
@@ -519,8 +519,8 @@ def headers_and_tables(draw):
 @settings(max_examples=150, deadline=None)
 def test_property_round_trip_is_bit_exact(case):
     header, tab = case
-    got_header, got = read_log(io.StringIO(log_bytes(tab).decode()))
-    assert got_header == header
+    got = read_log(io.StringIO(log_bytes(tab).decode()))
+    assert got.header == header
     for name in ("subtask", "domain"):
         np.testing.assert_array_equal(getattr(got, name), getattr(tab, name))
     assert got.sim.dtype == np.float64 and got.pooled_out.dtype == np.float32

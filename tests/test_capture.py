@@ -1,12 +1,13 @@
 import io
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import log_bytes
 from depthprune import capture
-from depthprune.actlog import read_log
+from depthprune.actlog import ActivationTable, read_log
 from depthprune.capture import capture_run, layer_stats
 from depthprune.errors import EmptyInput, PlanModelMismatch
 from depthprune.linalg import token_cosine_mean
@@ -16,10 +17,10 @@ from depthprune.probes import ProbeSet, default_probe_sets, generate_probes
 
 
 def test_record_count_is_samples_times_depth(small_capture, small_probes):
-    header, table = small_capture
+    _, table = small_capture
+    header = table.header
     total = sum(ps.num_samples for ps in small_probes)
     assert len(table) == total * header.num_layers
-    assert table.header is header
     for column in (table.domain, table.subtask):
         assert column.shape == (total,)
     assert table.sim.shape == (total, header.num_layers)
@@ -28,7 +29,7 @@ def test_record_count_is_samples_times_depth(small_capture, small_probes):
 
 
 def test_header_matches_config(small_capture, small_config):
-    header, _ = small_capture
+    header = small_capture[1].header
     assert header.num_layers == small_config.num_layers
     assert header.hidden_dim == small_config.hidden_dim
     assert header.protected_layers == frozenset({0, small_config.num_layers - 1})
@@ -49,7 +50,8 @@ def test_stored_sim_matches_trace_recomputation(small_model, small_probes, small
 
 
 def test_pooled_vectors_match_trace(small_model, small_probes, small_capture):
-    header, table = small_capture
+    _, table = small_capture
+    header = table.header
     tokens = next(small_probes[0].all_samples())[1]
     trace = small_model.forward_with_hooks(tokens)
     pooled = table.pooled_out[0]
@@ -75,7 +77,7 @@ def test_capture_holds_what_its_log_reads_back(small_capture):
     # sims are rounded to float32 as the log stores them, so sweep (which ranks the
     # captured table) and rank, plan and heatmap (which read the log) see the same numbers
     _, table = small_capture
-    _, logged = read_log(io.StringIO(log_bytes(table).decode()))
+    logged = read_log(io.StringIO(log_bytes(table).decode()))
     for name in ("subtask", "sim", "pooled_out"):
         got, want = getattr(table, name), getattr(logged, name)
         assert got.dtype == want.dtype
@@ -96,10 +98,20 @@ def test_capture_counts_clamped_sims():
     x = np.random.default_rng(0).standard_normal((probes.num_samples, 1, cfg.hidden_dim))
     states = np.broadcast_to(x, (cfg.num_layers + 1,) + x.shape)
     raw, _ = layer_stats(states)
-    _, table = capture_run(model, [probes], [states])
-    assert table.clamped == int(np.count_nonzero(np.abs(raw) > 1.0)) > 0
+    clamped, table = capture_run(model, [probes], [states])
+    assert clamped == int(np.count_nonzero(np.abs(raw) > 1.0)) > 0
     np.testing.assert_array_equal(
         table.sim, np.clip(raw, -1.0, 1.0).astype(np.float32).astype(np.float64))
+    # the count is returned beside the table, since no log holds it: the table its log
+    # reads back equals it in every field
+    logged = read_log(io.StringIO(log_bytes(table).decode()))
+    for field in fields(ActivationTable):
+        got, want = getattr(logged, field.name), getattr(table, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, field.name
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want, field.name
 
 
 def test_capture_rejects_runs_of_the_wrong_form(monkeypatch):

@@ -391,7 +391,7 @@ def test_capture_reports_clamped_sims_on_stderr(workdir, capsys):
     log = workdir / "clamped.log"
     assert main(["capture", "--config", str(workdir / "config.json"), "--out", str(log)]) == 0
     out, err = capsys.readouterr()
-    records = len(read_log_path(log)[1])
+    records = len(read_log_path(log))
     assert out.splitlines()[0] == f"wrote {records} records to {log}"
     assert re.fullmatch(rf"clamped \d+ of {records} sims to \[-1, 1\]\n", err)
 
@@ -635,7 +635,7 @@ def test_a_log_of_no_samples_is_refused(workdir, tmp_path, capsys):
                         sim=np.empty((0, 200_000)),
                         pooled_out=np.empty((0, 200_000, 2), dtype=np.float32))
     # nor is the workdir's table, put under that header
-    _, table = read_log_path(str(workdir / "activations.log"))
+    table = read_log_path(str(workdir / "activations.log"))
     with pytest.raises(SchemaViolation, match=r"^sim \(\d+, 8\) and pooled_out \(\d+, 8, \d+\): "
                                               r"not the shapes of \d+ samples$"):
         replace(table, header=header)

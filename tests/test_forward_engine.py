@@ -179,10 +179,10 @@ def test_per_sample_capture_matches_batched_capture(n):
     probe_sets = sparse_probe_sets(cfg, 0, {"math": {MATH_SUBTASKS[0]: n, MATH_SUBTASKS[3]: n},
                                             "nonmath": {NONMATH_SUBTASKS[1]: n}})
     runs = [np.stack(list(model.stream(ps.token_matrix()))) for ps in probe_sets]
-    header, records = capture_run(model, probe_sets)
-    batched_header, batched = capture_run(model, probe_sets, runs)
-    assert header == batched_header
-    assert records.clamped == batched.clamped
+    clamped, records = capture_run(model, probe_sets)
+    batched_clamped, batched = capture_run(model, probe_sets, runs)
+    assert records.header == batched.header
+    assert clamped == batched_clamped
     for name in ("domain", "subtask", "sim", "pooled_out"):
         np.testing.assert_array_equal(getattr(records, name), getattr(batched, name))
 

@@ -4,13 +4,15 @@ import io
 import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from depthprune import cli
 from depthprune.actlog import (SCHEMA_VERSION, ActivationTable, DomainInfo, LogHeader,
-                               _header_to_json, _parse_header, read_log)
+                               _header_to_json, _parse_header, read_log, read_log_path)
 from depthprune.baselines import random_plan
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
                                DepthPruneError, EmptyInput, InvalidConfig, SchemaViolation,
@@ -101,30 +103,30 @@ def test_replace_with_a_bad_field_raises_the_type_error(valid, bad, error, messa
 
 @pytest.mark.parametrize("seed", [True, 1.5, "3"])
 @pytest.mark.parametrize("call", [
-    lambda header, table, seed: random_plan(header.pruneable, 2, seed,
-                                            num_layers=header.num_layers),
-    lambda header, table, seed: method_scores("random", table, seed=seed),
-    lambda header, table, seed: plan_for_method("random", table, 0.25, seed=seed),
+    lambda table, seed: random_plan(table.header.pruneable, 2, seed,
+                                    num_layers=table.header.num_layers),
+    lambda table, seed: method_scores("random", table, seed=seed),
+    lambda table, seed: plan_for_method("random", table, 0.25, seed=seed),
 ], ids=["random_plan", "method_scores", "plan_for_method"])
 def test_random_entry_points_refuse_a_seed_that_is_not_an_integer(small_capture, call, seed):
     with pytest.raises(DepthPruneError, match="requires a seed"):
-        call(*small_capture, seed)
+        call(small_capture[1], seed)
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda header, table: method_scores("interlace", table),
+    (lambda table: method_scores("interlace", table),
      "^method 'interlace' has no budget-free ranking$"),
-    (lambda header, table: method_scores("bogus", table), "^unknown method 'bogus'$"),
-    (lambda header, table: plan_for_method("bogus", table, 0.25),
-     "^unknown method 'bogus'$"),
-    (lambda header, table: random_plan(header.pruneable, 2, None, num_layers=header.num_layers),
+    (lambda table: method_scores("bogus", table), "^unknown method 'bogus'$"),
+    (lambda table: plan_for_method("bogus", table, 0.25), "^unknown method 'bogus'$"),
+    (lambda table: random_plan(table.header.pruneable, 2, None,
+                               num_layers=table.header.num_layers),
      r"^method random requires a seed \(an integer\), got None$"),
 ], ids=["method_scores-interlace", "method_scores-unknown", "plan_for_method-unknown",
         "random_plan-no-seed"])
 def test_library_method_rules_raise_the_config_error_of_the_cli(small_capture, call, message):
     # the CLI refuses the same faults with InvalidConfig, before the log is read
     with pytest.raises(InvalidConfig, match=message):
-        call(*small_capture)
+        call(small_capture[1])
 
 
 @pytest.mark.parametrize("counts", [True, 2.5, {}, {"Math-CoT": True}],
@@ -142,7 +144,7 @@ def test_fidelity_refuses_an_empty_probe_set():
 
 def test_every_plan_round_trips_through_its_file(small_capture):
     # the plan reader takes exactly what the plan writer can write
-    header, table = small_capture
+    _, table = small_capture
     for method in METHODS:
         for p in (0.0, 0.1, 0.25, 0.4, 1.0):
             try:
@@ -325,3 +327,37 @@ def test_check_distinct_looks_each_entry_up_once():
     with pytest.raises(InvalidConfig, match=r"^tags: Counted\(1\) is listed twice$"):
         check_distinct(InvalidConfig, "tags", map(Counted, [0, 1, 2, 1, 0, 2]))
     assert Counted.comparisons == 1
+
+
+@pytest.mark.parametrize("read,text,error,where,key", [
+    (cli._load_config, '{"seeds": [0], "seeds": [5]}', InvalidConfig,
+     "config .*: invalid JSON", "seeds"),
+    (cli._load_config, '{"model": {"num_layers": 6, "num_layers": 8}}', InvalidConfig,
+     "config .*: invalid JSON", "num_layers"),
+    (lambda path: parse_plan(Path(path).read_text()),
+     serialize_plan(_PLAN).replace('"k":2', '"k":7,"k":2'), SchemaViolation,
+     "plan: invalid JSON", "k"),
+    (read_log_path,
+     _header_to_json(_HEADER).replace('"num_layers":4', '"num_layers":99,"num_layers":4') + "\n",
+     SchemaViolation, "line 1: invalid header", "num_layers"),
+    (read_log_path, _header_to_json(_HEADER) + '\n{"subtask":"","subtask":""}\n',
+     SchemaViolation, "line 2: invalid column", "subtask"),
+], ids=["config", "config-model", "plan", "log-header", "log-column"])
+def test_a_repeated_json_key_is_each_readers_typed_error(tmp_path, read, text, error, where, key):
+    # json.loads alone keeps the last value of a repeated key without a word
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(error, match=rf"^{where} \(key: '{key}' is listed twice\)$"):
+        read(str(path))
+
+
+@pytest.mark.parametrize("read,text,message", [
+    (lambda text: read_log(io.StringIO(text)),
+     _header_to_json(_HEADER).replace('"protected_layers":[0,3]', '"protected_layers":[0,3,3]')
+     + "\n", r"^line 1: protected_layers: 3 is listed twice$"),
+    (parse_plan, serialize_plan(_PLAN).replace('"protected":[0,11]', '"protected":[0,0,11]'),
+     r"^plan: protected: 0 is listed twice$"),
+], ids=["log-header", "plan"])
+def test_a_repeated_protected_layer_is_refused_before_it_becomes_a_set(read, text, message):
+    with pytest.raises(SchemaViolation, match=message):
+        read(text)

@@ -44,8 +44,8 @@ def test_seed_changes_weights():
 def test_min_depth_pruneable_set():
     cfg = ToyModelConfig(num_layers=3)
     probe_sets = default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1})
-    header, _ = capture_run(build_model(cfg), probe_sets)
-    assert header.pruneable == (1,)
+    _, table = capture_run(build_model(cfg), probe_sets)
+    assert table.header.pruneable == (1,)
 
 
 @pytest.mark.parametrize("kwargs", [

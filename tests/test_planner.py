@@ -69,7 +69,8 @@ def test_rank_order_exhaustive_subset_oracle():
 
 
 def test_plan_for_method_endpoint_safety(small_capture):
-    header, table = small_capture
+    _, table = small_capture
+    header = table.header
     for method in ("ours-math", "ours-nonmath", "ours-mixed", "cka", "random"):
         plan = plan_for_method(method, table, 1.0, seed=0)
         assert 0 not in plan.pruned and header.num_layers - 1 not in plan.pruned, method

@@ -340,7 +340,8 @@ def test_every_method_plans_or_raises_a_typed_error(log, drawn, alpha, seed):
 def test_random_plans_are_prefixes_of_the_random_ranking(small_capture):
     # rank --method M and every plan --method M come from one ranking, for each M but
     # interlace; random's is one draw per seed
-    header, table = small_capture
+    _, table = small_capture
+    header = table.header
     for method in ("ours-math", "ours-nonmath", "ours-mixed", "cka", "random"):
         for seed in range(200) if method == "random" else (None,):
             scores, order = method_scores(method, table, seed=seed)
@@ -354,7 +355,8 @@ def test_random_plans_are_prefixes_of_the_random_ranking(small_capture):
 
 
 def test_random_requires_a_seed(small_capture):
-    header, table = small_capture
+    _, table = small_capture
+    header = table.header
     with pytest.raises(DepthPruneError, match="requires a seed"):
         random_plan(header.pruneable, 2, None, num_layers=header.num_layers)
     with pytest.raises(DepthPruneError, match="requires a seed"):

@@ -28,11 +28,10 @@ from hypothesis import strategies as st
 
 from depthprune import cli, report
 from depthprune.errors import (AlphaOutOfRange, BudgetOutOfRange, DepthPruneError,
-                               InvalidConfig, is_int)
+                               InvalidConfig, is_fraction, is_int)
 from depthprune.model import ToyModelConfig
 from depthprune.planner import DEFAULT_BUDGETS, METHODS
 from depthprune.probes import DEFAULT_COUNTS, check_counts
-from depthprune.report import is_fraction
 from depthprune.scoring import DEFAULT_ALPHA
 
 # ---- the reference: the check chains RunConfig replaced -------------------

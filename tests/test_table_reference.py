@@ -106,7 +106,7 @@ def captured_tables():
     model = build_model(cfg)
     probe_sets = default_probe_sets(cfg, 4, {"math": 3, "nonmath": 3})
     _, table = capture_run(model, probe_sets)
-    _, logged = read_log(io.StringIO(log_bytes(table).decode()))
+    logged = read_log(io.StringIO(log_bytes(table).decode()))
     return [("captured", table), ("captured-log", logged),
             ("captured-shuffled", shuffled(table, 9))]
 
