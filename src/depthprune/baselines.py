@@ -12,22 +12,19 @@ from .errors import (BudgetInfeasible, DegenerateFeatures, InvalidConfig, LayerS
                      MissingSubtask, check_distinct, check_int, is_int, show)
 from .linalg import center_rows, token_cosine_mean
 from .planner import PrunePlan
-from .probes import MATH_SUBTASKS, NONMATH_SUBTASKS
 from .rng import SeededStream
-
-ALL_SUBTASKS = MATH_SUBTASKS + NONMATH_SUBTASKS  # 9 pseudo-samples
 
 
 def feature_matrices(table) -> dict:
-    """Per-layer (9, d) matrices: one row per subtask, mean pooled_out."""
-    tags, means = table.header.subtask_tags, []
-    for tag in ALL_SUBTASKS:
-        rows = table.subtask == (tags.index(tag) if tag in tags else -1)
+    """Per-layer (subtasks, d) matrices: row i is the mean pooled_out of header subtask i."""
+    means = []
+    for i, tag in enumerate(table.header.subtask_tags):
+        rows = table.subtask == i
         if not rows.any():
             raise MissingSubtask(f"no records for subtask {tag!r}")
         # a float64 mean over the rows adds each entry in sample order, as a per-record loop would
         means.append(table.pooled_out[rows].mean(axis=0, dtype=np.float64))
-    return dict(enumerate(np.stack(means, axis=1)))  # layer -> (9, d)
+    return dict(enumerate(np.stack(means, axis=1)))  # layer -> (subtasks, d)
 
 
 def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
@@ -83,7 +80,7 @@ def interlace_solution(table, k: int):
     if k > len(pruneable):
         raise BudgetInfeasible(f"k = {k} exceeds pruneable count {len(pruneable)}")
     features = feature_matrices(table)
-    # S_l = mean over the 9 subtask rows of cosine(row_l, row_{l+1})
+    # S_l = mean over the subtask rows of cosine(row_l, row_{l+1})
     sims = {l: token_cosine_mean(features[l], features[l + 1])
             for l in pruneable if l + 1 in features}
     inout = _inout_redundancy(table)

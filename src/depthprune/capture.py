@@ -60,7 +60,7 @@ def capture_run(model, probe_sets, runs=None):
             raise ValueError(f"runs: {len(runs)} runs for {len(probe_sets)} probe sets")
     header = LogHeader(
         model_id=(f"toy-L{cfg.num_layers}-d{cfg.hidden_dim}-h{cfg.num_heads}"
-                  f"-v{cfg.vocab_size}-s{cfg.seed}"),
+                  f"-v{cfg.vocab_size}-t{cfg.max_seq_len}-s{cfg.seed}"),
         num_layers=cfg.num_layers,
         hidden_dim=cfg.hidden_dim,
         protected_layers=default_protected(cfg.num_layers),

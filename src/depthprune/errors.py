@@ -40,7 +40,7 @@ def show(value) -> str:
         return f"<{what} of over {sys.get_int_max_str_digits()} digits>"
 
 
-def check_int(error, name, value, low=None, high=None):
+def check_int(error, name, value, low=None, high=None, written=False):
     """Raise ``error`` naming ``name`` unless ``value`` is an integer in [low, high), type first."""
     if not is_int(value):
         raise error(f"{name}: {show(value)} is not an integer")
@@ -48,6 +48,9 @@ def check_int(error, name, value, low=None, high=None):
         raise error(f"{name}: {show(value)} outside [{low}, {show(high)})")
     if low is not None and value < low:
         raise error(f"{name}: must be >= {low}, got {show(value)}")
+    # ``written``: an output holds it, so str must take it; show writes "<...>" for one it cannot
+    if written and show(value).startswith("<"):
+        raise error(f"{name}: {show(value)} is too long to write")
 
 
 def check_fraction(error, name, value):

@@ -52,7 +52,7 @@ class ToyModelConfig:
         check_int(InvalidConfig, "num_heads", self.num_heads, 1)
         check_int(InvalidConfig, "vocab_size", self.vocab_size, 2)
         check_int(InvalidConfig, "max_seq_len", self.max_seq_len, 1)
-        check_int(InvalidConfig, "seed", self.seed)
+        check_int(InvalidConfig, "seed", self.seed, written=True)  # a log's model_id holds it
         if self.hidden_dim % self.num_heads != 0:
             raise InvalidConfig(f"hidden_dim {show(self.hidden_dim)} not divisible "
                                 f"by num_heads {show(self.num_heads)}")

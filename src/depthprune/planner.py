@@ -24,8 +24,7 @@ _PLAN_KINDS = {
 def budget_k(p: float, n_mid: int) -> int:
     """K = floor(p * n_mid), guarded against float representation of p."""
     check_fraction(BudgetOutOfRange, "budget fraction", p)
-    if n_mid < 0:
-        raise BudgetOutOfRange(f"n_mid must be >= 0, got {n_mid}")
+    check_int(BudgetOutOfRange, "n_mid", n_mid, 0)
     return int(math.floor(p * n_mid + 1e-9))
 
 

@@ -14,14 +14,6 @@ from .errors import InvalidConfig, UnknownDomain, check_int
 from .model import ToyModelConfig
 from .rng import SeededStream, mix_seed
 
-MATH_SUBTASKS = ("Math-CoT", "Math-Direct", "Math-Rephrase", "Math-Formalize", "Math-Verify")
-NONMATH_SUBTASKS = ("Captioning", "EntityListing", "CountingVQA", "Grounding")
-
-DOMAINS = ("math", "nonmath")
-
-# desk-scale defaults preserving the 5:4 math/nonmath sample ratio
-DEFAULT_COUNTS = {"math": 50, "nonmath": 50}
-
 PROBE_LEN = 32
 
 
@@ -134,30 +126,25 @@ def _grounding(stream, length, vocab):
     return seq[:length]
 
 
-_GENERATORS = {
-    "Math-CoT": _math_cot,
-    "Math-Direct": _math_direct,
-    "Math-Rephrase": _math_rephrase,
-    "Math-Formalize": _math_formalize,
-    "Math-Verify": _math_verify,
-    "Captioning": _captioning,
-    "EntityListing": _entity_listing,
-    "CountingVQA": _counting_vqa,
-    "Grounding": _grounding,
+# The suite's one declaration, {domain: {subtask tag: generator}} in generation order
+SUITE = {
+    "math": {"Math-CoT": _math_cot, "Math-Direct": _math_direct, "Math-Rephrase": _math_rephrase,
+             "Math-Formalize": _math_formalize, "Math-Verify": _math_verify},
+    "nonmath": {"Captioning": _captioning, "EntityListing": _entity_listing,
+                "CountingVQA": _counting_vqa, "Grounding": _grounding},
 }
-
-
-def subtasks_for(domain: str) -> tuple:
-    if domain == "math":
-        return MATH_SUBTASKS
-    if domain == "nonmath":
-        return NONMATH_SUBTASKS
-    raise UnknownDomain(f"unknown domain {domain!r} (expected one of {DOMAINS})")
+DOMAINS = tuple(SUITE)
+MATH_SUBTASKS = tuple(SUITE["math"])
+NONMATH_SUBTASKS = tuple(SUITE["nonmath"])
+# desk-scale defaults preserving the 5:4 math/nonmath sample ratio
+DEFAULT_COUNTS = dict.fromkeys(SUITE, 50)
 
 
 def subtask_counts(domain: str, count) -> dict:
     """{subtask: count} of one domain's positive count per subtask or complete {tag: count}."""
-    tags = subtasks_for(domain)
+    if domain not in SUITE:
+        raise UnknownDomain(f"unknown domain {domain!r} (expected one of {DOMAINS})")
+    tags = SUITE[domain]
     per_subtask = count if isinstance(count, dict) else dict.fromkeys(tags, count)
     for tag, n in per_subtask.items():
         if tag not in tags:
@@ -186,11 +173,11 @@ def generate_probes(domain: str, counts, seed: int, config: ToyModelConfig) -> P
     length = min(PROBE_LEN, config.max_seq_len)
     vocab = config.vocab_size
     subtasks = []
-    for si, tag in enumerate(subtasks_for(domain)):
+    for si, (tag, generate) in enumerate(SUITE[domain].items()):
         samples = []
         for i in range(counts[tag]):
             stream = SeededStream(mix_seed(seed, si, i))
-            samples.append(tuple(_GENERATORS[tag](stream, length, vocab)))
+            samples.append(tuple(generate(stream, length, vocab)))
         subtasks.append((tag, tuple(samples)))
     return ProbeSet(domain=domain, subtasks=tuple(subtasks))
 

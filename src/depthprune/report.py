@@ -66,6 +66,8 @@ class RunConfig:
             check_int(InvalidConfig, "seeds", seed)
         for key in ("methods", "budgets", "seeds"):
             check_distinct(InvalidConfig, key, getattr(self, key))
+        for seed in self.seeds:  # sweep.csv holds each
+            check_int(InvalidConfig, "seeds", seed, written=True)
         check_int(InvalidConfig, "probe_seed", self.probe_seed)
         if not isinstance(self.out, str):
             raise InvalidConfig(f"out: {self.out!r} is not a path")

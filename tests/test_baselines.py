@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_records, select_samples
-from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
-                                  interlace_plan, interlace_solution,
+from depthprune.baselines import (cka_rank, feature_matrices, interlace_plan, interlace_solution,
                                   linear_cka, random_plan)
 from depthprune.capture import capture_run
 from depthprune.errors import (BudgetInfeasible, DegenerateFeatures, LayerSetMismatch,
                                MissingSubtask)
 from depthprune.model import ToyModelConfig, build_model
-from depthprune.probes import default_probe_sets
+from depthprune.probes import MATH_SUBTASKS, NONMATH_SUBTASKS, default_probe_sets
 
 
 def random_orthogonal(d, seed):
@@ -74,9 +73,43 @@ def test_feature_matrices_shape_and_order():
     header, records = make_synthetic_records(num_layers=5, hidden_dim=6)
     feats = feature_matrices(records)
     assert set(feats) == set(range(5))
+    # one row per subtask the header declares, in its order (tests/test_table_reference.py
+    # checks each row against a per-record loop)
+    assert header.subtask_tags == MATH_SUBTASKS + NONMATH_SUBTASKS
     assert feats[0].shape == (9, 6)
-    # row order follows the canonical 5 math + 4 nonmath subtask order
-    assert len(ALL_SUBTASKS) == 9
+
+
+SMALL = ToyModelConfig(num_layers=6, hidden_dim=16, num_heads=2, seed=3)
+
+
+@pytest.fixture(scope="module")
+def small_probe_sets():
+    return default_probe_sets(SMALL, 3, {"math": 2, "nonmath": 2})
+
+
+def test_feature_matrices_follow_the_header_order(small_probe_sets):
+    model = build_model(SMALL)
+    _, table = capture_run(model, small_probe_sets)
+    _, reversed_table = capture_run(model, small_probe_sets[::-1])
+    assert reversed_table.header.subtask_tags == NONMATH_SUBTASKS + MATH_SUBTASKS
+    # the non-math rows come first; each row is the same subtask's mean bit for bit
+    order = [table.header.subtask_tags.index(tag) for tag in reversed_table.header.subtask_tags]
+    feats, reversed_feats = feature_matrices(table), feature_matrices(reversed_table)
+    for layer in feats:
+        np.testing.assert_array_equal(reversed_feats[layer], feats[layer][order])
+
+
+@pytest.mark.parametrize("domain", ["math", "nonmath"])
+def test_cka_and_interlace_rank_a_one_domain_capture(small_probe_sets, domain):
+    probe_set = next(ps for ps in small_probe_sets if ps.domain == domain)
+    _, table = capture_run(build_model(SMALL), [probe_set])
+    tags = MATH_SUBTASKS if domain == "math" else NONMATH_SUBTASKS
+    assert feature_matrices(table)[0].shape == (len(tags), SMALL.hidden_dim)
+    scores = cka_rank(table)
+    assert set(scores) == {1, 2, 3, 4}
+    assert all(-1e-9 <= score <= 1 + 1e-9 for score in scores.values())
+    plan = interlace_plan(table, 1, 0.25)
+    assert plan.k == 1 and set(plan.pruned) <= {1, 2, 3, 4}
 
 
 def test_cka_rank_attributes_to_later_layer():

@@ -1,6 +1,6 @@
 import io
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -34,6 +34,19 @@ def test_header_matches_config(small_capture, small_config):
     assert header.hidden_dim == small_config.hidden_dim
     assert header.protected_layers == frozenset({0, small_config.num_layers - 1})
     assert {d.domain: d.sample_count for d in header.domains} == {"math": 50, "nonmath": 40}
+
+
+def test_model_id_names_every_config_field():
+    # each field builds different weights, so a log's model_id must tell them apart:
+    # max_seq_len sizes the positional table, which moves every later weight's draw
+    base = ToyModelConfig(num_layers=3, hidden_dim=4, num_heads=2, vocab_size=8, max_seq_len=8)
+    changes = dict(num_layers=4, hidden_dim=6, num_heads=1, vocab_size=9, max_seq_len=9, seed=1)
+    assert set(changes) == {f.name for f in fields(ToyModelConfig)}
+    probes = default_probe_sets(base, 0, {"math": 1, "nonmath": 1})
+    model_ids = {capture_run(build_model(cfg), probes)[1].header.model_id
+                 for cfg in [base] + [replace(base, **{k: v}) for k, v in changes.items()]}
+    assert len(model_ids) == 1 + len(changes)
+    assert "toy-L3-d4-h2-v8-t8-s0" in model_ids
 
 
 def test_stored_sim_matches_trace_recomputation(small_model, small_probes, small_capture):

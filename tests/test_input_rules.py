@@ -304,6 +304,26 @@ def test_an_over_long_integer_is_each_records_typed_error(build, error, message)
         build()
 
 
+@over_long
+@pytest.mark.parametrize("build,message", [
+    (lambda: ToyModelConfig(seed=_HUGE), f"^seed: {_SHOWN} is too long to write$"),
+    (lambda: ToyModelConfig(seed=-_HUGE), f"^seed: {_SHOWN} is too long to write$"),
+    (lambda: RunConfig(seeds=(0, _HUGE)), f"^seeds: {_SHOWN} is too long to write$"),
+], ids=["model-seed", "model-seed-negative", "run-seeds"])
+def test_a_seed_too_long_to_write_is_refused_when_its_record_is_built(build, message):
+    # a log's model_id holds the model seed and sweep.csv each run seed: the record that
+    # would write one refuses it, before a model is built or a forward runs
+    with pytest.raises(InvalidConfig, match=message):
+        build()
+
+
+@over_long
+def test_the_longest_seed_that_can_be_written_is_kept():
+    seed = 10 ** (_DIGITS - 1)  # _DIGITS digits, the most str writes
+    assert ToyModelConfig(seed=-seed).seed == -seed
+    assert RunConfig(seeds=(seed,)).seeds == (seed,)
+
+
 def test_check_distinct_looks_each_entry_up_once():
     # entries are compared only on a hash match, so n distinct entries cost no n² comparisons
     class Counted:

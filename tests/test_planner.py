@@ -40,6 +40,17 @@ def test_budget_k_out_of_range():
         budget_k(-0.1, 10)
 
 
+@pytest.mark.parametrize("n_mid,message", [
+    (2.5, "^n_mid: 2.5 is not an integer$"),
+    (True, "^n_mid: True is not an integer$"),
+    (None, "^n_mid: None is not an integer$"),
+    (-1, "^n_mid: must be >= 0, got -1$"),
+], ids=["float", "bool", "None", "negative"])
+def test_budget_k_refuses_a_layer_count_that_is_not_a_count(n_mid, message):
+    with pytest.raises(BudgetOutOfRange, match=message):
+        budget_k(0.5, n_mid)
+
+
 def cka_plan(scores, p):
     """The cka plan of ``scores`` on 12 layers at budget p: the first K of their order."""
     k = budget_k(p, len(scores))

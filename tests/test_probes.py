@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from depthprune.errors import InvalidConfig, UnknownDomain
@@ -76,3 +78,18 @@ def test_respects_small_max_seq_len():
     cfg = ToyModelConfig(max_seq_len=8)
     ps = generate_probes("nonmath", 2, seed=0, config=cfg)
     assert all(len(tokens) <= 8 for _, tokens in ps.all_samples())
+
+
+# SHA-256 over, for probe seeds 0 and 1, each default probe set's domain name then its
+# token matrix as little-endian int64: pins every generator, its tag, its stream and the
+# domain and subtask order, as test_model.py pins the weights
+PINNED_PROBE_TOKENS = "2ed49c6ee66ade89ce84a6d819c1d7e17562f420563a879403cf05eafd9b735c"
+
+
+def test_default_probe_tokens_are_pinned():
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        for ps in default_probe_sets(CFG, seed):
+            digest.update(ps.domain.encode())
+            digest.update(ps.token_matrix().astype("<i8").tobytes())
+    assert digest.hexdigest() == PINNED_PROBE_TOKENS

@@ -17,8 +17,7 @@ import pytest
 import depthprune.baselines as baselines
 from conftest import log_bytes, make_synthetic_records, select_samples
 from depthprune.actlog import read_log
-from depthprune.baselines import (ALL_SUBTASKS, cka_rank, feature_matrices,
-                                  interlace_plan)
+from depthprune.baselines import cka_rank, feature_matrices, interlace_plan
 from depthprune.capture import capture_run
 from depthprune.model import ToyModelConfig, build_model
 from depthprune.probes import default_probe_sets
@@ -64,7 +63,8 @@ def ref_heatmap(records):
     return tuple(subtasks), layers, sums / counts
 
 
-def ref_features(records):
+def ref_features(records, tags):
+    """One row per tag, in the order given: the mean pooled output of its records."""
     sums, counts = {}, {}
     for rec in records:
         key = (rec.layer, rec.subtask)
@@ -73,7 +73,7 @@ def ref_features(records):
             counts[key] = 0
         sums[key] += np.asarray(rec.pooled_out, dtype=np.float64)
         counts[key] += 1
-    return {layer: np.vstack([sums[(layer, tag)] / counts[(layer, tag)] for tag in ALL_SUBTASKS])
+    return {layer: np.vstack([sums[(layer, tag)] / counts[(layer, tag)] for tag in tags])
             for layer in sorted({rec.layer for rec in records})}
 
 
@@ -134,7 +134,7 @@ def test_heatmap_matrix_matches_loop(captured_tables):
 
 def test_feature_matrices_match_loop(captured_tables):
     for name, table in all_tables(captured_tables):
-        expected = ref_features(records_of(table))
+        expected = ref_features(records_of(table), table.header.subtask_tags)
         got = feature_matrices(table)
         assert list(got) == list(expected), name
         for layer in expected:
@@ -148,7 +148,8 @@ def test_inout_redundancy_matches_loop(captured_tables):
 
 def with_loop_inputs(monkeypatch):
     """Route the rankers' feature and in/out inputs through the loop references."""
-    monkeypatch.setattr(baselines, "feature_matrices", lambda t: ref_features(records_of(t)))
+    monkeypatch.setattr(baselines, "feature_matrices",
+                        lambda t: ref_features(records_of(t), t.header.subtask_tags))
     monkeypatch.setattr(baselines, "_inout_redundancy", lambda t: ref_inout(records_of(t)))
 
 
