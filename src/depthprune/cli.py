@@ -19,7 +19,7 @@ from .capture import capture_run
 from .errors import DepthPruneError, InvalidConfig, PlanModelMismatch, SchemaViolation, load_json
 from .model import ToyModelConfig, apply_prune_plan, build_model
 from .planner import parse_plan, serialize_plan
-from .probes import DOMAINS, default_probe_sets
+from .probes import default_probe_sets
 from .report import (RunConfig, classify_regime, fidelity, heatmap_matrix, method_scores,
                      plan_for_method, removal_pattern_grid, sweep, sweep_csv)
 from .scoring import DEFAULT_ALPHA, aggregate_domain, znormalize
@@ -63,8 +63,8 @@ def cmd_capture(args):
 
 def cmd_score(args):
     table = read_log_path(args.log)
-    # both domains are scored before any line is printed, so a failure prints nothing
-    for scores in [znormalize(aggregate_domain(table, domain)) for domain in DOMAINS]:
+    # every domain of the header is scored before any line is printed, so a failure prints nothing
+    for scores in [znormalize(aggregate_domain(table, d.domain)) for d in table.header.domains]:
         print(f"domain={scores.domain} n={scores.sample_count} "
               f"mu={scores.mu:.6f} sigma={scores.sigma:.6f}")
         for layer in scores.raw:
@@ -103,7 +103,7 @@ def cmd_plan(args):
     regime = classify_regime(args.budget)
     if args.out:  # a failed write prints nothing
         _write_text(args.out, "plan", serialize_plan(plan))
-    print(f"method={plan.method} budget={plan.budget_fraction} k={plan.k} regime={regime.label}")
+    print(f"method={plan.method} budget={plan.budget_fraction} k={plan.k} regime={regime}")
     print("pruned: " + ",".join(str(l) for l in plan.pruned))
     if args.out:
         print(f"wrote plan to {args.out}")

@@ -56,6 +56,13 @@ class ToyModelConfig:
         if self.hidden_dim % self.num_heads != 0:
             raise InvalidConfig(f"hidden_dim {show(self.hidden_dim)} not divisible "
                                 f"by num_heads {show(self.num_heads)}")
+        # numpy counts bytes in an intp: the float64 bytes of all 6 * num_layers + 3 weight
+        # tensors, and so of each one, must fit in it (a short RAM is found when they are drawn)
+        d = self.hidden_dim
+        size = 8 * ((2 * self.vocab_size + self.max_seq_len) * d + 12 * self.num_layers * d * d)
+        if size > np.iinfo(np.intp).max:
+            raise InvalidConfig(f"weights of {show(size)} bytes exceed numpy's "
+                                f"{np.iinfo(np.intp).max}: {show(self)}")
 
 
 @dataclass(frozen=True)

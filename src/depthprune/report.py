@@ -33,11 +33,6 @@ class FidelityReport:
 
 
 @dataclass(frozen=True)
-class RegimeLabel:
-    label: str
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """One run of the pipeline: its fields are the keys of a config file."""
     model: ToyModelConfig = ToyModelConfig()
@@ -73,16 +68,14 @@ class RunConfig:
             raise InvalidConfig(f"out: {self.out!r} is not a path")
 
 
-def classify_regime(p: float) -> RegimeLabel:
+def classify_regime(p: float) -> str:
     """Fixed budget bands: <=15% ranking-sensitive, <=32% transition, above structure-dominated."""
     check_fraction(BudgetOutOfRange, "budget fraction", p)
     if p <= 0.15:
-        label = "ranking-sensitive"
-    elif p <= 0.32:
-        label = "transition"
-    else:
-        label = "structure-dominated"
-    return RegimeLabel(label=label)
+        return "ranking-sensitive"
+    if p <= 0.32:
+        return "transition"
+    return "structure-dominated"
 
 
 def _floored_softmax(logits: np.ndarray) -> np.ndarray:
@@ -213,24 +206,27 @@ def _drain(states):
 def method_scores(method: str, table, alpha: float = DEFAULT_ALPHA, seed: int = None):
     """(scores, full prune order) of one method over the table header's pruneable layers.
 
-    ``ours-math`` and ``ours-nonmath`` are ``ours-mixed`` at alpha 0 and 1;
-    ``random`` is ``random_plan``'s full order, every score 0.0.
+    ``ours-math`` and ``ours-nonmath`` score their own domain alone, which is
+    ``ours-mixed`` at alpha 0 and 1 bit for bit; ``random`` is
+    ``random_plan``'s full order, every score 0.0.  The one place a ranking
+    is ordered.
     """
     header = table.header
     if method == "random":
         pruneable = header.pruneable
         order = random_plan(pruneable, len(pruneable), seed, num_layers=header.num_layers).pruned
         return {l: 0.0 for l in pruneable}, order
-    if method in ("ours-math", "ours-nonmath", "ours-mixed"):
-        ranking = mixed_ranking(znormalize(aggregate_domain(table, "math")),
-                                znormalize(aggregate_domain(table, "nonmath")),
-                                {"ours-math": 0.0, "ours-nonmath": 1.0}.get(method, alpha))
-        return ranking.scores, ranking.order
-    if method == "cka":
+    if method in ("ours-math", "ours-nonmath"):
+        scores = znormalize(aggregate_domain(table, method.removeprefix("ours-"))).normalized
+    elif method == "ours-mixed":
+        scores = mixed_ranking(znormalize(aggregate_domain(table, "math")),
+                               znormalize(aggregate_domain(table, "nonmath")), alpha)
+    elif method == "cka":
         scores = cka_rank(table)
-        return scores, rank_order(scores)
-    raise InvalidConfig(f"method {method!r} has no budget-free ranking" if method in METHODS
-                        else f"unknown method {method!r}")
+    else:
+        raise InvalidConfig(f"method {method!r} has no budget-free ranking" if method in METHODS
+                            else f"unknown method {method!r}")
+    return scores, rank_order(scores)
 
 
 def plan_for_method(method: str, table, p: float, alpha: float = DEFAULT_ALPHA, seed: int = None):

@@ -1,8 +1,8 @@
 """Domain-aware redundancy scoring.
 
 Pipeline: per-domain mean of per-sample in/out similarities, z-normalization
-across the pruneable layer set, and an alpha-mixed ranking combining the
-normalized non-math and math scores.
+across the pruneable layer set, and alpha-mixed scores combining the
+normalized non-math and math scores.  ``report.method_scores`` orders them.
 """
 
 from dataclasses import dataclass, replace
@@ -24,12 +24,6 @@ class DomainScoreTable:
     mu: float = 0.0
     sigma: float = 0.0
     normalized: dict = None
-
-
-@dataclass(frozen=True)
-class MixedRanking:
-    scores: dict         # layer -> combined score
-    order: tuple         # layers sorted by score desc, ties to higher index
 
 
 def rank_order(scores: dict) -> tuple:
@@ -64,16 +58,15 @@ def znormalize(table: DomainScoreTable) -> DomainScoreTable:
 
 
 def mixed_ranking(math_table: DomainScoreTable, nonmath_table: DomainScoreTable,
-                  alpha: float) -> MixedRanking:
-    """R_l = alpha * nonmath + (1 - alpha) * math over normalized scores."""
+                  alpha: float) -> dict:
+    """{layer: R_l}, R_l = alpha * nonmath + (1 - alpha) * math over normalized scores."""
     check_fraction(AlphaOutOfRange, "alpha", alpha)
     if math_table.normalized is None or nonmath_table.normalized is None:
         raise LayerSetMismatch("both tables must be normalized before mixing")
     if set(math_table.normalized) != set(nonmath_table.normalized):
         raise LayerSetMismatch("math and nonmath tables cover different layer sets")
-    scores = {l: alpha * nonmath_table.normalized[l] + (1.0 - alpha) * math_table.normalized[l]
-              for l in math_table.normalized}
-    return MixedRanking(scores=scores, order=rank_order(scores))
+    return {l: alpha * nonmath_table.normalized[l] + (1.0 - alpha) * math_table.normalized[l]
+            for l in math_table.normalized}
 
 
 @dataclass(frozen=True)

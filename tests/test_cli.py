@@ -209,6 +209,9 @@ def test_version_flag(capsys):
     # a map that names only some subtasks would capture a header of empty subtasks
     ({"probe_counts": {"math": {"Math-CoT": 1}, "nonmath": 1}},
      "probe_counts math: missing subtask 'Math-Direct'"),
+    # weights no numpy array can hold: refused before any allocation, not a late ValueError
+    ({"model": {"vocab_size": 10 ** 30}}, "vocab_size=1000000000000000000000000000000"),
+    ({"model": {"hidden_dim": 2 ** 40}}, "hidden_dim=1099511627776"),
 ])
 @pytest.mark.parametrize("command", ["capture", "sweep"])
 def test_invalid_config_fails_before_building_a_model(tmp_path, capsys, monkeypatch,
@@ -649,12 +652,33 @@ def test_a_log_of_no_samples_is_refused(workdir, tmp_path, capsys):
     assert capsys.readouterr() == ("", "SchemaViolation: no samples: a log holds at least one\n")
 
 
-def test_score_on_a_log_of_one_domain_prints_nothing(tmp_path, capsys):
-    # both domains are scored before the first line is printed, as rank and plan do
+@pytest.mark.parametrize("keep", [slice(None, 1), slice(1, None)], ids=["math", "nonmath"])
+def test_score_on_a_log_of_one_domain_scores_that_domain(tmp_path, capsys, keep):
+    # score reads its domains from the header: a one-domain capture prints the same block
+    # for its domain as the capture of both
+    cfg = ToyModelConfig(num_layers=4, hidden_dim=8, num_heads=2)
+    probe_sets = default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1})
+    blocks = []
+    for name, sets in (("both", probe_sets), ("one", probe_sets[keep])):
+        log = tmp_path / f"{name}.log"
+        write_log_path(capture_run(build_model(cfg), sets)[1], path=str(log))
+        assert main(["score", "--log", str(log)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        blocks.append(re.split(r"\n(?=domain=)", out.rstrip("\n")))
+    both, one = blocks
+    assert [b.split()[0] for b in both] == ["domain=math", "domain=nonmath"]
+    assert one == both[keep]
+
+
+def test_score_on_a_log_with_an_empty_domain_prints_nothing(tmp_path, capsys):
+    # every declared domain is scored before the first line is printed, as rank and plan do
     cfg = ToyModelConfig(num_layers=4, hidden_dim=8, num_heads=2)
     _, table = capture_run(build_model(cfg),
                            default_probe_sets(cfg, 0, {"math": 1, "nonmath": 1})[:1])
-    log = tmp_path / "math-only.log"
-    write_log_path(table, path=str(log))
+    header = replace(table.header, domains=table.header.domains
+                     + (DomainInfo("nonmath", NONMATH_SUBTASKS, 0),))
+    log = tmp_path / "empty-nonmath.log"
+    write_log_path(replace(table, header=header), path=str(log))
     assert main(["score", "--log", str(log)]) == 1
     assert capsys.readouterr() == ("", "EmptyInput: no records for domain 'nonmath'\n")

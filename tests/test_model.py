@@ -62,6 +62,28 @@ def test_invalid_config(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
+    dict(vocab_size=10 ** 30),
+    dict(max_seq_len=10 ** 30),
+    dict(num_layers=10 ** 30),
+    dict(hidden_dim=2 ** 40),
+    dict(vocab_size=2 ** 59 - 18, hidden_dim=1, num_heads=1, num_layers=3, max_seq_len=1),
+])
+def test_config_refuses_weights_numpy_cannot_hold(kwargs):
+    # the float64 weights' bytes must fit in an intp; the config is refused when it is built,
+    # where numpy would raise a plain ValueError when the first weight is allocated
+    with pytest.raises(InvalidConfig, match=r"^weights of \d+ bytes exceed numpy's "):
+        ToyModelConfig(**kwargs)
+
+
+def test_the_largest_config_numpy_can_hold_is_kept():
+    # 8 * (2 * vocab + max_seq_len + 12 * num_layers) bytes at hidden_dim 1: 2**63 - 8, the most
+    # bytes a multiple of 8 below 2**63; the config is only built, never its weights
+    cfg = ToyModelConfig(vocab_size=2 ** 59 - 19, hidden_dim=1, num_heads=1, num_layers=3,
+                         max_seq_len=1)
+    assert 8 * (2 * cfg.vocab_size + 1 + 36) == 2 ** 63 - 8 <= np.iinfo(np.intp).max
+
+
+@pytest.mark.parametrize("kwargs", [
     dict(hidden_dim=64.0),
     dict(num_heads=True),
     dict(num_layers="12"),

@@ -11,14 +11,15 @@ from depthprune import report
 from depthprune.baselines import random_plan
 from depthprune.capture import capture_run
 from depthprune.errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange,
-                               DepthPruneError, InconsistentDepth, InvalidConfig, LayerSetMismatch,
-                               ModelMismatch, ZeroNormInput)
+                               DepthPruneError, EmptyInput, InconsistentDepth, InvalidConfig,
+                               LayerSetMismatch, ModelMismatch, ZeroNormInput)
 from depthprune.model import (Model, ToyModelConfig, apply_prune_plan, build_model,
                               default_protected)
 from depthprune.planner import METHODS, PrunePlan, budget_k, parse_plan, serialize_plan
 from depthprune.probes import default_probe_sets, generate_probes
 from depthprune.report import (RunConfig, classify_regime, fidelity, method_scores,
                                plan_for_method, removal_pattern_grid, sweep, sweep_csv)
+from depthprune.scoring import aggregate_domain, mixed_ranking, rank_order, znormalize
 
 CFG = ToyModelConfig()
 
@@ -37,7 +38,7 @@ CFG = ToyModelConfig()
     (1.0, "structure-dominated"),
 ])
 def test_classify_regime(p, label):
-    assert classify_regime(p).label == label
+    assert classify_regime(p) == label
 
 
 def test_classify_regime_out_of_range():
@@ -49,7 +50,7 @@ def test_classify_regime_out_of_range():
 
 def test_regime_partition_total():
     for p in np.linspace(0, 1, 101):
-        assert classify_regime(float(p)).label in {
+        assert classify_regime(float(p)) in {
             "ranking-sensitive", "transition", "structure-dominated"}
 
 
@@ -363,3 +364,52 @@ def test_random_requires_a_seed(small_capture):
         method_scores("random", table)
     with pytest.raises(DepthPruneError, match="requires a seed"):
         plan_for_method("random", table, 0.25)
+
+
+# ---- single-domain criteria ------------------------------------------------
+
+def bits(scores):
+    """(layer, float.hex) pairs of ``scores`` in its key order: equal only bit for bit."""
+    return [(l, float(v).hex()) for l, v in scores.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=protected_logs(), decimals=st.none() | st.integers(0, 2))
+def test_single_domain_methods_equal_the_mix_at_its_endpoints(log, decimals):
+    # ours-math and ours-nonmath score their own domain alone; the alpha 0 and 1 mixes of both
+    # domains are the reference, in scores and order, bit for bit (rounded sims give ties and
+    # zero-spread layer sets)
+    _, table = log
+    if decimals is not None:
+        table = replace(table, sim=np.round(table.sim, decimals))
+    z_math, z_nonmath = (znormalize(aggregate_domain(table, d)) for d in ("math", "nonmath"))
+    for method, alpha in (("ours-math", 0.0), ("ours-nonmath", 1.0)):
+        scores, order = method_scores(method, table)
+        mix = mixed_ranking(z_math, z_nonmath, alpha)
+        assert bits(scores) == bits(mix), method
+        assert order == rank_order(mix), method
+
+
+@pytest.mark.parametrize("kept,missing", [("math", "nonmath"), ("nonmath", "math")])
+def test_every_method_but_the_mix_ranks_a_one_domain_capture(small_model, small_probes,
+                                                              small_capture, kept, missing):
+    _, table = capture_run(small_model, [ps for ps in small_probes if ps.domain == kept])
+    pruneable = table.header.pruneable
+    needs_missing = ("ours-mixed", f"ours-{missing}")
+    for method in METHODS:
+        if method in needs_missing:
+            with pytest.raises(EmptyInput, match=f"^no records for domain '{missing}'$"):
+                method_scores(method, table, seed=0)
+            with pytest.raises(EmptyInput, match=f"^no records for domain '{missing}'$"):
+                plan_for_method(method, table, 0.25, seed=0)
+            continue
+        if method != "interlace":  # it ranks only under a budget
+            scores, order = method_scores(method, table, seed=0)
+            assert sorted(order) == list(pruneable), method
+        plan = plan_for_method(method, table, 0.25, seed=0)
+        assert plan.k == budget_k(0.25, len(pruneable)) == len(plan.pruned), method
+        assert set(plan.pruned) <= set(pruneable), method
+    # the kept domain's own criterion ranks as it does on the capture of both domains
+    _, both = small_capture
+    assert bits(method_scores(f"ours-{kept}", table)[0]) == \
+        bits(method_scores(f"ours-{kept}", both)[0])
