@@ -54,6 +54,11 @@ class LogHeader:
                     domains=self.domains)
         for d in self.domains:
             check_kinds(_DOMAIN_KINDS, domain=d.domain, subtasks=d.subtasks)
+            # the CSV and line outputs write each name as it is
+            for key, name in [("domain", d.domain)] + [("subtasks", tag) for tag in d.subtasks]:
+                if set(name) & set(',"\r\n'):
+                    raise SchemaViolation(f"domains: {key}: {name!r} holds a comma, a quote "
+                                          "or a line break")
         if self.schema_version != SCHEMA_VERSION:
             raise SchemaViolation(f"schema_version: unsupported value {show(self.schema_version)}"
                                   f" (this reader reads {SCHEMA_VERSION})")

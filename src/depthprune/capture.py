@@ -1,5 +1,7 @@
 """Run probe suites through a model and collect an activation table."""
 
+import sys
+
 import numpy as np
 
 from .actlog import ActivationTable, DomainInfo, LogHeader
@@ -81,3 +83,8 @@ def capture_run(model, probe_sets, runs=None):
         sim=np.clip(sim, -1.0, 1.0).astype(np.float32).astype(np.float64),
         pooled_out=np.concatenate([p for _, p in stats]),
     )
+
+
+def print_clamped(clamped: int, table) -> None:
+    """The stderr line of ``capture`` and ``sweep``: how many of ``table``'s sims were clamped."""
+    print(f"clamped {clamped} of {len(table)} sims to [-1, 1]", file=sys.stderr)

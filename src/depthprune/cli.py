@@ -15,7 +15,7 @@ from dataclasses import fields
 from . import __version__
 from .actlog import read_log_path, read_path, write_log_path, write_path
 from .baselines import cka_rank  # noqa: F401  (bench/tracer.py wraps it in this module)
-from .capture import capture_run
+from .capture import capture_run, print_clamped
 from .errors import DepthPruneError, InvalidConfig, PlanModelMismatch, SchemaViolation, load_json
 from .model import ToyModelConfig, apply_prune_plan, build_model
 from .planner import parse_plan, serialize_plan
@@ -57,7 +57,7 @@ def cmd_capture(args):
     clamped, table = capture_run(model, probe_sets)
     write_log_path(table, path=out)
     print(f"wrote {len(table)} records to {out}")
-    print(f"clamped {clamped} of {len(table)} sims to [-1, 1]", file=sys.stderr)
+    print_clamped(clamped, table)
     return 0
 
 
@@ -92,17 +92,14 @@ def cmd_rank(args):
     return 0
 
 
-def _write_text(path, what, text):
-    write_path(path, what, lambda fh: fh.write(text))
-
-
 def cmd_plan(args):
     _check_flags(args, args.budget)
     table = read_log_path(args.log)
     plan = plan_for_method(args.method, table, args.budget, alpha=args.alpha, seed=args.seed)
     regime = classify_regime(args.budget)
-    if args.out:  # a failed write prints nothing
-        _write_text(args.out, "plan", serialize_plan(plan))
+    if args.out:  # a failed write prints nothing; a plan that cannot be serialized opens no file
+        text = serialize_plan(plan)
+        write_path(args.out, "plan", lambda fh: fh.write(text))
     print(f"method={plan.method} budget={plan.budget_fraction} k={plan.k} regime={regime}")
     print("pruned: " + ",".join(str(l) for l in plan.pruned))
     if args.out:
@@ -139,7 +136,7 @@ def cmd_sweep(args):
     }
     for name, text in outputs.items():
         path = os.path.join(out_dir, name)
-        _write_text(path, "sweep output", text)
+        write_path(path, "sweep output", lambda fh: fh.write(text))
         print(f"wrote {path}")
     return 0
 

@@ -2,8 +2,9 @@
 
 Every error carries an ``exit_code`` used by the CLI: 1 for validation
 problems (bad input, schema, config), 2 for runtime failures (I/O).
-``is_int``, ``is_number`` and ``is_fraction`` (a number in [0, 1]) are the
-only rules for a valid integer, number and fraction; none takes a ``bool``.
+``is_int``, ``is_number`` (an integer or a finite float) and ``is_fraction``
+(a number in [0, 1]) are the only rules for a valid integer, number and
+fraction; none takes a ``bool``.
 ``check_int``, ``check_fraction`` and ``check_distinct`` word each fault once;
 ``kind_problem``, ``check_kinds`` and ``object_problem`` apply the kind rules
 of each on-disk record, to a file's keys and to a record's fields alike.
@@ -12,6 +13,7 @@ of each on-disk record, to a file's keys and to a record's fields alike.
 """
 
 import json
+import math
 import sys
 
 
@@ -20,7 +22,8 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # only a float is tested for finiteness: math.isfinite overflows on a huge int
+    return is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
 def is_fraction(value) -> bool:

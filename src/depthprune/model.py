@@ -1,4 +1,4 @@
-"""Seeded deterministic decoder-only transformer with capture hooks.
+"""Seeded deterministic decoder-only transformer, streamed one block at a time.
 
 Pre-norm residual blocks: x += attn(norm(x)); x += mlp(norm(x)).  Zeroing
 a block's attention output projection and MLP down-projection makes it an
@@ -292,7 +292,7 @@ def build_model(config: ToyModelConfig) -> Model:
 
     def draw(part):
         for w, std, start in part:
-            SeededStream(config.seed, start).gaussians(w.size, out=w.reshape(-1))
+            SeededStream(config.seed, start).gaussians(w.reshape(-1))
             w *= std
 
     threaded(draw, [plan[0::2], plan[1::2]])

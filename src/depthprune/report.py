@@ -7,12 +7,12 @@ from itertools import cycle
 import numpy as np
 
 from .baselines import cka_rank, interlace_plan, random_plan
-from .capture import capture_run
+from .capture import capture_run, print_clamped
 from .errors import (AlphaOutOfRange, BudgetInfeasible, BudgetOutOfRange, EmptyInput,
                      InconsistentDepth, InvalidConfig, ModelMismatch, ZeroNormInput,
                      check_distinct, check_fraction, check_int)
 from .linalg import ZERO_NORM_THRESHOLD
-from .model import ToyModelConfig, apply_prune_plan, build_model, threaded
+from .model import ToyModelConfig, _softmax, apply_prune_plan, build_model, threaded
 from .planner import DEFAULT_BUDGETS, METHODS, PrunePlan, budget_k
 from .probes import DEFAULT_COUNTS, check_counts, default_probe_sets
 from .scoring import (DEFAULT_ALPHA, aggregate_domain, heatmap_matrix, mixed_ranking,
@@ -79,10 +79,7 @@ def classify_regime(p: float) -> str:
 
 
 def _floored_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    p = np.maximum(p, KL_FLOOR)
+    p = np.maximum(_softmax(logits.copy()), KL_FLOOR)  # copied: the base logits serve every leaf
     return p / p.sum(axis=-1, keepdims=True)
 
 
@@ -253,7 +250,8 @@ def sweep(run: RunConfig):
     row per (method, budget, seed, domain) in that order, one plan per
     (method, budget) with random plans taken at the first seed, and the
     candidate heatmap.  A run with no method, budget or seed is refused
-    before the model is built.  A (method, budget) whose plan raises
+    before the model is built.  The capture's count of clamped sims goes to
+    stderr, as ``capture`` prints it.  A (method, budget) whose plan raises
     ``BudgetInfeasible`` is left out of both, with one line on stderr.  Each
     domain's base forward, and then its fidelity walk, runs on its own
     thread; the walk drains the base states, so it ends up holding only the
@@ -266,7 +264,8 @@ def sweep(run: RunConfig):
     probe_sets = default_probe_sets(run.model, run.probe_seed, run.probe_counts)
     tokens = [ps.token_matrix() for ps in probe_sets]
     base_runs = threaded(lambda t: list(model.stream(t)), tokens)
-    table = capture_run(model, probe_sets, base_runs)[1]
+    clamped, table = capture_run(model, probe_sets, base_runs)
+    print_clamped(clamped, table)
     heatmap = heatmap_matrix(table)
 
     grid_plans = {}
@@ -281,7 +280,7 @@ def sweep(run: RunConfig):
             except BudgetInfeasible as exc:
                 print(f"skipped {method} at budget {p!r}: {exc}", file=sys.stderr)
                 continue
-            grid_plans.setdefault((method, p), plans[0])
+            grid_plans[method, p] = plans[0]
             for seed, plan in zip(seeds, cycle(plans)):
                 key = frozenset(plan.pruned)
                 if key not in pruned_models:
@@ -294,7 +293,7 @@ def sweep(run: RunConfig):
         lambda i: _reports(model, _drain(base_runs[i]), pruned_models, probe_sets[i], tokens[i]),
         range(len(probe_sets)))
     rows = [(method, p, seed, res[key]) for method, p, seed, key in cells for res in results]
-    plans = [grid_plans[k] for k in sorted(grid_plans, key=lambda mk: (mk[0], mk[1]))]
+    plans = [grid_plans[k] for k in sorted(grid_plans)]
     return rows, plans, heatmap
 
 

@@ -77,22 +77,19 @@ class SeededStream:
 
     @staticmethod
     def raw_count(n: int) -> int:
-        """Raw draws that ``gaussians(n)`` uses: two per Box-Muller pair."""
+        """Raw draws that ``gaussians`` uses for n values: two per Box-Muller pair."""
         return 2 * ((n + 1) // 2)
 
-    def gaussians(self, n: int, out: np.ndarray = None) -> np.ndarray:
-        """n standard normal values via Box-Muller on consecutive uniform pairs.
+    def gaussians(self, out: np.ndarray) -> np.ndarray:
+        """Fill the 1-D float64 array ``out`` with standard normal values; returns it.
 
-        The first ``ceil(n/2)`` uniforms give the radii and the next ones the
+        Box-Muller on consecutive uniform pairs: for n = ``out.size``, the
+        first ``ceil(n/2)`` uniforms give the radii and the next ones the
         angles; the cosine halves come first, then the sine halves, cut to n.
-        The values are written into ``out`` (a float64 array of shape (n,))
-        when given, else into a new array, which is returned.
         """
-        _check_count("count", n)
-        if out is None:
-            out = np.empty(n)
-        elif out.shape != (n,):
-            raise ValueError(f"out shape {out.shape} != {(n,)}")
+        if out.ndim != 1:
+            raise ValueError(f"out must be 1-D (got shape {out.shape})")
+        n = out.size
         m = (n + 1) // 2
         u = self.uniforms(2 * m)
         r, theta = u[:m], u[m:]

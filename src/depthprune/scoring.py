@@ -72,11 +72,10 @@ def mixed_ranking(math_table: DomainScoreTable, nonmath_table: DomainScoreTable,
 @dataclass(frozen=True)
 class HeatmapMatrix:
     subtasks: tuple
-    layers: tuple
     values: np.ndarray   # (num_subtasks, num_layers) mean sims
 
     def to_csv(self) -> str:
-        lines = ["subtask," + ",".join(f"layer_{l}" for l in self.layers)]
+        lines = ["subtask," + ",".join(f"layer_{l}" for l in range(self.values.shape[1]))]
         for i, tag in enumerate(self.subtasks):
             lines.append(tag + "," + ",".join(repr(float(v)) for v in self.values[i]))
         return "\n".join(lines) + "\n"
@@ -91,5 +90,4 @@ def heatmap_matrix(table) -> HeatmapMatrix:
     codes = list(dict.fromkeys(table.subtask.tolist()))  # in first-appearance order
     # a mean over a subtask's rows adds each cell in sample order, as a per-record loop would
     values = np.array([table.sim[table.subtask == c].mean(axis=0) for c in codes])
-    return HeatmapMatrix(subtasks=tuple(table.header.subtask_tags[c] for c in codes),
-                         layers=tuple(range(table.header.num_layers)), values=values)
+    return HeatmapMatrix(tuple(table.header.subtask_tags[c] for c in codes), values)

@@ -452,6 +452,20 @@ def test_header_rejects_repeated_subtask_tag(domains):
                   domains=domains)
 
 
+@pytest.mark.parametrize("domains,message", [
+    ((DomainInfo("math", ("Math,CoT",), 1),), "^domains: subtasks: 'Math,CoT' holds "),
+    ((DomainInfo("math", ("A", 'Math"CoT'), 1),), "^domains: subtasks: 'Math\"CoT' holds "),
+    ((DomainInfo("math", ("Math\rCoT",), 1),), r"^domains: subtasks: 'Math\\rCoT' holds "),
+    ((DomainInfo("math", ("A",), 1), DomainInfo("non\nmath", ("B",), 1)),
+     r"^domains: domain: 'non\\nmath' holds "),
+], ids=["comma-in-a-tag", "quote-in-a-tag", "cr-in-a-tag", "lf-in-a-domain"])
+def test_header_rejects_a_name_that_would_break_a_csv_cell_or_line(domains, message):
+    # heatmap writes each tag into a CSV cell and score each domain into a line, as they are
+    with pytest.raises(SchemaViolation, match=message + "a comma, a quote or a line break$"):
+        LogHeader(model_id="x", num_layers=4, hidden_dim=2, protected_layers=frozenset(),
+                  domains=domains)
+
+
 def test_read_rejects_a_subtask_tag_of_two_domains():
     lines = log_lines()
     lines[0] = lines[0].replace('"Captioning"', '"Math-CoT"')

@@ -143,13 +143,39 @@ def test_sweep_skips_an_infeasible_cell(tmp_path, capsys):
                                   "budgets": [0.25, 0.5], "seeds": [0]}))
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("skipped interlace at budget 0.5: ")
+    assert len(err) == 2
+    assert re.fullmatch(r"clamped \d+ of \d+ sims to \[-1, 1\]", err[0])
+    assert err[1].startswith("skipped interlace at budget 0.5: ")
     cells = {tuple(line.split(",")[:2])
              for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]}
     assert cells == {("ours-mixed", "0.25"), ("ours-mixed", "0.5"), ("interlace", "0.25")}
     grid = [line.split(",")[:2] for line in (tmp_path / "removal_grid.csv").read_text()
             .splitlines()[2:]]
     assert grid == [["interlace", "0.25"], ["ours-mixed", "0.25"], ["ours-mixed", "0.5"]]
+
+
+def test_sweep_reports_clamped_sims_on_stderr(workdir, tmp_path, capsys, monkeypatch):
+    # the count is capture's, printed in capture's words
+    def clamps_five(*args):
+        return 5, capture_run(*args)[1]
+
+    monkeypatch.setattr(report, "capture_run", clamps_five)
+    config = str(workdir / "config.json")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
+    records = len(read_log_path(workdir / "activations.log"))
+    assert capsys.readouterr().err == f"clamped 5 of {records} sims to [-1, 1]\n"
+
+
+def test_heatmap_of_a_log_whose_tag_breaks_a_csv_cell_exits_one(workdir, tmp_path, capsys):
+    # a tag of "Math,CoT\nx" would split its row over two lines and add a column
+    lines = (workdir / "activations.log").read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["domains"][0]["subtasks"][0] = "Math,CoT\nx"
+    log = tmp_path / "comma-tag.log"
+    log.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    assert main(["heatmap", "--log", str(log)]) == 1
+    assert capsys.readouterr() == ("", "SchemaViolation: domains: subtasks: 'Math,CoT\\nx' "
+                                       "holds a comma, a quote or a line break\n")
 
 
 def test_heatmap_stdout(workdir, capsys):
@@ -386,7 +412,11 @@ def test_unwritable_output_exits_two(workdir, tmp_path, capsys, argv, what, targ
              "dir": tmp_path}
     assert main([arg.format(**paths) for arg in argv]) == 2
     out, err = capsys.readouterr()
-    assert err.startswith(f"SinkFailure: cannot write {what} {target.format(**paths)}: ")
+    *before, last = err.splitlines()
+    assert last.startswith(f"SinkFailure: cannot write {what} {target.format(**paths)}: ")
+    # a sweep has captured, and reported its clamped sims, before it writes
+    assert len(before) == (argv[0] == "sweep")
+    assert all(re.fullmatch(r"clamped \d+ of \d+ sims to \[-1, 1\]", line) for line in before)
     assert out == ""  # nothing is printed before the output is written
 
 

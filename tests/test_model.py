@@ -267,10 +267,10 @@ def test_build_model_reraises_a_worker_threads_error_with_its_type(monkeypatch):
         pass
 
     class FailsOffTheCallingThread(SeededStream):
-        def gaussians(self, n, out=None):
+        def gaussians(self, out):
             if threading.current_thread() is not threading.main_thread():
                 raise WorkerFailure("drawn off the calling thread")
-            return super().gaussians(n, out)
+            return super().gaussians(out)
 
     monkeypatch.setattr(model_module, "SeededStream", FailsOffTheCallingThread)
     with pytest.raises(WorkerFailure, match="drawn off the calling thread"):

@@ -207,6 +207,28 @@ def test_parse_rejects_score_keys_that_are_not_layers(scores, message):
         parse_plan(text)
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_a_score_that_is_not_finite_is_refused(value):
+    # plan never writes one, and json.dumps would write it back as no JSON: "10":NaN
+    text = ('{"method":"cka","alpha":null,"budget_fraction":0.25,"k":2,"num_layers":12,'
+            '"protected":[0,11],"pruned":[10,2],"scores":{"2":-1.5,"10":%s},"seed":null}' % value)
+    with pytest.raises(SchemaViolation,
+                       match=r"^plan: scores: unexpected value \{'2': -1.5, '10': "):
+        parse_plan(text)
+    with pytest.raises(SchemaViolation, match=r"^scores: unexpected value \{2: -1.5, 10: "):
+        PrunePlan(method="cka", budget_fraction=0.25, k=2, num_layers=12,
+                  protected=default_protected(12), pruned=(10, 2),
+                  scores={2: -1.5, 10: float(value)})
+
+
+def test_a_score_too_large_for_a_float_is_still_a_number():
+    # only a float is tested for finiteness: an integer score of 10**400 is a finite number
+    plan = PrunePlan(method="cka", budget_fraction=0.25, k=2, num_layers=12,
+                     protected=default_protected(12), pruned=(10, 2),
+                     scores={2: 10 ** 400, 10: 0.5})
+    assert parse_plan(serialize_plan(plan)) == plan
+
+
 def test_parse_rejects_unknown_key():
     plan = cka_plan(scores_for(12), 0.1)
     text = serialize_plan(plan).rstrip()[:-1] + ',"extra":1}'

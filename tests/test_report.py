@@ -112,6 +112,28 @@ def test_fidelity_zero_norm_final_hidden_raises():
         fidelity(zero, base, probes)
 
 
+def three_step_floored_softmax(logits):
+    """The floored softmax written out step by step, the reference for ``_floored_softmax``."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=-1, keepdims=True)
+    p = np.maximum(p, report.KL_FLOOR)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def test_floored_softmax_equals_the_three_step_formula_bit_for_bit():
+    # logit spreads up to 100 put many probabilities under the floor
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        logits = rng.normal(scale=rng.choice([1.0, 10.0, 100.0]), size=(5, 32, 64))
+        before = logits.copy()
+        got = report._floored_softmax(logits)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      three_step_floored_softmax(logits).view(np.uint64))
+        # fidelity passes the base logits to every leaf, so they are left as they are
+        np.testing.assert_array_equal(logits.view(np.uint64), before.view(np.uint64))
+
+
 # ---- sweep -----------------------------------------------------------------
 
 SWEEP_ARGS = dict(methods=["ours-math", "random"], budgets=[0.0, 0.25],

@@ -149,7 +149,7 @@ def test_heatmap_singleton():
                        protected_layers=frozenset(), domains=(DomainInfo("math", ("Math-CoT",), 1),))
     hm = heatmap_matrix(grid_table(header, ["Math-CoT"], [[0.42]]))
     assert hm.subtasks == ("Math-CoT",)
-    assert hm.layers == (0,)
+    assert hm.values.shape[1] == 1
     assert hm.values[0, 0] == pytest.approx(0.42)
 
 
@@ -162,13 +162,13 @@ def test_heatmap_empty():
 def test_heatmap_consistent_with_aggregate():
     header, records = make_synthetic_records(num_layers=6, samples_per_subtask=3, seed=5)
     hm = heatmap_matrix(records)
+    assert hm.values.shape[1] == header.num_layers  # column l is layer l
     for domain, tags in (("math", hm.subtasks[:5]), ("nonmath", hm.subtasks[5:])):
         t = aggregate_domain(records, domain)
         for layer in header.pruneable:
-            col = hm.layers.index(layer)
             rows = [hm.subtasks.index(tag) for tag in tags]
             # equal per-subtask sample counts: flat merge equals row mean
-            assert np.mean(hm.values[rows, col]) == pytest.approx(t.raw[layer], abs=1e-12)
+            assert np.mean(hm.values[rows, layer]) == pytest.approx(t.raw[layer], abs=1e-12)
 
 
 def test_heatmap_csv_shape():
