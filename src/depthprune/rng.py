@@ -78,6 +78,7 @@ class SeededStream:
     @staticmethod
     def raw_count(n: int) -> int:
         """Raw draws that ``gaussians`` uses for n values: two per Box-Muller pair."""
+        _check_count("count", n)
         return 2 * ((n + 1) // 2)
 
     def gaussians(self, out: np.ndarray) -> np.ndarray:

@@ -58,6 +58,8 @@ def test_gaussians_reject_an_output_that_is_not_1d():
 
 
 @pytest.mark.parametrize("draw", [
+    lambda: SeededStream.raw_count(-3),
+    lambda: SeededStream.raw_count(-1),
     lambda: SeededStream(1).uniforms(-1),
     lambda: SeededStream(1).raw(-1),
     lambda: SeededStream(1, start=-1),
